@@ -1,18 +1,14 @@
 """Simulation toolkit for randomized search heuristics on r-valued OneMax.
 
 Implements RLS and the (1+1) EA over {0,...,r-1}^n with uniform, unit and
-harmonic step operators, empirical drift estimation with drift-theorem
-bound calculators, the one-dimensional token process, and a replicated
-experiment layer with scaling-law fitting.
+harmonic step operators, empirical drift estimation, the one-dimensional
+token process, and a replicated experiment layer with scaling-law fitting.
 """
 
 from .algorithms import (AlgorithmKind, DEFAULT_ITERATION_CAP, RunConfig, RunRecord,
                          mutate, one_iteration, run, run_batch, subseed)
-from .drift import (DriftBoundInputs, DriftEstimate, MultiplicativeLowerBound,
-                    estimate_drift, harmonic_number, multiplicative_drift_lower_bound,
-                    multiplicative_drift_lower_bound_leveled, multiplicative_drift_upper_bound,
-                    plant_state_at_fitness, plant_state_at_hamming, realize_distances,
-                    variable_drift_upper_bound)
+from .drift import (DriftEstimate, estimate_drift, harmonic_number, plant_state_at_fitness,
+                    plant_state_at_hamming, realize_distances)
 from .experiments import (AggregateResult, DegenerateModelError, ExperimentPlan, MODELS,
                           ScalingFit, StartKind, StartPolicy, TargetPolicy, build_start,
                           build_target, execute_plan, fit_scaling, stable_seed)

@@ -137,11 +137,20 @@ def run_batch(config: RunConfig, replicates: int, workers: int = 1) -> list[RunR
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    configs = [_with_seed(config, subseed(config.seed, k)) for k in range(replicates)]
-    if workers <= 1 or replicates == 1:
-        return [run(c) for c in configs]
+    return _map_runs(run, [_with_seed(config, subseed(config.seed, k))
+                           for k in range(replicates)], workers)
+
+
+def _map_runs(run_fn, configs: list[RunConfig], workers: int) -> list[RunRecord]:
+    """run_fn over configs in order; workers > 1 spreads them over processes.
+
+    Callers pass the `run` of their own module, so a wrapper installed on
+    that module-level name sees every call.
+    """
+    if workers <= 1 or len(configs) == 1:
+        return [run_fn(c) for c in configs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, configs, chunksize=max(1, replicates // (4 * workers))))
+        return list(pool.map(run_fn, configs, chunksize=max(1, len(configs) // (4 * workers))))
 
 
 def _with_seed(config: RunConfig, seed: int) -> RunConfig:

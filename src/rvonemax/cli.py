@@ -6,7 +6,8 @@ stable column order and numbers formatted to 10 significant digits, so
 fixed-seed invocations are byte-identical. Progress and warnings go to
 stderr.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 capacity error.
+Exit codes: 0 success, 1 usage or invalid-input error, 2 I/O error, 3 capacity
+error.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithms import AlgorithmKind, DEFAULT_ITERATION_CAP, RunConfig
 from .drift import estimate_drift
-from .experiments import (AggregateResult, ExperimentPlan, StartPolicy, TargetPolicy,
-                          build_target, execute_plan, fit_scaling, MODELS, stable_seed)
+from .experiments import (AggregateResult, ExperimentPlan, StartKind, StartPolicy, TargetPolicy,
+                          build_target, execute_plan, fit_scaling, hitting_time_summary, MODELS,
+                          stable_seed)
 from .operators import StepOperatorKind, harmonic_pmf
 from .potentials import Potential
 from .space import MetricKind, ProblemInstance, SpaceParams
@@ -48,34 +49,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class CliConfig:
-    subcommand: str
-    plan_file: str | None = None
-    n: tuple[int, ...] | None = None
-    r: tuple[int, ...] | None = None
-    algorithms: tuple[AlgorithmKind, ...] | None = None
-    operators: tuple[StepOperatorKind, ...] | None = None
-    metric: MetricKind | None = None
-    target: TargetPolicy | None = None
-    start: StartPolicy | None = None
-    replicates: int | None = None
-    seed: int | None = None
-    cap: int | None = None
-    potential: Potential | None = None
-    levels: tuple[int, ...] = ()
-    samples: int | None = None
-    distribution: str | None = None
-    model: str | None = None
-    input_path: str | None = None
-    output_format: str = "csv"
-    destination: str | None = None
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip() != "")
 
 
 def build_parser() -> _Parser:
@@ -185,113 +158,73 @@ def _parse_plan_scalar(text: str):
         return text
 
 
-def parse_args(argv) -> CliConfig:
-    """Parse and validate arguments; exits with status 1 on usage errors."""
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    cfg = CliConfig(subcommand=ns.subcommand,
-                    output_format=getattr(ns, "format", "csv"),
-                    destination=getattr(ns, "out", None))
-    try:
-        if ns.subcommand == "run":
-            _fill_run_config(cfg, ns)
-        elif ns.subcommand == "drift":
-            _fill_drift_config(cfg, ns, parser)
-        elif ns.subcommand == "token":
-            cfg.r = (ns.r,)
-            cfg.distribution = ns.dist
-            cfg.replicates = ns.reps
-            cfg.seed = ns.seed
-            cfg.cap = ns.cap
-            if ns.r < 1:
-                parser.error("r must be >= 1")
-        elif ns.subcommand == "fit":
-            cfg.model = ns.model
-            cfg.input_path = ns.input
-        elif ns.subcommand == "pmf":
-            cfg.r = (ns.r,)
-            if ns.r < 2:
-                parser.error("r must be >= 2")
-    except ValueError as exc:
-        parser.error(str(exc))
-    if cfg.subcommand in ("run", "drift", "token") and cfg.seed is None:
-        parser.error("--seed is required (runs must be reproducible)")
-    if cfg.subcommand in ("run", "drift") and cfg.r is not None:
-        bad = [r for r in cfg.r if r < 2]
-        if bad:
-            parser.error(f"r must be >= 2, got {bad[0]}")
-    return cfg
-
-
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
-
-
-def _fill_run_config(cfg: CliConfig, ns) -> None:
-    plan = load_plan_file(ns.plan) if ns.plan else {}
-    cfg.plan_file = ns.plan
-
-    def pick(flag_value, key, default=None):
-        # inline flags win over plan-file values
-        if flag_value is not None:
-            return flag_value
-        return plan.get(key, default)
-
-    n = pick(_int_list(ns.n) if ns.n else None, "n")
-    r = pick(_int_list(ns.r) if ns.r else None, "r")
-    if n is None or r is None:
-        raise ValueError("run needs --n and --r (flags or plan file)")
-    cfg.n = tuple(int(v) for v in _as_list(n))
-    cfg.r = tuple(int(v) for v in _as_list(r))
-    algos = pick(ns.algo, "algorithms", "rls")
-    ops = pick(ns.op, "operators", "uniform")
-    cfg.algorithms = tuple(AlgorithmKind.parse(a) for a in _split_names(algos))
-    cfg.operators = tuple(StepOperatorKind.parse(o) for o in _split_names(ops))
-    cfg.metric = MetricKind.parse(str(pick(ns.metric, "metric", "interval")))
-    cfg.target = TargetPolicy.parse(str(pick(ns.target, "target", "zero")))
-    start_name = str(pick(ns.start, "start", "random")).strip().lower()
-    hamming_k = pick(ns.hamming_k, "hamming_k")
-    if start_name == "hamming":
-        if hamming_k is None:
-            raise ValueError("--start hamming needs --hamming-k")
-        cfg.start = StartPolicy.fixed_hamming(int(hamming_k))
-    elif hamming_k is not None:
-        raise ValueError("--hamming-k is only valid with --start hamming")
-    elif start_name == "random":
-        cfg.start = StartPolicy.uniform_random()
-    elif start_name == "maxdist":
-        cfg.start = StartPolicy.all_max_distance()
-    else:
-        raise ValueError(f"unknown start policy {start_name!r}")
-    cfg.replicates = int(pick(ns.reps, "replicates", 100))
-    seed = pick(ns.seed, "seed")
-    cfg.seed = None if seed is None else int(seed)
-    cap = pick(ns.cap, "cap", DEFAULT_ITERATION_CAP)
-    cfg.cap = int(cap)
-
-
-def _split_names(value) -> list[str]:
+def _split(value) -> list:
+    """Items of a plan-file list as they are; a flag or plan-file scalar split at commas."""
     if isinstance(value, list):
-        return [str(v) for v in value]
+        return value
     return [part for part in str(value).split(",") if part.strip()]
 
 
-def _fill_drift_config(cfg: CliConfig, ns, parser) -> None:
-    cfg.n = (ns.n,)
-    cfg.r = (ns.r,)
-    cfg.algorithms = (AlgorithmKind.parse(ns.algo),)
-    cfg.operators = (StepOperatorKind.parse(ns.op),)
-    cfg.metric = MetricKind.parse(ns.metric)
-    cfg.target = TargetPolicy.parse(ns.target)
-    cfg.potential = Potential.parse(ns.potential)
-    if cfg.potential.kind == "exp_weight":
-        parser.error("the drift subcommand supports hamming and fitness levels; "
-                     "use the library API for exp_weight distance vectors")
-    cfg.levels = _int_list(ns.levels)
-    if not cfg.levels:
-        parser.error("--levels must name at least one level")
-    cfg.samples = ns.samples
-    cfg.seed = ns.seed
+def parse_args(argv) -> argparse.Namespace:
+    """Parse arguments and build the library objects the subcommand runs:
+    `experiment` (an ExperimentPlan) for run; `config` (a RunConfig),
+    `potential` and `levels` for drift; `config` (a TokenConfig) for token.
+
+    Exits with status 1 on usage errors, including a ValueError raised by a
+    constructor.
+    """
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    try:
+        if ns.subcommand == "run":
+            ns.experiment = _build_experiment(ns)
+        elif ns.subcommand == "drift":
+            params = SpaceParams(n=ns.n, r=ns.r)
+            target_rng = np.random.default_rng(stable_seed(ns.seed, "target"))
+            target = build_target(TargetPolicy.parse(ns.target), params, target_rng)
+            instance = ProblemInstance(params=params, metric=MetricKind.parse(ns.metric),
+                                       target=target)
+            ns.config = RunConfig(algorithm=AlgorithmKind.parse(ns.algo),
+                                  operator=StepOperatorKind.parse(ns.op),
+                                  instance=instance, seed=ns.seed)
+            ns.potential = Potential.parse(ns.potential)
+            ns.levels = [int(level) for level in _split(ns.levels)]
+        elif ns.subcommand == "token":
+            cap = {} if ns.cap is None else {"iteration_cap": ns.cap}
+            ns.config = TokenConfig(r=ns.r, distribution=ns.dist, seed=ns.seed, **cap)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return ns
+
+
+def _build_experiment(ns) -> ExperimentPlan:
+    values = load_plan_file(ns.plan) if ns.plan else {}
+    # inline flags win over plan-file values
+    flags = {"n": ns.n, "r": ns.r, "algorithms": ns.algo, "operators": ns.op,
+             "metric": ns.metric, "target": ns.target, "start": ns.start,
+             "hamming_k": ns.hamming_k, "replicates": ns.reps, "seed": ns.seed, "cap": ns.cap}
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
+    if "n" not in values or "r" not in values:
+        raise ValueError("run needs --n and --r (flags or plan file)")
+    if "seed" not in values:
+        raise ValueError("--seed is required (runs must be reproducible)")
+    start = str(values.get("start", "random")).strip().lower()
+    hamming_k = values.get("hamming_k")
+    if (start == "hamming") != (hamming_k is not None):
+        raise ValueError("--start hamming needs --hamming-k" if hamming_k is None
+                         else "--hamming-k is only valid with --start hamming")
+    return ExperimentPlan(
+        grid=tuple((n, r) for n in _split(values["n"]) for r in _split(values["r"])),
+        algorithms=tuple(AlgorithmKind.parse(str(a)) for a in
+                         _split(values.get("algorithms", "rls"))),
+        operators=tuple(StepOperatorKind.parse(str(o)) for o in
+                        _split(values.get("operators", "uniform"))),
+        metric=MetricKind.parse(str(values.get("metric", "interval"))),
+        target_policy=TargetPolicy.parse(str(values.get("target", "zero"))),
+        start_policy=StartPolicy(StartKind(start), None if hamming_k is None else int(hamming_k)),
+        replicates=int(values.get("replicates", 100)),
+        base_seed=int(values["seed"]),
+        iteration_cap=int(values.get("cap", DEFAULT_ITERATION_CAP)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +289,8 @@ def aggregate_rows(aggregates: list[AggregateResult]) -> list[dict]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_run(cfg: CliConfig) -> int:
-    plan = ExperimentPlan(grid=tuple((n, r) for n in cfg.n for r in cfg.r),
-                          algorithms=cfg.algorithms, operators=cfg.operators,
-                          metric=cfg.metric, target_policy=cfg.target,
-                          start_policy=cfg.start, replicates=cfg.replicates,
-                          base_seed=cfg.seed, iteration_cap=cfg.cap)
+def _cmd_run(ns) -> int:
+    plan = ns.experiment
     cells = len(plan.grid) * len(plan.algorithms) * len(plan.operators)
     print(f"running {cells} cell(s) x {plan.replicates} replicate(s)", file=sys.stderr)
     aggregates = execute_plan(plan)
@@ -370,45 +299,29 @@ def _cmd_run(cfg: CliConfig) -> int:
     if censored:
         print(f"warning: {len(censored)} aggregate(s) are right-censored "
               f"(capped runs excluded from means)", file=sys.stderr)
-    return emit_results(rows, cfg.output_format, cfg.destination)
+    return emit_results(rows, ns.format, ns.out)
 
 
-def _cmd_drift(cfg: CliConfig) -> int:
-    n, r = cfg.n[0], cfg.r[0]
-    params = SpaceParams(n=n, r=r)
-    target_rng = np.random.default_rng(stable_seed(cfg.seed, "target"))
-    instance = ProblemInstance(params=params, metric=cfg.metric,
-                               target=build_target(cfg.target, params, target_rng))
-    config = RunConfig(algorithm=cfg.algorithms[0], operator=cfg.operators[0],
-                       instance=instance, seed=cfg.seed)
-    estimates = estimate_drift(config, cfg.potential, cfg.levels, cfg.samples)
-    rows = [_row(DRIFT_COLUMNS, n, r, cfg.algorithms[0].value, cfg.operators[0].value,
-                 cfg.metric.value, cfg.potential.label, est.level, est.mean_drop,
+def _cmd_drift(ns) -> int:
+    config = ns.config
+    estimates = estimate_drift(config, ns.potential, ns.levels, ns.samples)
+    rows = [_row(DRIFT_COLUMNS, ns.n, ns.r, config.algorithm.value, config.operator.value,
+                 config.instance.metric.value, ns.potential.label, est.level, est.mean_drop,
                  est.confidence_halfwidth, est.samples)
             for est in estimates]
-    return emit_results(rows, cfg.output_format, cfg.destination)
+    return emit_results(rows, ns.format, ns.out)
 
 
-def _cmd_token(cfg: CliConfig) -> int:
-    r = cfg.r[0]
-    exact = token_expected_hitting_time_exact(r, cfg.distribution)
-    kwargs = {} if cfg.cap is None else {"iteration_cap": cfg.cap}
-    records = token_run_batch(TokenConfig(r=r, distribution=cfg.distribution,
-                                          seed=cfg.seed, **kwargs), cfg.replicates)
-    times = np.array([rec.hitting_time for rec in records if not rec.capped], dtype=np.float64)
-    capped = sum(1 for rec in records if rec.capped)
-    if times.size == 0:
-        mean = median = float("nan")
-        std_error = 0.0
-    else:
-        mean = float(times.mean())
-        median = float(np.median(times))
-        std_error = float(times.std(ddof=1) / np.sqrt(times.size)) if times.size > 1 else 0.0
-    rows = [_row(TOKEN_COLUMNS, r, cfg.distribution, mean, std_error, median,
-                 cfg.replicates, capped, exact)]
+def _cmd_token(ns) -> int:
+    config = ns.config
+    exact = token_expected_hitting_time_exact(config.r, config.distribution)
+    records = token_run_batch(config, ns.reps)
+    mean, std_error, median, capped = hitting_time_summary(records)
+    rows = [_row(TOKEN_COLUMNS, config.r, config.distribution, mean, std_error, median,
+                 ns.reps, capped, exact)]
     if capped:
         print(f"warning: {capped} run(s) hit the iteration cap", file=sys.stderr)
-    return emit_results(rows, cfg.output_format, cfg.destination)
+    return emit_results(rows, ns.format, ns.out)
 
 
 def read_aggregate_points(path: str) -> list[tuple[int, int, float]]:
@@ -433,29 +346,26 @@ def read_aggregate_points(path: str) -> list[tuple[int, int, float]]:
     return points
 
 
-def _cmd_fit(cfg: CliConfig) -> int:
-    points = read_aggregate_points(cfg.input_path)
-    fit = fit_scaling(points, cfg.model)
+def _cmd_fit(ns) -> int:
+    fit = fit_scaling(read_aggregate_points(ns.input), ns.model)
     rows = [_row(FIT_COLUMNS, fit.model, term, coef, fit.r_squared)
             for term, coef in zip(fit.terms, fit.coefficients)]
-    return emit_results(rows, cfg.output_format, cfg.destination)
+    return emit_results(rows, ns.format, ns.out)
 
 
-def _cmd_pmf(cfg: CliConfig) -> int:
-    pmf = harmonic_pmf(cfg.r[0])
-    rows = [_row(PMF_COLUMNS, j, float(p)) for j, p in enumerate(pmf, start=1)]
-    return emit_results(rows, cfg.output_format, cfg.destination)
+def _cmd_pmf(ns) -> int:
+    rows = [_row(PMF_COLUMNS, j, float(p)) for j, p in enumerate(harmonic_pmf(ns.r), start=1)]
+    return emit_results(rows, ns.format, ns.out)
 
 
 def main(argv=None) -> int:
-    try:
-        cfg = parse_args(sys.argv[1:] if argv is None else list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
     handlers = {"run": _cmd_run, "drift": _cmd_drift, "token": _cmd_token,
                 "fit": _cmd_fit, "pmf": _cmd_pmf}
     try:
-        return handlers[cfg.subcommand](cfg)
+        ns = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return handlers[ns.subcommand](ns)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -464,7 +374,7 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,22 +1,17 @@
-"""Empirical one-step drift estimation and drift-theorem bound calculators.
+"""Empirical one-step drift estimation at planted potential levels.
 
 The estimator plants search points at prescribed potential levels (exact
 Hamming level, exact fitness level, or an explicit per-component distance
 vector), applies a single mutation-selection round, and averages the
 one-step drop of the chosen potential. Planting makes conditioning on a
 level exact instead of waiting for natural visits.
-
-The calculators evaluate the standard hitting-time bounds: multiplicative
-drift (upper), the lower-bound variant with its relaxed (1-2*beta) form and
-a level-dependent-delta variant, and variable drift via numerical
-integration of 1/h.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,108 +34,6 @@ class DriftEstimate:
             raise ValueError("samples must be >= 1")
         if self.confidence_halfwidth < 0:
             raise ValueError("confidence_halfwidth must be >= 0")
-
-
-@dataclass(frozen=True, kw_only=True)
-class DriftBoundInputs:
-    s0: float
-    delta: float
-    s_min: float = 1.0
-    s_aim: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.s_min <= 0:
-            raise ValueError("s_min must be > 0")
-        if self.s0 < self.s_min:
-            raise ValueError("s0 must be >= s_min")
-        if self.s_aim < 1:
-            raise ValueError("s_aim must be >= 1")
-        if not (0 < self.delta <= 1):
-            raise ValueError("delta must lie in (0, 1]")
-        if not (0 < self.beta <= 1):
-            raise ValueError("beta must lie in (0, 1]")
-
-
-class MultiplicativeLowerBound(NamedTuple):
-    value: float       # (ln s0 - ln s_aim)/delta * (1-beta)/(1+beta)
-    weak_value: float  # relaxed (1-2*beta) form
-
-
-def multiplicative_drift_upper_bound(inputs: DriftBoundInputs) -> float:
-    """Hitting-time upper bound (ln(s0/s_min) + 1) / delta."""
-    return (math.log(inputs.s0 / inputs.s_min) + 1.0) / inputs.delta
-
-
-def multiplicative_drift_lower_bound(inputs: DriftBoundInputs) -> MultiplicativeLowerBound:
-    """Hitting-time lower bound for multiplicative drift, both forms."""
-    if inputs.s_aim > inputs.s0:
-        raise ValueError("s_aim must not exceed s0")
-    base = (math.log(inputs.s0) - math.log(inputs.s_aim)) / inputs.delta
-    return MultiplicativeLowerBound(value=base * (1.0 - inputs.beta) / (1.0 + inputs.beta),
-                                    weak_value=base * (1.0 - 2.0 * inputs.beta))
-
-
-def multiplicative_drift_lower_bound_leveled(delta_of: Callable[[float], float],
-                                             s0_cut: float, s_aim: float, beta: float,
-                                             levels: Iterable[float] | None = None) -> float:
-    """Lower bound with level-dependent delta, cut at s0_cut.
-
-    Uses the largest delta(s) over s_aim < s <= s0_cut; the caller chooses
-    the cut point and may supply the evaluation levels (defaults to a dense
-    grid including the endpoint).
-    """
-    if not (0 < beta <= 1):
-        raise ValueError("beta must lie in (0, 1]")
-    if not (1 <= s_aim < s0_cut):
-        raise ValueError("need 1 <= s_aim < s0_cut")
-    if levels is None:
-        levels = np.linspace(s_aim, s0_cut, 1025)[1:]
-    delta_max = max(delta_of(float(s)) for s in levels)
-    if not (0 < delta_max <= 1):
-        raise ValueError(f"delta values must lie in (0, 1], max was {delta_max}")
-    return (math.log(s0_cut) - math.log(s_aim)) / delta_max * (1.0 - 2.0 * beta)
-
-
-def variable_drift_upper_bound(s0: float, x_min: float, h: Callable[[float], float]) -> float:
-    """Hitting-time bound x_min/h(x_min) + integral of 1/h over [x_min, s0].
-
-    h must be positive (and should be monotonically increasing) on the
-    interval; the integral uses adaptive Simpson bisection to a relative
-    tolerance of 1e-6.
-    """
-    if x_min <= 0 or x_min > s0:
-        raise ValueError("need 0 < x_min <= s0")
-
-    def integrand(s: float) -> float:
-        value = h(s)
-        if value <= 0:
-            raise ValueError(f"h must be positive on [x_min, s0]; h({s}) = {value}")
-        return 1.0 / value
-
-    head = x_min * integrand(x_min)
-    if s0 == x_min:
-        return head
-    return head + _adaptive_simpson(integrand, x_min, s0, rel_tol=1e-6)
-
-
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, rel_tol: float) -> float:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = rel_tol * max(abs(whole), 1e-300)
-    return _simpson_split(f, a, b, fa, fm, fb, whole, tol, depth=60)
-
-
-def _simpson_split(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_simpson_split(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + _simpson_split(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
 
 
 def harmonic_number(k: int) -> float:
@@ -231,6 +124,8 @@ def estimate_drift(config: RunConfig, potential: Potential, conditioning: Sequen
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
+    if len(conditioning) == 0:
+        raise ValueError("need at least one conditioning level")
     instance = config.instance
     estimates = []
     for index, cond in enumerate(conditioning):

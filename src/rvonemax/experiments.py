@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .algorithms import (DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, RunRecord, run)
+from .algorithms import DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, _map_runs, run
 from .drift import plant_state_at_hamming
 from .operators import StepOperatorKind
 from .space import MetricKind, ProblemInstance, SpaceParams
@@ -102,10 +100,13 @@ class ExperimentPlan:
             raise ValueError("need at least one algorithm and one operator")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.start_policy.kind is StartKind.FIXED_HAMMING:
-            for n, _ in self.grid:
-                if self.start_policy.hamming_k > n:
-                    raise ValueError(f"fixed-hamming k={self.start_policy.hamming_k} exceeds n={n}")
+        if self.iteration_cap < 1:
+            raise ValueError(f"iteration_cap must be >= 1, got {self.iteration_cap}")
+        k = self.start_policy.hamming_k
+        for n, r in self.grid:
+            SpaceParams(n=n, r=r)  # rejects n < 1 and r < 2
+            if k is not None and k > n:
+                raise ValueError(f"fixed-hamming k={k} exceeds n={n}")
 
 
 @dataclass(frozen=True)
@@ -166,20 +167,16 @@ def _replicate_config(plan: ExperimentPlan, n: int, r: int, algorithm: Algorithm
                      iteration_cap=plan.iteration_cap, initial_point=start)
 
 
-def _aggregate(cell, records: Sequence[RunRecord], replicates: int) -> AggregateResult:
-    n, r, algorithm, operator, metric = cell
+def hitting_time_summary(records) -> tuple[float, float, float, int]:
+    """(mean, std_error, median, capped count) of records with `.hitting_time`
+    and `.capped`. The statistics cover the uncapped records only: none gives
+    nan mean and median, fewer than two give std_error 0.0."""
     times = np.array([rec.hitting_time for rec in records if not rec.capped], dtype=np.float64)
     capped = sum(1 for rec in records if rec.capped)
     if times.size == 0:
-        mean = median = float("nan")
-        std_error = 0.0
-    else:
-        mean = float(times.mean())
-        median = float(np.median(times))
-        std_error = float(times.std(ddof=1) / math.sqrt(times.size)) if times.size > 1 else 0.0
-    return AggregateResult(n=n, r=r, algorithm=algorithm, operator=operator, metric=metric,
-                           mean=mean, std_error=std_error, median=median,
-                           replicates=replicates, capped_count=capped)
+        return float("nan"), 0.0, float("nan"), capped
+    std_error = float(times.std(ddof=1) / math.sqrt(times.size)) if times.size > 1 else 0.0
+    return float(times.mean()), std_error, float(np.median(times)), capped
 
 
 def execute_plan(plan: ExperimentPlan, workers: int = 1) -> list[AggregateResult]:
@@ -191,15 +188,15 @@ def execute_plan(plan: ExperimentPlan, workers: int = 1) -> list[AggregateResult
     configs = [_replicate_config(plan, n, r, algorithm, operator, rep)
                for n, r, algorithm, operator, _ in cells
                for rep in range(plan.replicates)]
-    if workers <= 1:
-        records = [run(c) for c in configs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, configs, chunksize=max(1, len(configs) // (4 * workers))))
+    records = _map_runs(run, configs, workers)
     out = []
-    for index, cell in enumerate(cells):
-        chunk = records[index * plan.replicates:(index + 1) * plan.replicates]
-        out.append(_aggregate(cell, chunk, plan.replicates))
+    for index, (n, r, algorithm, operator, metric) in enumerate(cells):
+        mean, std_error, median, capped = hitting_time_summary(
+            records[index * plan.replicates:(index + 1) * plan.replicates])
+        out.append(AggregateResult(n=n, r=r, algorithm=algorithm, operator=operator,
+                                   metric=metric, mean=mean, std_error=std_error,
+                                   median=median, replicates=plan.replicates,
+                                   capped_count=capped))
     return out
 
 

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from rvonemax import AlgorithmKind, MetricKind, StepOperatorKind
+from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, RunConfig,
+                      StepOperatorKind, TokenConfig)
 from rvonemax.cli import (AGGREGATE_COLUMNS, aggregate_rows, main, parse_args,
                           render_rows, load_plan_file)
 from rvonemax.experiments import AggregateResult
@@ -18,16 +19,42 @@ def run_cli(capsys, argv):
 
 
 def test_parse_args_direct_mapping():
-    cfg = parse_args(["run", "--n", "20", "--r", "4", "--algo", "rls", "--op", "uniform",
-                      "--metric", "interval", "--reps", "2000", "--seed", "42"])
-    assert cfg.subcommand == "run"
-    assert cfg.n == (20,)
-    assert cfg.r == (4,)
-    assert cfg.algorithms == (AlgorithmKind.RLS,)
-    assert cfg.operators == (StepOperatorKind.UNIFORM,)
-    assert cfg.metric == MetricKind.INTERVAL
-    assert cfg.replicates == 2000
-    assert cfg.seed == 42
+    ns = parse_args(["run", "--n", "20", "--r", "4", "--algo", "rls", "--op", "uniform",
+                     "--metric", "interval", "--reps", "2000", "--seed", "42"])
+    assert ns.subcommand == "run"
+    plan = ns.experiment
+    assert isinstance(plan, ExperimentPlan)
+    assert plan.grid == ((20, 4),)
+    assert plan.algorithms == (AlgorithmKind.RLS,)
+    assert plan.operators == (StepOperatorKind.UNIFORM,)
+    assert plan.metric == MetricKind.INTERVAL
+    assert plan.replicates == 2000
+    assert plan.base_seed == 42
+
+
+def test_parse_args_builds_drift_config():
+    ns = parse_args(["drift", "--n", "10", "--r", "4", "--algo", "ea", "--op", "pm1",
+                     "--metric", "ring", "--potential", "fitness", "--levels", "1,5",
+                     "--seed", "3"])
+    config = ns.config
+    assert isinstance(config, RunConfig)
+    assert config.algorithm == AlgorithmKind.ONE_PLUS_ONE_EA
+    assert config.operator == StepOperatorKind.PLUS_MINUS_ONE
+    assert (config.instance.params.n, config.instance.params.r) == (10, 4)
+    assert config.instance.metric == MetricKind.RING
+    assert config.seed == 3
+    assert ns.potential == Potential.fitness()
+    assert ns.levels == [1, 5]
+
+
+def test_parse_args_builds_token_config():
+    ns = parse_args(["token", "--r", "15", "--dist", "unit", "--seed", "4", "--cap", "50"])
+    config = ns.config
+    assert isinstance(config, TokenConfig)
+    assert (config.r, config.distribution, config.seed) == (15, "unit", 4)
+    assert config.iteration_cap == 50
+    default_cap = parse_args(["token", "--r", "15", "--seed", "4"]).config
+    assert default_cap.iteration_cap == TokenConfig(r=15).iteration_cap
 
 
 def test_parse_args_rejects_r_below_two(capsys):
@@ -77,6 +104,28 @@ def test_conflicting_and_malformed_flags(capsys):
     code, _, _ = run_cli(capsys, ["run", "--n", "5", "--r", "3", "--seed", "1",
                                   "--reps", "many"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "5", "--r", "3", "--seed", "1", "--reps", "0"],
+    ["run", "--n", "5", "--r", "3", "--seed", "1", "--cap", "0"],
+    ["run", "--r", "3", "--seed", "1", "--start", "hamming", "--hamming-k", "9", "--n", "5"],
+    ["drift", "--n", "10", "--r", "4", "--levels", "1", "--seed", "3", "--samples", "50"],
+], ids=["reps-0", "cap-0", "hamming-k-above-n", "drift-samples-50"])
+def test_invalid_values_exit_usage(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+def test_fit_on_too_few_cells_exits_usage(tmp_path, capsys):
+    data = tmp_path / "agg.csv"
+    data.write_text("n,r,mean\n5,3,10\n5,4,12\n")
+    code, out, err = run_cli(capsys, ["fit", "--model", "linear_r", "--input", str(data)])
+    assert code == 1
+    assert out == ""
+    assert "at least 4 cells" in err
 
 
 def test_pmf_output_values(capsys):
@@ -205,6 +254,14 @@ def test_fit_cli_missing_input_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["fit", "--model", "linear_r",
                                     "--input", str(tmp_path / "nope.csv")])
     assert code == 2
+
+
+def test_run_missing_plan_file_is_io_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, ["run", "--plan", str(tmp_path / "nope.txt"),
+                                      "--n", "5", "--r", "3", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert "nope.txt" in err
 
 
 def test_plan_file_with_inline_override(tmp_path, capsys):

@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rvonemax import (AlgorithmKind, DriftBoundInputs, MetricKind, Potential,
-                      ProblemInstance, RunConfig, SpaceParams, StepOperatorKind,
-                      estimate_drift, fitness, hamming_distance, harmonic_number,
-                      multiplicative_drift_lower_bound, multiplicative_drift_lower_bound_leveled,
-                      multiplicative_drift_upper_bound, plant_state_at_fitness,
-                      plant_state_at_hamming, potential_value, realize_distances,
-                      variable_drift_upper_bound)
+from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
+                      SpaceParams, StepOperatorKind, estimate_drift, fitness, hamming_distance,
+                      harmonic_number, plant_state_at_fitness, plant_state_at_hamming,
+                      potential_value, realize_distances)
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -172,49 +169,8 @@ def test_estimate_drift_input_validation():
         estimate_drift(cfg, Potential.hamming(), [1], 99)
     with pytest.raises(ValueError):
         estimate_drift(cfg, Potential.exp_weight(1.5), [3], 500)  # needs a vector
-
-
-# ---------------------------------------------------------------------------
-# Bound calculators
-# ---------------------------------------------------------------------------
-
-def test_multiplicative_upper_bound_values():
-    assert multiplicative_drift_upper_bound(
-        DriftBoundInputs(s0=100, s_min=1, delta=0.1)) == pytest.approx((math.log(100) + 1) / 0.1)
-    assert multiplicative_drift_upper_bound(
-        DriftBoundInputs(s0=7, s_min=7, delta=0.25)) == pytest.approx(4.0)
-    assert multiplicative_drift_upper_bound(
-        DriftBoundInputs(s0=math.e * 3, s_min=3, delta=1.0)) == pytest.approx(2.0)
-
-
-def test_multiplicative_lower_bound_values():
-    near_zero_beta = multiplicative_drift_lower_bound(
-        DriftBoundInputs(s0=math.e ** 2, s_aim=1, delta=0.5, beta=1e-12))
-    assert near_zero_beta.value == pytest.approx(4.0)
-    bound = multiplicative_drift_lower_bound(
-        DriftBoundInputs(s0=100, s_aim=1, delta=0.1, beta=0.1))
-    assert bound.value == pytest.approx(math.log(100) / 0.1 * (0.9 / 1.1))
-    assert bound.value == pytest.approx(37.678, abs=5e-3)
     with pytest.raises(ValueError):
-        multiplicative_drift_lower_bound(DriftBoundInputs(s0=2, s_aim=5, delta=0.5, beta=0.5))
-
-
-def test_weak_lower_bound_never_exceeds_tight_form():
-    for beta in np.linspace(0.01, 1.0, 50):
-        bound = multiplicative_drift_lower_bound(
-            DriftBoundInputs(s0=50, s_aim=2, delta=0.3, beta=float(beta)))
-        assert bound.weak_value <= bound.value + 1e-12
-
-
-def test_leveled_lower_bound_uses_max_delta():
-    flat = multiplicative_drift_lower_bound_leveled(lambda s: 0.2, 40, 2, 0.05)
-    reference = multiplicative_drift_lower_bound(
-        DriftBoundInputs(s0=40, s_aim=2, delta=0.2, beta=0.05)).weak_value
-    assert flat == pytest.approx(reference)
-    increasing = multiplicative_drift_lower_bound_leveled(lambda s: s / 100, 40, 2, 0.05)
-    assert increasing == pytest.approx((math.log(40) - math.log(2)) / 0.4 * 0.9)
-    with pytest.raises(ValueError):
-        multiplicative_drift_lower_bound_leveled(lambda s: 2.0, 40, 2, 0.05)
+        estimate_drift(cfg, Potential.hamming(), [], 500)
 
 
 def test_drift_estimate_field_invariants():
@@ -223,56 +179,6 @@ def test_drift_estimate_field_invariants():
         DriftEstimate(level=1.0, mean_drop=0.1, confidence_halfwidth=0.0, samples=0)
     with pytest.raises(ValueError):
         DriftEstimate(level=1.0, mean_drop=0.1, confidence_halfwidth=-0.1, samples=10)
-
-
-def test_drift_bound_inputs_invariants():
-    with pytest.raises(ValueError):
-        DriftBoundInputs(s0=1, s_min=2, delta=0.5)
-    with pytest.raises(ValueError):
-        DriftBoundInputs(s0=2, s_min=0, delta=0.5)
-    with pytest.raises(ValueError):
-        DriftBoundInputs(s0=2, delta=0.0)
-    with pytest.raises(ValueError):
-        DriftBoundInputs(s0=2, delta=0.5, beta=1.5)
-
-
-def test_variable_drift_multiplicative_h_closed_form():
-    delta, s0 = 0.1, 100.0
-    got = variable_drift_upper_bound(s0, 1.0, lambda s: delta * s)
-    assert got == pytest.approx((1 + math.log(s0)) / delta, rel=1e-6)
-    # agrees with the multiplicative calculator
-    other = multiplicative_drift_upper_bound(DriftBoundInputs(s0=s0, s_min=1.0, delta=delta))
-    assert got == pytest.approx(other, rel=1e-6)
-
-
-def test_variable_drift_constant_h_is_additive():
-    assert variable_drift_upper_bound(50.0, 1.0, lambda s: 2.0) == pytest.approx(25.0, rel=1e-6)
-    assert variable_drift_upper_bound(3.0, 3.0, lambda s: 1.5) == pytest.approx(2.0)
-
-
-def test_variable_drift_piecewise_fitness_rate():
-    # two-phase rate: quadratic above 2n, linear below, as used for the EA upper bound
-    n, r = 10, 4
-    scale = math.e * (r - 1) * n
-
-    def h(s):
-        if s >= 2 * n:
-            return s * s / (2 * math.e * (r - 1) * n * n)
-        return s / scale
-
-    got = variable_drift_upper_bound(float((r - 1) * n), 1.0, h)
-    assert got <= scale * math.log(n) + (2 + math.log(2)) * scale
-    exact = scale * (1 + math.log(2 * n)) + 2 * math.e * (r - 1) * n * n * (1 / (2 * n) - 1 / (30.0))
-    assert got == pytest.approx(exact, rel=1e-5)
-
-
-def test_variable_drift_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        variable_drift_upper_bound(10.0, 0.0, lambda s: s)
-    with pytest.raises(ValueError):
-        variable_drift_upper_bound(10.0, 12.0, lambda s: s)
-    with pytest.raises(ValueError):
-        variable_drift_upper_bound(10.0, 1.0, lambda s: s - 5.0)  # h non-positive inside
 
 
 def test_harmonic_number_values_and_bounds():

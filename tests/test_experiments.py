@@ -7,6 +7,7 @@ from rvonemax import (AggregateResult, AlgorithmKind, DegenerateModelError, Expe
                       MetricKind, ProblemInstance, SpaceParams, StartPolicy, StepOperatorKind,
                       TargetPolicy, build_start, build_target, execute_plan, fit_scaling,
                       fitness, hamming_distance, harmonic_number, stable_seed)
+from rvonemax.experiments import hitting_time_summary
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -99,10 +100,34 @@ def test_plan_validation():
         ExperimentPlan(grid=((5, 3),), algorithms=(RLS,), operators=(UNIFORM,),
                        metric=MetricKind.INTERVAL,
                        start_policy=StartPolicy.fixed_hamming(6))
+    for grid in (((5, 1),), ((0, 3),), ((5, 3), (4, 1))):  # every cell must be a valid space
+        with pytest.raises(ValueError):
+            ExperimentPlan(grid=grid, algorithms=(RLS,), operators=(UNIFORM,),
+                           metric=MetricKind.INTERVAL)
+    with pytest.raises(ValueError):
+        ExperimentPlan(grid=((5, 3),), algorithms=(RLS,), operators=(UNIFORM,),
+                       metric=MetricKind.INTERVAL, iteration_cap=0)
     with pytest.raises(ValueError):
         StartPolicy.fixed_hamming(-1)
     with pytest.raises(ValueError):
         StartPolicy(kind=StartPolicy.uniform_random().kind, hamming_k=3)
+
+
+class _Record:
+    def __init__(self, hitting_time):
+        self.hitting_time = hitting_time
+        self.capped = hitting_time is None
+
+
+def test_hitting_time_summary_conventions():
+    mean, std_error, median, capped = hitting_time_summary(
+        [_Record(3), _Record(5), _Record(None)])
+    assert (mean, median, capped) == (4.0, 4.0, 1)
+    assert std_error == np.std([3.0, 5.0], ddof=1) / math.sqrt(2)
+    assert hitting_time_summary([_Record(7)]) == (7.0, 0.0, 7.0, 0)
+    mean, std_error, median, capped = hitting_time_summary([_Record(None), _Record(None)])
+    assert math.isnan(mean) and math.isnan(median)
+    assert (std_error, capped) == (0.0, 2)
 
 
 def test_stable_seed_is_stable_and_spread():
