@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -241,7 +242,8 @@ def _fmt(value) -> str:
 
 def _json_ready(value):
     if isinstance(value, float):
-        return float(f"{value:.10g}")
+        # JSON has no NaN or infinity: a censored cell's mean is written as null
+        return float(f"{value:.10g}") if math.isfinite(value) else None
     if isinstance(value, (int, np.integer)):
         return int(value)
     return value
@@ -250,7 +252,7 @@ def _json_ready(value):
 def render_rows(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         payload = [{k: _json_ready(v) for k, v in row.items()} for row in rows]
-        return json.dumps(payload, indent=1) + "\n"
+        return json.dumps(payload, indent=1, allow_nan=False) + "\n"
     if not rows:
         return "\n"
     header = ",".join(rows[0].keys())
@@ -325,7 +327,8 @@ def _cmd_token(ns) -> int:
 
 
 def read_aggregate_points(path: str) -> list[tuple[int, int, float]]:
-    """Read (n, r, mean) triples from a CSV or JSON aggregates file."""
+    """Read (n, r, mean) triples from a CSV or JSON aggregates file; a JSON
+    null mean (a censored cell) reads as nan."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     stripped = text.lstrip()
@@ -340,7 +343,9 @@ def read_aggregate_points(path: str) -> list[tuple[int, int, float]]:
     points = []
     for row in rows:
         try:
-            points.append((int(row["n"]), int(row["r"]), float(row["mean"])))
+            mean = row["mean"]
+            points.append((int(row["n"]), int(row["r"]),
+                           math.nan if mean is None else float(mean)))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: rows need n, r and mean columns ({exc})") from exc
     return points

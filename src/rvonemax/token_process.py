@@ -3,9 +3,16 @@
 A token starts uniformly on {0, ..., r}. Each round draws a step size d
 from a fixed distribution over {1, ..., r}; the token moves from x to x - d
 when d <= x and stays put otherwise. The hitting time is the number of
-rounds until the token sits at 0. Alongside the Monte-Carlo simulator there
-is an exact expectation solver that exploits the triangular structure of
-the chain (position never increases), so no general linear solve is needed.
+rounds until the token sits at 0.
+
+The Monte-Carlo simulator is rejection-free (the n-fold way of Bortz,
+Kalos and Lebowitz; Gillespie's SSA): a round that does not move only adds
+one to the clock, so from x it draws the wait to the next move as
+Geometric(P[d <= x]) and the move from the step law restricted to [1, x].
+Its cost is the number of moves, not of rounds, and all replicates of a
+batch advance together as numpy arrays. Alongside it there is an exact
+expectation solver that exploits the triangular structure of the chain
+(position never increases), so no general linear solve is needed.
 """
 
 from __future__ import annotations
@@ -19,8 +26,6 @@ from .algorithms import subseed
 MAX_EXACT_STATES = 4096  # dense O(r^2) solve stays cheap up to here
 
 NAMED_DISTRIBUTIONS = ("unit", "uniform", "harmonic")
-
-_BLOCK = 1024
 
 
 class CapacityError(Exception):
@@ -90,42 +95,61 @@ def _step_cdf(distribution, r: int) -> np.ndarray:
     return cdf
 
 
-def _run_one(r: int, cdf: np.ndarray, cap: int, seed: int) -> TokenRunRecord:
-    rng = np.random.default_rng(seed)
-    x = int(rng.integers(0, r + 1))
-    t = 0
-    block = 32  # grows on refill; most runs finish within a few dozen rounds
-    steps: list[int] = []
-    sp = 0
-    while x > 0 and t < cap:
-        if sp == len(steps):
-            steps = (np.searchsorted(cdf, rng.random(block), side="right") + 1).tolist()
-            sp = 0
-            if block < _BLOCK:
-                block *= 4
-        d = steps[sp]
-        sp += 1
-        t += 1
-        if d <= x:
-            x -= d
-    if x > 0:
-        return TokenRunRecord(hitting_time=None, capped=True, final_position=x)
-    return TokenRunRecord(hitting_time=t, capped=False, final_position=0)
-
-
 def token_run(config: TokenConfig) -> TokenRunRecord:
-    """Simulate one seeded token run; rounds where d > x are wasted."""
-    cdf = _step_cdf(config.distribution, config.r)
-    return _run_one(config.r, cdf, config.iteration_cap, subseed(config.seed, 0))
+    """Simulate one seeded token run: the first record of a batch of one."""
+    return token_run_batch(config, 1)[0]
 
 
 def token_run_batch(config: TokenConfig, replicates: int) -> list[TokenRunRecord]:
-    """Independent replicates with sub-seeds subseed(config.seed, k)."""
+    """Independent replicates, all drawn from one generator seeded with
+    subseed(config.seed, 0); replicate k therefore depends on the batch size.
+
+    The replicates advance in lockstep, one move per live replicate per event:
+    the wait to the next move is Geometric(P[d <= x]) and the jump is drawn
+    from the step law restricted to [1, x]. A run is capped when its next
+    move would land after round iteration_cap, or at once when no step size
+    fits under its position.
+    """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     cdf = _step_cdf(config.distribution, config.r)
-    return [_run_one(config.r, cdf, config.iteration_cap, subseed(config.seed, k))
-            for k in range(replicates)]
+    cap = min(config.iteration_cap, np.iinfo(np.int64).max)
+    rng = np.random.default_rng(subseed(config.seed, 0))
+    position = rng.integers(0, config.r + 1, size=replicates)
+    rounds = np.zeros(replicates, dtype=np.int64)
+    capped = np.zeros(replicates, dtype=bool)
+    live = np.flatnonzero(position)
+    while live.size:
+        x = position[live]
+        q = np.minimum(cdf[x - 1], 1.0)  # P[d <= x]; cumulative rounding may exceed 1
+        stuck = q == 0.0  # geometric() rejects p = 0
+        if stuck.any():
+            capped[live[stuck]] = True
+            live, x, q = live[~stuck], x[~stuck], q[~stuck]
+        wait = rng.geometric(q)
+        # wait saturates at 2**63 - 1 for tiny q, so rounds + wait could overflow
+        late = wait > cap - rounds[live]
+        if late.any():
+            capped[live[late]] = True
+            live, x, q, wait = live[~late], x[~late], q[~late], wait[~late]
+        rounds[live] += wait
+        # u * q < q = cdf[x - 1], so the jump never exceeds x
+        x -= np.searchsorted(cdf, rng.random(live.size) * q, side="right") + 1
+        position[live] = x
+        live = live[x > 0]
+    # records are frozen, so equal runs share one instance: building a record
+    # per replicate would cost more than the simulation
+    shared: dict[tuple[int, int, bool], TokenRunRecord] = {}
+    records = []
+    for key in zip(rounds.tolist(), position.tolist(), capped.tolist()):
+        record = shared.get(key)
+        if record is None:
+            t, x, stop = key
+            record = shared[key] = (
+                TokenRunRecord(hitting_time=None, capped=True, final_position=x) if stop
+                else TokenRunRecord(hitting_time=t, capped=False, final_position=0))
+        records.append(record)
+    return records
 
 
 def token_hitting_times_by_state(r: int, distribution) -> np.ndarray:

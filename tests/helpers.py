@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 from scipy import stats
 
-from rvonemax import AlgorithmKind, fitness, mutate, sample_uniform_point
+from rvonemax import AlgorithmKind, fitness, mutate, sample_uniform_point, token_step_pmf
 
 
 def assert_chi_square(counts, expected_probs, significance=0.001):
@@ -45,9 +47,28 @@ def reference_hitting_time(algorithm, operator, instance, rng, cap=10**7,
     raise AssertionError("reference run exceeded its cap")
 
 
+def reference_token_hitting_time(r, distribution, rng, cap=10**7):
+    """Round-by-round token chain from a uniform start on {0, ..., r}: every
+    round draws a step size d by inverse CDF and moves only when d <= x. Used
+    as an independent oracle for the rejection-free kernel in token_run_batch."""
+    cdf = np.cumsum(token_step_pmf(distribution, r)).tolist()
+    cdf[-1] = 1.0
+    x = int(rng.integers(0, r + 1))
+    for t in range(cap + 1):
+        if x == 0:
+            return t
+        if t == cap:
+            break
+        d = bisect.bisect_right(cdf, rng.random()) + 1
+        if d <= x:
+            x -= d
+    raise AssertionError("reference token run exceeded its cap")
+
+
 def binomial_pmf(n, p, k):
     return float(stats.binom.pmf(k, n, p))
 
 
 __all__ = ["assert_chi_square", "assert_same_distribution",
-           "reference_hitting_time", "binomial_pmf", "AlgorithmKind"]
+           "reference_hitting_time", "reference_token_hitting_time", "binomial_pmf",
+           "AlgorithmKind"]

@@ -202,6 +202,24 @@ def test_censored_aggregates_warn_but_exit_zero(capsys):
     assert row[5] == "nan"  # mean of an all-capped cell
 
 
+def test_censored_aggregates_json_is_strict_and_fit_rejects_it(tmp_path, capsys):
+    data = tmp_path / "agg.json"
+    code, _, _ = run_cli(capsys, ["run", "--n", "5", "--r", "3,4,5,8", "--reps", "3",
+                                  "--seed", "1", "--cap", "1", "--format", "json",
+                                  "--out", str(data)])
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    rows = json.loads(data.read_text(), parse_constant=reject)
+    assert [(row["mean"], row["median"], row["capped"]) for row in rows] == [(None, None, 3)] * 4
+    code, out, err = run_cli(capsys, ["fit", "--model", "linear_r", "--input", str(data)])
+    assert code == 1
+    assert out == ""
+    assert "non-finite cell means" in err
+
+
 def test_token_cli_and_capacity_exit(capsys):
     code, out, _ = run_cli(capsys, ["token", "--r", "15", "--dist", "harmonic",
                                     "--reps", "500", "--seed", "4"])

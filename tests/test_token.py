@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import assert_same_distribution, reference_token_hitting_time
 from rvonemax import (CapacityError, DivergenceError, TokenConfig, fit_scaling,
                       token_expected_hitting_time_exact, token_hitting_times_by_state,
                       token_run, token_run_batch, token_step_pmf)
@@ -96,6 +97,59 @@ def test_token_run_cap_marks_record():
     for rec in stuck:
         assert rec.hitting_time is None
         assert 0 < rec.final_position < 8
+
+
+@pytest.mark.parametrize("r, distribution", [
+    (63, "unit"), (63, "uniform"), (63, "harmonic"),
+    (8, [0.5, 0, 0, 0.25, 0, 0, 0, 0.25]),  # sizes 2, 3, 5, 6, 7 never drawn
+])
+def test_token_batch_matches_round_by_round_reference(r, distribution):
+    records = token_run_batch(TokenConfig(r=r, distribution=distribution, seed=21), 20000)
+    assert not any(rec.capped for rec in records)
+    rng = np.random.default_rng(22)
+    reference = [reference_token_hitting_time(r, distribution, rng) for _ in range(3000)]
+    assert_same_distribution([rec.hitting_time for rec in records], reference)
+
+
+def test_token_run_is_first_record_of_batch_of_one():
+    for dist in ("unit", "uniform", "harmonic"):
+        cfg = TokenConfig(r=40, distribution=dist, seed=5)
+        assert token_run(cfg) == token_run_batch(cfg, 1)[0]
+
+
+@pytest.mark.parametrize("distribution, stuck_at", [
+    ([1e-18, 0, 1 - 1e-18], (1, 2)),  # only the 1e-18 step moves from 1 and 2
+    ([1e-30, 1 - 1e-30, 0], (1,)),    # 3 reaches 1 after one round, then waits ~1e30
+])
+def test_token_tiny_acceptance_probability_caps_cleanly(distribution, stuck_at):
+    # a wait of order 1/q saturates geometric() at 2**63 - 1 and must not
+    # overflow the round counter of a run that has already moved
+    records = token_run_batch(TokenConfig(r=3, distribution=distribution, seed=4,
+                                          iteration_cap=10**6), 20)
+    assert any(rec.capped for rec in records)
+    for rec in records:
+        if rec.capped:
+            assert rec.hitting_time is None and rec.final_position in stuck_at
+        else:
+            assert rec.hitting_time in (0, 1) and rec.final_position == 0
+
+
+def test_token_unit_law_cap_boundary():
+    # under the unit law T equals the start, so cap c leaves starts above c
+    # capped at start - c
+    r, cap = 20, 7
+    records = token_run_batch(TokenConfig(r=r, distribution="unit", seed=8,
+                                          iteration_cap=cap), 500)
+    assert any(rec.capped for rec in records) and not all(rec.capped for rec in records)
+    for rec in records:
+        if rec.capped:
+            assert 1 <= rec.final_position <= r - cap
+        else:
+            assert 0 <= rec.hitting_time <= cap
+    assert {rec.hitting_time for rec in records if not rec.capped} == set(range(cap + 1))
+    # a cap beyond the int64 round counter acts as no cap
+    huge = TokenConfig(r=r, distribution="unit", seed=8, iteration_cap=10**30)
+    assert not any(rec.capped for rec in token_run_batch(huge, 50))
 
 
 def test_monte_carlo_matches_exact_smoke():
