@@ -7,6 +7,15 @@ with probability 1/n. The run records the hitting time, i.e. the 1-based
 index of the first iteration whose offspring evaluates to fitness 0 (0 when
 the initial point is already optimal).
 
+RLS is simulated rejection-free (the n-fold way of Bortz, Kalos and
+Lebowitz; Gillespie's SSA). A step at position i is accepted and changes
+x_i with a closed-form probability a_i, so the iterations up to the next
+accepted move are Geometric(sum(a)/n), the move lands at i with probability
+a_i / sum(a), and it is drawn conditioned on acceptance. A run costs about
+its number of accepted moves, not its number of iterations. The (1+1) EA,
+whose multi-position offspring has no such closed form, runs iteration by
+iteration with randomness drawn in blocks.
+
 Runs are deterministic functions of their seed. Replicates of a batch use
 sub-seeds derived from (seed, index) via subseed(), so batches reproduce
 exactly regardless of execution order or worker count.
@@ -14,9 +23,11 @@ exactly regardless of execution order or worker count.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from math import log, log1p
 
 import numpy as np
 
@@ -120,8 +131,9 @@ def run(config: RunConfig) -> RunRecord:
         x0 = np.array(config.initial_point, dtype=np.int64)
     else:
         x0 = sample_uniform_point(instance.params, rng)
-    hit, final_fit, trace = _simulate(instance, config.algorithm, config.operator, rng,
-                                      x0, config.iteration_cap, config.trace_potentials)
+    simulate = _simulate_rls if config.algorithm is AlgorithmKind.RLS else _simulate_ea
+    hit, final_fit, trace = simulate(instance, config.operator, rng, x0,
+                                     config.iteration_cap, config.trace_potentials)
     capped = hit is None
     iterations = config.iteration_cap if capped else hit
     return RunRecord(hitting_time=hit, capped=capped, final_fitness=final_fit,
@@ -161,30 +173,35 @@ def _with_seed(config: RunConfig, seed: int) -> RunConfig:
                      trace_potentials=config.trace_potentials)
 
 
-def _simulate(instance, algorithm, operator, rng, x0, cap, trace_pots):
-    """Hot loop. Scalar state in Python lists, randomness drawn in blocks.
+def _start(instance, x0, trace_pots):
+    """Scalar state of a run: values, target, per-position distances, fitness,
+    and the trace (None when no potentials are traced) with its row 0."""
+    r = instance.params.r
+    x = x0.tolist()
+    z = instance.target.tolist()
+    if instance.metric is MetricKind.RING:
+        dist = [min(abs(a - b), r - abs(a - b)) for a, b in zip(x, z)]
+    else:
+        dist = [abs(a - b) for a, b in zip(x, z)]
+    trace = None
+    if trace_pots:
+        trace = [(0, tuple(potential_value(p, instance, x0) for p in trace_pots))]
+    return x, z, dist, sum(dist), trace
+
+
+def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
+    """(1+1) EA hot loop. Scalar state in Python lists, randomness drawn in blocks.
 
     Returns (hitting_time or None, final_fitness, trace or None).
     """
     params = instance.params
     n, r = params.n, params.r
     ring = instance.metric is MetricKind.RING
-    z = instance.target.tolist()
-    x = x0.tolist()
-    if ring:
-        dist = [min(abs(a - b), r - abs(a - b)) for a, b in zip(x, z)]
-    else:
-        dist = [abs(a - b) for a, b in zip(x, z)]
-    fit = sum(dist)
-
-    pots = trace_pots or ()
-    trace = [] if pots else None
-    if trace is not None:
-        trace.append((0, tuple(potential_value(p, instance, np.asarray(x)) for p in pots)))
+    x, z, dist, fit, trace = _start(instance, x0, trace_pots)
     if fit == 0:
         return 0, 0, trace
+    pots = trace_pots or ()
 
-    rls = algorithm is AlgorithmKind.RLS
     uniform_op = operator is StepOperatorKind.UNIFORM
     pm1_op = operator is StepOperatorKind.PLUS_MINUS_ONE
     table = harmonic_table(r) if operator is StepOperatorKind.HARMONIC else None
@@ -198,14 +215,11 @@ def _simulate(instance, algorithm, operator, rng, x0, cap, trace_pots):
 
     while t < cap:
         t += 1
-        if rls:
-            b = 1
-        else:
-            if cp == block:
-                counts = rng.binomial(n, inv_n, size=block).tolist()
-                cp = 0
-            b = counts[cp]
-            cp += 1
+        if cp == block:
+            counts = rng.binomial(n, inv_n, size=block).tolist()
+            cp = 0
+        b = counts[cp]
+        cp += 1
         if b == 0:
             if trace is not None:
                 trace.append((t, trace[-1][1]))
@@ -281,3 +295,190 @@ def _simulate(instance, algorithm, operator, rng, x0, cap, trace_pots):
             return t, 0, trace
 
     return None, fit, trace
+
+
+# ---------------------------------------------------------------------------
+# Rejection-free RLS
+# ---------------------------------------------------------------------------
+
+def _rls_law(operator, r, ring):
+    """(state, move, per): the closed-form RLS step law at one position.
+
+    state(x, z, d), with d the distance of x to the target value z, returns a
+    tuple whose first entry is the weight w: a step at the position is
+    accepted and changes x with probability a = w / per. move(st, x, s)
+    maps s uniform on [0, w) to the new value, i.e. draws the move
+    conditioned on acceptance. The uniform step counts accepted values
+    (per = r - 1); the jump steps add the jump-law mass of the accepted
+    jumps over both signs (per = 2), read from F[j] = P[jump <= j].
+    """
+    if operator is StepOperatorKind.UNIFORM:
+        return _uniform_law(r, ring) + (r - 1,)
+    if operator is StepOperatorKind.HARMONIC:
+        F = [0.0] + harmonic_table(r).cdf.tolist()
+    else:
+        F = [0.0] + [1.0] * (r - 1)  # the +-1 step: jump 1 with probability 1
+    return _jump_law(r, ring, F) + (2,)
+
+
+def _uniform_law(r, ring):
+    def state(x, z, d):
+        """(w, offset of x, lo): the values within distance d of z are the
+        run lo, lo+1, ... (mod r) of length w + 1, x among them."""
+        if ring:
+            lo, size = (z - d, 2 * d + 1) if 2 * d + 1 < r else (0, r)
+        else:
+            lo = z - d if z > d else 0
+            size = (z + d if z + d < r else r - 1) - lo + 1
+        return size - 1, (x - lo) % r, lo
+
+    def move(st, x, s):
+        k = int(s)
+        if k >= st[1]:
+            k += 1
+        return (st[2] + k) % r
+
+    return state, move
+
+
+def _jump_law(r, ring, F):
+    def state(x, z, d):
+        """(w, toward, F[J], F[L-1]): the accepted steps are x + toward*j
+        for j in [1, J] and x - toward*j (mod r) for j in [L, r-1]."""
+        if d == 0:
+            return 0.0, 0, 0.0, 1.0
+        if ring:
+            toward = -1 if (x - z) % r == d else 1
+            J, L = (2 * d, r - 2 * d) if 2 * d < r else (r - 1, 1)
+        elif x > z:
+            toward, J, L = -1, (2 * d if 2 * d < x else x), r
+        else:
+            toward, J, L = 1, (2 * d if 2 * d < r - 1 - x else r - 1 - x), r
+        near, far = F[J], F[L - 1]
+        return near + (1.0 - far), toward, near, far
+
+    def move(st, x, s):
+        _, toward, near, far = st
+        if s < near:
+            return (x + toward * bisect_right(F, s)) % r
+        j = bisect_right(F, far + (s - near))
+        return (x - toward * (j if j < r else r - 1)) % r
+
+    return state, move
+
+
+def _uniforms(rng):
+    """Endless stream of U[0, 1) floats, drawn in blocks that double up to _BLOCK."""
+    size = 64
+    while True:
+        yield from rng.random(size).tolist()
+        size = min(2 * size, _BLOCK)
+
+
+def _simulate_rls(instance, operator, rng, x0, cap, trace_pots):
+    """Rejection-free RLS: one loop pass per accepted move.
+
+    Each pass draws the wait W ~ Geometric(sum(a)/n) by inversion, picks i
+    with probability a_i / sum(a), draws the accepted move at i and updates
+    x_i, d_i and the law state of i. The uniform step picks i by a binary
+    descent through the cumulative integer weights (a Fenwick tree), and the
+    same draw gives the move. The jump steps pick i by thinning: a uniformly
+    drawn unfinished position is kept with probability w_i / w_bound
+    (w_bound 1 on the interval, 2 on the ring), and the kept draw, uniform
+    on [0, w_i), gives the move.
+
+    Returns (hitting_time or None, final_fitness, trace or None); the trace
+    repeats the previous row for every iteration of a wait.
+    """
+    params = instance.params
+    n, r = params.n, params.r
+    ring = instance.metric is MetricKind.RING
+    x, z, dist, fit, trace = _start(instance, x0, trace_pots)
+    if fit == 0:
+        return 0, 0, trace
+    pots = trace_pots or ()
+
+    uniform_op = operator is StepOperatorKind.UNIFORM
+    state, move, per = _rls_law(operator, r, ring)
+    states = [state(x[i], z[i], dist[i]) for i in range(n)]
+    w = [st[0] for st in states]
+    total = sum(w)
+    if uniform_op:
+        # Fenwick tree over the integer weights: tree[k] sums w over the
+        # positions (k - (k & -k), k], so picks and updates cost O(log n)
+        tree = [0] + w
+        for k in range(1, n + 1):
+            up = k + (k & -k)
+            if up <= n:
+                tree[up] += tree[k]
+        top = 1 << (n.bit_length() - 1)
+    else:
+        bound = 2.0 if ring else 1.0
+        live = [i for i in range(n) if dist[i]]
+        slot = [0] * n  # slot[i] is the index of position i in live
+        for k, i in enumerate(live):
+            slot[i] = k
+    norm = per * n  # an iteration makes an accepted move with probability total / norm
+    draw = _uniforms(rng).__next__
+    t = 0
+    known = None  # the total that log_q belongs to
+
+    while True:
+        if total != known:
+            known, p = total, total / norm
+            log_q = log1p(-p) if p < 1.0 else None  # None: every iteration moves
+        wait = 1 if log_q is None else 1 + int(log(1.0 - draw()) / log_q)
+        if wait > cap - t:
+            if trace is not None:
+                row = trace[-1][1]
+                trace.extend((s, row) for s in range(t + 1, cap + 1))
+            return None, fit, trace
+        if trace is not None:
+            row = trace[-1][1]
+            trace.extend((s, row) for s in range(t + 1, t + wait))
+        t += wait
+
+        if uniform_op:
+            # descend to the position whose cumulative weight range holds
+            # the target; the remainder is the offset s within it
+            s = int(draw() * total)
+            i, bit = 0, top
+            while bit:
+                k = i + bit
+                if k <= n and tree[k] <= s:
+                    i = k
+                    s -= tree[k]
+                bit >>= 1
+        else:
+            while True:
+                i = live[int(draw() * len(live))]
+                s = draw() * bound
+                if s < w[i]:
+                    break
+        zi = z[i]
+        new = move(states[i], x[i], s)
+        nd = new - zi if new > zi else zi - new
+        if ring and r - nd < nd:
+            nd = r - nd
+        fit += nd - dist[i]
+        x[i] = new
+        dist[i] = nd
+        st = states[i] = state(new, zi, nd)
+        delta = st[0] - w[i]
+        total += delta
+        w[i] = st[0]
+        if uniform_op:
+            k = i + 1
+            while k <= n:
+                tree[k] += delta
+                k += k & -k
+        elif nd == 0:
+            k = slot[i]
+            last = live.pop()
+            if last != i:
+                live[k] = last
+                slot[last] = k
+        if trace is not None:
+            trace.append((t, tuple(potential_value(q, instance, np.asarray(x)) for q in pots)))
+        if fit == 0:
+            return t, 0, trace

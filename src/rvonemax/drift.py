@@ -17,7 +17,7 @@ import numpy as np
 
 from .algorithms import RunConfig, one_iteration, subseed
 from .potentials import Potential, potential_value
-from .space import MetricKind, ProblemInstance, uniform_wrong_value
+from .space import MetricKind, ProblemInstance
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,9 @@ def plant_state_at_hamming(instance: ProblemInstance, k: int,
     if not (0 <= k <= params.n):
         raise ValueError(f"hamming level must lie in [0, {params.n}], got {k}")
     x = np.array(instance.target, dtype=np.int64)
-    for i in rng.choice(params.n, size=k, replace=False):
-        x[i] = uniform_wrong_value(int(x[i]), params.r, rng)
+    where = rng.choice(params.n, size=k, replace=False)
+    wrong = rng.integers(0, params.r - 1, size=k)
+    x[where] = wrong + (wrong >= x[where])  # uniform over the r-1 wrong values
     return x
 
 

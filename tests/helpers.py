@@ -7,7 +7,8 @@ import bisect
 import numpy as np
 from scipy import stats
 
-from rvonemax import AlgorithmKind, fitness, mutate, sample_uniform_point, token_step_pmf
+from rvonemax import (AlgorithmKind, StepOperatorKind, fitness, harmonic_pmf, harmonic_table,
+                      mutate, sample_uniform_point, step, token_step_pmf)
 
 
 def assert_chi_square(counts, expected_probs, significance=0.001):
@@ -65,10 +66,42 @@ def reference_token_hitting_time(r, distribution, rng, cap=10**7):
     raise AssertionError("reference token run exceeded its cap")
 
 
+class _ScriptedRng:
+    """Stands in for a Generator inside operators.step: integers() and
+    random() return the scripted draws in order."""
+
+    def __init__(self, ints=(), floats=()):
+        self._ints = list(ints)
+        self._floats = list(floats)
+
+    def integers(self, low, high=None):
+        return self._ints.pop(0)
+
+    def random(self):
+        return self._floats.pop(0)
+
+
+def step_outcomes(kind, metric, current, r):
+    """Every outcome of operators.step as (probability, value or None), by
+    scripting each possible draw: the uniform raw value, or the jump size
+    (the left end of its CDF interval) and the sign."""
+    if kind is StepOperatorKind.UNIFORM:
+        return [(1.0 / (r - 1), step(kind, metric, current, r, _ScriptedRng(ints=[v])))
+                for v in range(r - 1)]
+    if kind is StepOperatorKind.PLUS_MINUS_ONE:
+        return [(0.5, step(kind, metric, current, r, _ScriptedRng(ints=[sign])))
+                for sign in (0, 1)]
+    pmf = harmonic_pmf(r)
+    left = [0.0] + harmonic_table(r).cdf.tolist()  # jump j is drawn for u in [left[j-1], left[j])
+    return [(pmf[j - 1] / 2, step(kind, metric, current, r,
+                                  _ScriptedRng(ints=[sign], floats=[left[j - 1]])))
+            for j in range(1, r) for sign in (0, 1)]
+
+
 def binomial_pmf(n, p, k):
     return float(stats.binom.pmf(k, n, p))
 
 
 __all__ = ["assert_chi_square", "assert_same_distribution",
-           "reference_hitting_time", "reference_token_hitting_time", "binomial_pmf",
-           "AlgorithmKind"]
+           "reference_hitting_time", "reference_token_hitting_time",
+           "step_outcomes", "binomial_pmf", "AlgorithmKind"]

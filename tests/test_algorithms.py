@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import assert_chi_square, assert_same_distribution, reference_hitting_time
+from helpers import (assert_chi_square, assert_same_distribution, reference_hitting_time,
+                     step_outcomes)
 from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
                       SpaceParams, StepOperatorKind, hamming_distance, harmonic_number,
-                      mutate, run, run_batch, subseed)
+                      metric_distance, mutate, run, run_batch, subseed)
+from rvonemax.algorithms import _rls_law
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -59,8 +61,9 @@ def test_run_batch_contracts():
 
 def test_run_batch_parallel_matches_sequential():
     inst = make_instance(8, 3)
-    cfg = RunConfig(EA, UNIFORM, inst, seed=17)
-    assert run_batch(cfg, 6, workers=2) == run_batch(cfg, 6, workers=1)
+    for algorithm in (EA, RLS):
+        cfg = RunConfig(algorithm, UNIFORM, inst, seed=17)
+        assert run_batch(cfg, 6, workers=2) == run_batch(cfg, 6, workers=1)
 
 
 def test_rls_mean_matches_closed_form_from_fixed_hamming_start():
@@ -145,6 +148,103 @@ def test_engine_distribution_matches_reference_implementation(algorithm, operato
     reference_times = [reference_hitting_time(algorithm, operator, inst, ref_rng)
                        for _ in range(1500)]
     assert_same_distribution(engine_times, reference_times)
+
+
+@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+@pytest.mark.parametrize("r", [5, 6])
+def test_rls_distribution_matches_reference_implementation(operator, metric, r):
+    # the rejection-free RLS kernel vs the iteration-by-iteration loop over mutate()
+    n = 5
+    inst = make_instance(n, r, metric, target=np.arange(n) % r)
+    cfg = RunConfig(RLS, operator, inst, seed=4242)
+    kernel_times = [rec.hitting_time for rec in run_batch(cfg, 1000)]
+    ref_rng = np.random.default_rng(2424)
+    reference_times = [reference_hitting_time(RLS, operator, inst, ref_rng)
+                       for _ in range(1000)]
+    assert_same_distribution(kernel_times, reference_times)
+
+
+def preimage_law(f, width, cells=512):
+    """Law of f(s) for s uniform on [0, width), for f piecewise constant with
+    pieces longer than width / cells: each change of value between grid
+    points is located by bisection to the last representable float."""
+    law = {}
+    start, value, prev = 0.0, f(0.0), 0.0
+    for k in range(1, cells + 1):
+        point = width * k / cells
+        current = f(point) if k < cells else value
+        if current != value:
+            lo, hi = prev, point
+            while lo < (lo + hi) / 2 < hi:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if f(mid) == value else (lo, mid)
+            law[value] = law.get(value, 0.0) + (hi - start)
+            start, value = hi, current
+        prev = point
+    law[value] = law.get(value, 0.0) + (width - start)
+    return {v: mass / width for v, mass in law.items()}
+
+
+@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_rls_closed_forms_match_enumerated_step_outcomes(operator, metric):
+    # exact, no sampling: for every (x, z) the kernel's acceptance probability
+    # a and its conditioned move law equal an enumeration of operators.step
+    ring = metric is MetricKind.RING
+    seen = set()
+    for r in (2, 3, 4, 5, 8):
+        state, move, per = _rls_law(operator, r, ring)
+        for z in range(r):
+            for x in range(r):
+                d = metric_distance(metric, x, z, r)
+                accepted = {}
+                for prob, value in step_outcomes(operator, metric, x, r):
+                    if value is not None and metric_distance(metric, value, z, r) <= d:
+                        assert value != x
+                        accepted[value] = accepted.get(value, 0.0) + prob
+                a = sum(accepted.values())
+                st = state(x, z, d)
+                assert st[0] / per == pytest.approx(a, rel=1e-12, abs=1e-15), (r, x, z)
+                # the thinning bound of the jump steps
+                assert st[0] <= (per if operator is UNIFORM else 2 if ring else 1)
+                if a == 0:
+                    continue
+                law = preimage_law(lambda s: move(st, x, s), st[0])
+                assert law.keys() == accepted.keys(), (r, x, z)
+                for value, prob in accepted.items():
+                    assert law[value] == pytest.approx(prob / a, rel=1e-9), (r, x, z, value)
+                if ring and 2 * d >= r - 1:
+                    seen.add("ring tie, odd r" if r % 2 else "ring tie, even r")
+                if not ring and 0 < d and (x > z and 2 * d > x or x < z and 2 * d > r - 1 - x):
+                    seen.add("interval truncation")
+    assert seen == ({"ring tie, odd r", "ring tie, even r"} if ring else {"interval truncation"})
+
+
+@pytest.mark.parametrize("algorithm", [RLS, EA])
+@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+def test_capped_run_is_prefix_of_uncapped_run(algorithm, operator):
+    # cap c: T <= c reproduces the uncapped record; otherwise the run is
+    # capped at c with c + 1 evaluations and the first c + 1 trace rows
+    inst = make_instance(6, 5, MetricKind.RING, target=np.arange(6) % 5)
+    for seed in (1, 2, 3):
+        def capped(cap):
+            return run(RunConfig(algorithm, operator, inst, seed=seed, iteration_cap=cap,
+                                 trace_potentials=(Potential.fitness(),)))
+        full = capped(10**10)
+        T = full.hitting_time
+        for cap in sorted({1, T // 2, T - 1, T, T + 1, 2 * T}):
+            if cap < 1:
+                continue
+            rec = capped(cap)
+            if T <= cap:
+                assert rec == full
+            else:
+                assert rec.capped and rec.hitting_time is None
+                assert rec.evaluations == cap + 1
+                assert rec.final_fitness > 0
+                assert rec.trace == full.trace[:cap + 1]
+                assert rec.final_fitness == rec.trace[-1][1][0]
 
 
 def test_binary_ring_operators_share_run_time_law():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import assert_chi_square
 from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
                       SpaceParams, StepOperatorKind, estimate_drift, fitness, hamming_distance,
                       harmonic_number, plant_state_at_fitness, plant_state_at_hamming,
@@ -77,6 +78,22 @@ def test_plant_state_at_hamming_exact_level():
         for _ in range(20):
             x = plant_state_at_hamming(inst, k, rng)
             assert hamming_distance(x, inst.target) == k
+
+
+def test_plant_state_at_hamming_values_uniform():
+    # chi-square at 0.001 over (position, wrong value): positions are a uniform
+    # k-subset and each corrupted position takes one of its r-1 wrong values
+    n, r, k, plants = 6, 5, 3, 20000
+    inst = make_instance(n, r, target=np.arange(n) % r)
+    rng = np.random.default_rng(7)
+    counts = np.zeros((n, r), dtype=np.int64)
+    for _ in range(plants):
+        x = plant_state_at_hamming(inst, k, rng)
+        wrong = np.flatnonzero(x != inst.target)
+        counts[wrong, x[wrong]] += 1
+    observed = counts[np.arange(r)[None, :] != inst.target[:, None]]
+    assert observed.sum() == plants * k
+    assert_chi_square(observed, np.full(n * (r - 1), 1.0 / (n * (r - 1))))
 
 
 def test_plant_state_at_fitness_exact_level():
