@@ -12,9 +12,17 @@ Lebowitz; Gillespie's SSA). A step at position i is accepted and changes
 x_i with a closed-form probability a_i, so the iterations up to the next
 accepted move are Geometric(sum(a)/n), the move lands at i with probability
 a_i / sum(a), and it is drawn conditioned on acceptance. A run costs about
-its number of accepted moves, not its number of iterations. The (1+1) EA,
-whose multi-position offspring has no such closed form, runs iteration by
-iteration with randomness drawn in blocks.
+its number of accepted moves, not its number of iterations.
+
+The (1+1) EA, whose multi-position offspring has no such closed form, is
+simulated one event per iteration that selects at least one unfinished
+position (one off its target value). An iteration that selects only
+finished positions cannot change x: every feasible step there moves a
+position off its target and raises the fitness, so the offspring is
+rejected, and infeasible steps are discarded. With f unfinished positions
+the wait to the next event is Geometric(1 - (1-1/n)^f), so the
+coupon-collector tail of a run, where few positions are left, costs about
+f/n of its iterations.
 
 Runs are deterministic functions of their seed. Replicates of a batch use
 sub-seeds derived from (seed, index) via subseed(), so batches reproduce
@@ -27,6 +35,8 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import chain
 from math import log, log1p
 
 import numpy as np
@@ -189,10 +199,87 @@ def _start(instance, x0, trace_pots):
     return x, z, dist, sum(dist), trace
 
 
-def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
-    """(1+1) EA hot loop. Scalar state in Python lists, randomness drawn in blocks.
+# ---------------------------------------------------------------------------
+# Event-driven (1+1) EA
+# ---------------------------------------------------------------------------
 
-    Returns (hitting_time or None, final_fitness, trace or None).
+def _binomial_cdf(m, p, conditional):
+    """[P[K <= k] for k = 0, 1, ...] for K ~ Bin(m, p), conditioned on K >= 1
+    when `conditional` (entry 0 is then 0.0).
+
+    The pmf comes from the recurrence P[K = k + 1] / P[K = k] =
+    (m - k) / (k + 1) * p / (1 - p), started from an unnormalized first
+    term, and the list is cut where the next term no longer changes the sum;
+    the partial sums are divided by the total, so the last entry is exactly
+    1.0. For p = 1/n and m <= n the pmf is unimodal with its mode at 0 or 1,
+    so the dropped tail is below 1e-15.
+    """
+    k = 1 if conditional else 0
+    sums = [0.0] * k + [1.0]
+    term = total = 1.0
+    while k < m:
+        term *= (m - k) / (k + 1) * p / (1.0 - p)
+        if total + term == total:
+            break
+        total += term
+        sums.append(total)
+        k += 1
+    return [s / total for s in sums]
+
+
+@lru_cache(maxsize=128)
+def _ea_selection_law(n):
+    """Per number f = 1..n of unfinished positions (entry 0 is None): the
+    probability that an EA iteration selects at least one of them, the CDF
+    of how many it selects given that it does, and the CDF of how many of
+    the n - f finished positions it selects, as numpy arrays."""
+    p = 1.0 / n
+    return [None] + [(1.0 - (1.0 - p) ** f,
+                      np.array(_binomial_cdf(f, p, True)),
+                      np.array(_binomial_cdf(n - f, p, False)))
+                     for f in range(1, n + 1)]
+
+
+def _selection_block(rng, law_f, size):
+    """size events as three lists: the waits, the unfinished counts and the
+    finished counts."""
+    p, unfinished_cdf, finished_cdf = law_f
+    return (rng.geometric(p, size).tolist(),
+            np.searchsorted(unfinished_cdf, rng.random(size), "right").tolist(),
+            np.searchsorted(finished_cdf, rng.random(size), "right").tolist())
+
+
+def _distinct(order, lo, size, count, draw):
+    """count distinct entries of order[lo:lo + size], drawn uniformly."""
+    if count == 1:
+        return (order[lo + int(draw() * size)],)
+    picked = []
+    while len(picked) < count:
+        i = order[lo + int(draw() * size)]
+        if i not in picked:
+            picked.append(i)
+    return picked
+
+
+def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
+    """Event-driven (1+1) EA: one loop pass per iteration that selects at
+    least one unfinished position (one with d_i > 0).
+
+    A feasible step at a finished position lands at distance >= 1 from its
+    target and an infeasible one is discarded, so an iteration that selects
+    only finished positions leaves x unchanged. With f unfinished positions
+    the wait to the next event is Geometric(1 - (1 - 1/n)^f); the event
+    selects Bin(f, 1/n) unfinished positions conditioned on >= 1 and,
+    independently, Bin(n - f, 1/n) finished ones, each set uniformly
+    without replacement. The waits and counts depend only on f and are
+    drawn in numpy blocks kept per f; positions and steps come from one
+    stream of uniforms. The steps at finished positions are drawn only while
+    the offspring can still be accepted: each feasible one adds at least 1
+    to the fitness. `order` holds the unfinished positions in its first f
+    slots and the finished ones after them; slot[i] is the index of i.
+
+    Returns (hitting_time or None, final_fitness, trace or None); the trace
+    repeats the previous row for every iteration of a wait.
     """
     params = instance.params
     n, r = params.n, params.r
@@ -204,97 +291,100 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
 
     uniform_op = operator is StepOperatorKind.UNIFORM
     pm1_op = operator is StepOperatorKind.PLUS_MINUS_ONE
-    table = harmonic_table(r) if operator is StepOperatorKind.HARMONIC else None
-
-    block = _BLOCK
-    inv_n = 1.0 / n
-    counts = pos = raws = signs = jumps = ()
-    cp = pp = up = sp = jp = block
+    F = harmonic_table(r).cdf.tolist() if operator is StepOperatorKind.HARMONIC else None
+    # uniform steps and ring steps are never discarded, so each step at a
+    # finished position adds >= 1 to the fitness
+    always_feasible = ring or uniform_op
+    law = _ea_selection_law(n)
+    order = [i for i in range(n) if dist[i]]
+    f = len(order)
+    order += [i for i in range(n) if not dist[i]]
+    slot = [0] * n
+    for k, i in enumerate(order):
+        slot[i] = k
+    blocks = [None] * (n + 1)  # per f: (waits, kus, kfs, index of the next event)
+    waits = kus = kfs = ()
+    e = 0
+    draw = _uniforms(rng).__next__
     pending: list[tuple[int, int, int]] = []
-    t = 0
 
-    while t < cap:
-        t += 1
-        if cp == block:
-            counts = rng.binomial(n, inv_n, size=block).tolist()
-            cp = 0
-        b = counts[cp]
-        cp += 1
-        if b == 0:
+    t = 0
+    while True:
+        if e == len(waits):
+            waits, kus, kfs = _selection_block(rng, law[f], min(max(64, 2 * e), _BLOCK))
+            e = 0
+        wait, ku, kf = waits[e], kus[e], kfs[e]
+        e += 1
+        if wait > cap - t:
             if trace is not None:
-                trace.append((t, trace[-1][1]))
-            continue
-        if b == 1:
-            if pp == block:
-                pos = rng.integers(0, n, size=block).tolist()
-                pp = 0
-            chosen = (pos[pp],)
-            pp += 1
-        else:
-            seen = set()
-            picks = []
-            while len(picks) < b:
-                if pp == block:
-                    pos = rng.integers(0, n, size=block).tolist()
-                    pp = 0
-                v = pos[pp]
-                pp += 1
-                if v not in seen:
-                    seen.add(v)
-                    picks.append(v)
-            chosen = picks
+                row = trace[-1][1]
+                trace.extend((s, row) for s in range(t + 1, cap + 1))
+            return None, fit, trace
+        if trace is not None:
+            row = trace[-1][1]
+            trace.extend((s, row) for s in range(t + 1, t + wait))
+        t += wait
 
         del pending[:]
+        picks = (order[int(draw() * f)],) if ku == 1 else _distinct(order, 0, f, ku, draw)
         delta = 0
-        for i in chosen:
-            cur = x[i]
-            if uniform_op:
-                if up == block:
-                    raws = rng.integers(0, r - 1, size=block).tolist()
-                    up = 0
-                v = raws[up]
-                up += 1
-                new = v if v < cur else v + 1
-            else:
-                if pm1_op:
-                    jump = 1
+        finished = False
+        while True:
+            for i in picks:
+                cur = x[i]
+                if uniform_op:
+                    v = int(draw() * (r - 1))
+                    new = v if v < cur else v + 1
                 else:
-                    if jp == block:
-                        jumps = table.sample_block(rng, block).tolist()
-                        jp = 0
-                    jump = jumps[jp]
-                    jp += 1
-                if sp == block:
-                    signs = rng.integers(0, 2, size=block).tolist()
-                    sp = 0
-                if signs[sp] == 0:
-                    jump = -jump
-                sp += 1
-                new = cur + jump
-                if ring:
-                    new %= r
-                elif new < 0 or new >= r:
-                    continue  # infeasible step, component unchanged
-            zd = z[i]
-            nd = new - zd
-            if nd < 0:
-                nd = -nd
-            if ring and r - nd < nd:
-                nd = r - nd
-            delta += nd - dist[i]
-            pending.append((i, new, nd))
+                    jump = 1 if pm1_op else bisect_right(F, draw()) + 1
+                    new = cur + jump if draw() < 0.5 else cur - jump
+                    if ring:
+                        new %= r
+                    elif new < 0 or new >= r:
+                        continue  # infeasible step, component unchanged
+                nd = new - z[i]
+                if nd < 0:
+                    nd = -nd
+                if ring and r - nd < nd:
+                    nd = r - nd
+                delta += nd - dist[i]
+                if finished and delta > 0:
+                    break  # no later step can lower it: rejected
+                pending.append((i, new, nd))
+            if finished or not kf or not pending:
+                break
+            # the finished positions are drawn only while the offspring can
+            # still be accepted: each of their feasible steps adds >= 1
+            least = delta + kf if always_feasible else delta
+            if least > 0:
+                delta = least
+                break
+            picks = _distinct(order, f, n - f, kf, draw)
+            finished = True
 
         if delta <= 0 and pending:
+            was = f
             for i, new, nd in pending:
+                if not nd or not dist[i]:
+                    # i reaches its target, or leaves it: swap i with the
+                    # entry at the boundary of the two parts of order
+                    if not nd:
+                        f -= 1
+                    k, other = slot[i], order[f]
+                    order[k], slot[other] = other, k
+                    order[f], slot[i] = i, f
+                    if nd:
+                        f += 1
                 x[i] = new
                 dist[i] = nd
             fit += delta
+            if f != was:
+                blocks[was] = (waits, kus, kfs, e)
+                waits, kus, kfs, e = blocks[f] or ((), (), (), 0)
         if trace is not None:
             trace.append((t, tuple(potential_value(p, instance, np.asarray(x)) for p in pots)))
         if fit == 0:
             return t, 0, trace
-
-    return None, fit, trace
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +458,15 @@ def _jump_law(r, ring, F):
 
 
 def _uniforms(rng):
-    """Endless stream of U[0, 1) floats, drawn in blocks that double up to _BLOCK."""
-    size = 64
-    while True:
-        yield from rng.random(size).tolist()
-        size = min(2 * size, _BLOCK)
+    """Endless iterator of U[0, 1) floats, drawn in blocks that double up to
+    _BLOCK; its __next__ runs in C."""
+    def blocks():
+        size = 64
+        while True:
+            yield rng.random(size).tolist()
+            size = min(2 * size, _BLOCK)
+
+    return chain.from_iterable(blocks())
 
 
 def _simulate_rls(instance, operator, rng, x0, cap, trace_pots):

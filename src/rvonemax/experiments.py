@@ -130,7 +130,8 @@ class AggregateResult:
 
 
 def build_target(policy: TargetPolicy, params: SpaceParams,
-                 rng: np.random.Generator) -> np.ndarray:
+                 rng: np.random.Generator | None) -> np.ndarray:
+    """Target vector of a replicate; only the random policy draws from rng."""
     if policy is TargetPolicy.ALL_ZERO:
         return np.zeros(params.n, dtype=np.int64)
     if policy is TargetPolicy.CENTER:
@@ -139,8 +140,9 @@ def build_target(policy: TargetPolicy, params: SpaceParams,
 
 
 def build_start(policy: StartPolicy, instance: ProblemInstance,
-                rng: np.random.Generator) -> np.ndarray | None:
-    """Start point for a replicate, or None to let the run sample uniformly."""
+                rng: np.random.Generator | None) -> np.ndarray | None:
+    """Start point for a replicate, or None to let the run sample uniformly;
+    only the fixed-Hamming policy draws from rng."""
     if policy.kind is StartKind.UNIFORM_RANDOM:
         return None
     if policy.kind is StartKind.FIXED_HAMMING:
@@ -157,7 +159,10 @@ def build_start(policy: StartPolicy, instance: ProblemInstance,
 def _replicate_config(plan: ExperimentPlan, n: int, r: int, algorithm: AlgorithmKind,
                       operator: StepOperatorKind, rep: int) -> RunConfig:
     key = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}|{rep}"
-    setup_rng = np.random.default_rng(stable_seed(plan.base_seed, key + "|setup"))
+    setup_rng = None  # only a random target and a planted start draw from it
+    if (plan.target_policy is TargetPolicy.UNIFORM_RANDOM
+            or plan.start_policy.kind is StartKind.FIXED_HAMMING):
+        setup_rng = np.random.default_rng(stable_seed(plan.base_seed, key + "|setup"))
     params = SpaceParams(n=n, r=r)
     instance = ProblemInstance(params=params, metric=plan.metric,
                                target=build_target(plan.target_policy, params, setup_rng))

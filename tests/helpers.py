@@ -48,6 +48,33 @@ def reference_hitting_time(algorithm, operator, instance, rng, cap=10**7,
     raise AssertionError("reference run exceeded its cap")
 
 
+def reference_state_after(algorithm, operator, instance, x, iterations, rng):
+    """The point after `iterations` rounds of the plain mutation-selection
+    loop over mutate() from x; an oracle for the kernels' transition law."""
+    x = np.array(x, dtype=np.int64)
+    fx = fitness(instance, x)
+    for _ in range(iterations):
+        y, _ = mutate(algorithm, operator, instance, x, rng)
+        fy = fitness(instance, y)
+        if fy <= fx:
+            x, fx = y, fy
+    return x
+
+
+def assert_same_categorical(counts_a, counts_b, significance=0.001):
+    """Chi-square test of homogeneity of two samples given as
+    {category: count} mappings; categories seen fewer than 10 times in the
+    two samples together are pooled into one."""
+    keys = sorted(set(counts_a) | set(counts_b))
+    table = np.array([[counts_a.get(k, 0) for k in keys], [counts_b.get(k, 0) for k in keys]])
+    rare = table.sum(axis=0) < 10
+    table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    result = stats.chi2_contingency(table)
+    assert result.pvalue > significance, (
+        f"chi-square rejected homogeneity: p={result.pvalue:.3g} <= {significance}")
+
+
 def reference_token_hitting_time(r, distribution, rng, cap=10**7):
     """Round-by-round token chain from a uniform start on {0, ..., r}: every
     round draws a step size d by inverse CDF and moves only when d <= x. Used
@@ -102,6 +129,6 @@ def binomial_pmf(n, p, k):
     return float(stats.binom.pmf(k, n, p))
 
 
-__all__ = ["assert_chi_square", "assert_same_distribution",
-           "reference_hitting_time", "reference_token_hitting_time",
+__all__ = ["assert_chi_square", "assert_same_categorical", "assert_same_distribution",
+           "reference_hitting_time", "reference_state_after", "reference_token_hitting_time",
            "step_outcomes", "binomial_pmf", "AlgorithmKind"]

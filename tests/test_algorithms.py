@@ -1,13 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import (assert_chi_square, assert_same_distribution, reference_hitting_time,
-                     step_outcomes)
+from helpers import (assert_chi_square, assert_same_categorical, assert_same_distribution,
+                     reference_hitting_time, reference_state_after, step_outcomes)
 from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
-                      SpaceParams, StepOperatorKind, hamming_distance, harmonic_number,
+                      SpaceParams, StepOperatorKind, fitness, hamming_distance, harmonic_number,
                       metric_distance, mutate, run, run_batch, subseed)
-from rvonemax.algorithms import _rls_law
+from rvonemax.algorithms import _ea_selection_law, _rls_law
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -150,19 +152,87 @@ def test_engine_distribution_matches_reference_implementation(algorithm, operato
     assert_same_distribution(engine_times, reference_times)
 
 
+def _kernel_vs_reference(algorithm, operator, metric, r, seed, ref_seed):
+    # the kernel vs the iteration-by-iteration loop over mutate(), KS at 0.001
+    n = 5
+    inst = make_instance(n, r, metric, target=np.arange(n) % r)
+    cfg = RunConfig(algorithm, operator, inst, seed=seed)
+    kernel_times = [rec.hitting_time for rec in run_batch(cfg, 1000)]
+    ref_rng = np.random.default_rng(ref_seed)
+    reference_times = [reference_hitting_time(algorithm, operator, inst, ref_rng)
+                       for _ in range(1000)]
+    assert_same_distribution(kernel_times, reference_times)
+
+
 @pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
 @pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
 @pytest.mark.parametrize("r", [5, 6])
 def test_rls_distribution_matches_reference_implementation(operator, metric, r):
-    # the rejection-free RLS kernel vs the iteration-by-iteration loop over mutate()
-    n = 5
-    inst = make_instance(n, r, metric, target=np.arange(n) % r)
-    cfg = RunConfig(RLS, operator, inst, seed=4242)
-    kernel_times = [rec.hitting_time for rec in run_batch(cfg, 1000)]
-    ref_rng = np.random.default_rng(2424)
-    reference_times = [reference_hitting_time(RLS, operator, inst, ref_rng)
-                       for _ in range(1000)]
-    assert_same_distribution(kernel_times, reference_times)
+    _kernel_vs_reference(RLS, operator, metric, r, seed=4242, ref_seed=2424)
+
+
+@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+@pytest.mark.parametrize("r", [5, 6])
+def test_ea_distribution_matches_reference_implementation(operator, metric, r):
+    # the event-driven EA kernel, including its skipped iterations
+    _kernel_vs_reference(EA, operator, metric, r, seed=4343, ref_seed=3434)
+
+
+@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+def test_ea_state_law_after_ten_iterations_matches_reference(operator):
+    # the law of (fitness, Hamming distance) after 10 iterations from a point
+    # with two positions off target: it shows how often offspring that also
+    # step at finished positions are accepted, which hitting times barely do
+    n, r, c = 10, 3, 10
+    inst = make_instance(n, r)
+    x0 = [2, 2] + [0] * (n - 2)
+    cfg = RunConfig(EA, operator, inst, seed=5151, iteration_cap=c, initial_point=x0,
+                    trace_potentials=(Potential.fitness(), Potential.hamming()))
+    kernel = Counter(rec.trace[-1][1] for rec in run_batch(cfg, 5000))
+    rng = np.random.default_rng(1515)
+    reference = Counter()
+    for _ in range(5000):
+        x = reference_state_after(EA, operator, inst, x0, c, rng)
+        reference[(float(fitness(inst, x)), float(hamming_distance(x, inst.target)))] += 1
+    assert len(kernel) > 3
+    assert_same_categorical(kernel, reference)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 2000])
+def test_ea_selection_law_matches_scipy_binomial(n):
+    # exact, no sampling: per number f of unfinished positions, the selection
+    # probability and both count CDFs agree with scipy.stats.binom
+    law = _ea_selection_law(n)
+    assert law[0] is None and len(law) == n + 1
+    p = 1.0 / n
+    for f in range(1, n + 1):
+        select, unfinished_cdf, finished_cdf = law[f]
+        assert select == pytest.approx(stats.binom.sf(0, f, p), rel=1e-12)
+        k = np.arange(len(unfinished_cdf))
+        conditioned = np.cumsum(np.where(k > 0, stats.binom.pmf(k, f, p), 0.0)) / select
+        np.testing.assert_allclose(unfinished_cdf, conditioned, rtol=1e-12, atol=1e-15)
+        k = np.arange(len(finished_cdf))
+        np.testing.assert_allclose(finished_cdf, stats.binom.cdf(k, n - f, p),
+                                   rtol=1e-12, atol=1e-15)
+        # cut where they reach 1: the last entry is exactly 1 and drops no real mass
+        for cdf, m in ((unfinished_cdf, f), (finished_cdf, n - f)):
+            assert cdf[-1] == 1.0 and len(cdf) <= m + 1
+            assert stats.binom.sf(len(cdf) - 1, m, p) < 1e-15
+            assert (np.diff(cdf) >= 0).all()
+
+
+@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_steps_at_a_finished_position_never_stay_on_target(operator, metric):
+    # the lemma the EA kernel skips iterations by: every feasible step from the
+    # target value z lands at distance >= 1 from z
+    for r in (2, 3, 4, 5, 8):
+        for z in range(r):
+            for prob, value in step_outcomes(operator, metric, z, r):
+                assert prob > 0
+                if value is not None:
+                    assert metric_distance(metric, value, z, r) >= 1, (r, z, value)
 
 
 def preimage_law(f, width, cells=512):

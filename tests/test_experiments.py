@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from rvonemax import (AggregateResult, AlgorithmKind, DegenerateModelError, ExperimentPlan,
-                      MetricKind, ProblemInstance, SpaceParams, StartPolicy, StepOperatorKind,
-                      TargetPolicy, build_start, build_target, execute_plan, fit_scaling,
-                      fitness, hamming_distance, harmonic_number, stable_seed)
-from rvonemax.experiments import hitting_time_summary
+                      MetricKind, ProblemInstance, SpaceParams, StartKind, StartPolicy,
+                      StepOperatorKind, TargetPolicy, build_start, build_target,
+                      execute_plan, fit_scaling, fitness, hamming_distance, harmonic_number,
+                      stable_seed)
+from rvonemax import experiments
+from rvonemax.experiments import _replicate_config, hitting_time_summary
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -111,6 +113,41 @@ def test_plan_validation():
         StartPolicy.fixed_hamming(-1)
     with pytest.raises(ValueError):
         StartPolicy(kind=StartPolicy.uniform_random().kind, hamming_k=3)
+
+
+def test_replicate_setup_generator_only_where_drawn_from(monkeypatch):
+    # a set-up Generator is built only for a random target or a planted
+    # start, with the seed it always had, so targets and starts are unchanged
+    real = np.random.default_rng
+    built = []
+
+    def counting(seed=None):
+        built.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(experiments.np.random, "default_rng", counting)
+    n, r, rep = 6, 5, 3
+    key = f"{n}|{r}|{EA.value}|{PM1.value}|{MetricKind.RING.value}|{rep}"
+    setup_seed = stable_seed(11, key + "|setup")
+    for target in TargetPolicy:
+        for start in (StartPolicy.uniform_random(), StartPolicy.fixed_hamming(4),
+                      StartPolicy.all_max_distance()):
+            plan = single_cell_plan(n, r, EA, PM1, start, 5, seed=11,
+                                    metric=MetricKind.RING, target=target)
+            del built[:]
+            cfg = _replicate_config(plan, n, r, EA, PM1, rep)
+            draws = target is TargetPolicy.UNIFORM_RANDOM or start.kind is StartKind.FIXED_HAMMING
+            assert built == ([setup_seed] if draws else [])
+            assert cfg.seed == stable_seed(11, key)
+            setup_rng = real(setup_seed)
+            params = SpaceParams(n, r)
+            expected_target = build_target(target, params, setup_rng)
+            assert (cfg.instance.target == expected_target).all()
+            expected_start = build_start(start, cfg.instance, setup_rng)
+            if expected_start is None:
+                assert cfg.initial_point is None
+            else:
+                assert (cfg.initial_point == expected_start).all()
 
 
 class _Record:
