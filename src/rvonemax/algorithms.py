@@ -128,9 +128,37 @@ def mutate(algorithm: AlgorithmKind, operator: StepOperatorKind, instance: Probl
 def one_iteration(algorithm: AlgorithmKind, operator: StepOperatorKind,
                   instance: ProblemInstance, x: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
-    """One full mutation-selection round; returns the retained point."""
-    y, _ = mutate(algorithm, operator, instance, x, rng)
-    return y if fitness(instance, y) <= fitness(instance, x) else np.array(x, dtype=np.int64)
+    """One mutation-selection round on every row of the (S, n) array x at
+    once; returns the (S, n) retained points.
+
+    RLS selects one uniform column per row, the (1+1) EA each cell with
+    probability 1/n. Each selected cell takes a step with the law of
+    operators.step, and a row keeps its offspring iff its fitness is not
+    worse.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    m, n = x.shape
+    r = instance.params.r
+    if algorithm is AlgorithmKind.RLS:
+        rows, cols = np.arange(m), rng.integers(0, n, m)
+    else:
+        rows, cols = np.nonzero(rng.random((m, n)) < 1.0 / n)
+    cur = x[rows, cols]
+    if operator is StepOperatorKind.UNIFORM:
+        v = rng.integers(0, r - 1, cur.size)
+        new = v + (v >= cur)
+    else:
+        jump = (1 if operator is StepOperatorKind.PLUS_MINUS_ONE
+                else harmonic_table(r).sample_block(rng, cur.size))
+        new = np.where(rng.integers(0, 2, cur.size) == 0, cur - jump, cur + jump)
+        if instance.metric is MetricKind.RING:
+            new %= r
+        else:
+            new = np.where((new >= 0) & (new < r), new, cur)  # infeasible: discarded
+    y = x.copy()
+    y[rows, cols] = new
+    keep = fitness(instance, y) <= fitness(instance, x)
+    return np.where(keep[:, None], y, x)
 
 
 def run(config: RunConfig) -> RunRecord:

@@ -4,7 +4,8 @@ The estimator plants search points at prescribed potential levels (exact
 Hamming level, exact fitness level, or an explicit per-component distance
 vector), applies a single mutation-selection round, and averages the
 one-step drop of the chosen potential. Planting makes conditioning on a
-level exact instead of waiting for natural visits.
+level exact instead of waiting for natural visits. The samples of a level
+are planted, stepped and scored as (S, n) numpy arrays, S rows at a time.
 """
 
 from __future__ import annotations
@@ -47,36 +48,52 @@ def harmonic_number(k: int) -> float:
 # Planted-state drift estimation
 # ---------------------------------------------------------------------------
 
-def _max_component_distance(instance: ProblemInstance, i: int) -> int:
+BLOCK_ROWS = 1024  # rows planted and stepped at once; bounds the arrays' memory
+
+
+def _max_distances(instance: ProblemInstance) -> np.ndarray:
+    """Per position, the largest distance a value can have from the target."""
     r = instance.params.r
     if instance.metric is MetricKind.RING:
-        return r // 2
-    z = int(instance.target[i])
-    return max(z, r - 1 - z)
+        return np.full(instance.params.n, r // 2, dtype=np.int64)
+    z = instance.target
+    return np.maximum(z, r - 1 - z)
+
+
+def _realize(instance: ProblemInstance, dist: np.ndarray,
+             rng: np.random.Generator) -> np.ndarray:
+    """Rows of points at the given (S, n) per-component distances from the
+    target, each value on a side chosen uniformly among the feasible ones."""
+    r = instance.params.r
+    z = instance.target
+    up = rng.integers(0, 2, dist.shape) == 1
+    if instance.metric is MetricKind.RING:
+        # both sides are feasible; they coincide when d = 0 or 2d = r
+        return np.where(up, z + dist, z - dist) % r
+    up_ok, down_ok = z + dist < r, z - dist >= 0
+    return np.where(up_ok & (up | ~down_ok), z + dist, z - dist)
+
+
+def realize_distance_rows(instance: ProblemInstance, distances: Sequence[int], rows: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """(rows, n) points whose per-component distances to the target are as
+    given, each value on a side chosen uniformly among the feasible ones."""
+    n = instance.params.n
+    dist = np.asarray(distances, dtype=np.int64)
+    if dist.shape != (n,):
+        raise ValueError(f"need {n} distances, got {len(distances)}")
+    bad = np.flatnonzero((dist < 0) | (dist > _max_distances(instance)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"distance {int(dist[i])} infeasible at position {i}")
+    return _realize(instance, np.broadcast_to(dist, (rows, n)), rng)
 
 
 def realize_distances(instance: ProblemInstance, distances: Sequence[int],
                       rng: np.random.Generator) -> np.ndarray:
     """Construct a point whose per-component distances to the target are as
     given, choosing uniformly among the feasible sides."""
-    params = instance.params
-    if len(distances) != params.n:
-        raise ValueError(f"need {params.n} distances, got {len(distances)}")
-    r = params.r
-    x = np.array(instance.target, dtype=np.int64)
-    for i, d in enumerate(distances):
-        d = int(d)
-        if d == 0:
-            continue
-        if d < 0 or d > _max_component_distance(instance, i):
-            raise ValueError(f"distance {d} infeasible at position {i}")
-        z = int(instance.target[i])
-        if instance.metric is MetricKind.RING:
-            options = list({(z - d) % r, (z + d) % r})
-        else:
-            options = [v for v in (z - d, z + d) if 0 <= v < r]
-        x[i] = options[int(rng.integers(0, len(options)))]
-    return x
+    return realize_distance_rows(instance, distances, 1, rng)[0]
 
 
 def plant_state_at_hamming(instance: ProblemInstance, k: int,
@@ -92,25 +109,45 @@ def plant_state_at_hamming(instance: ProblemInstance, k: int,
     return x
 
 
+def plant_rows_at_hamming(instance: ProblemInstance, k: int, rows: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """(rows, n) points, each the target with k uniformly chosen positions set
+    to uniform wrong values."""
+    n, r = instance.params.n, instance.params.r
+    if not (0 <= k <= n):
+        raise ValueError(f"hamming level must lie in [0, {n}], got {k}")
+    x = np.tile(instance.target, (rows, 1))
+    # the k smallest of n uniform keys per row are a uniform k-subset
+    where = np.argsort(rng.random((rows, n)), axis=1)[:, :k]
+    picked = np.arange(rows)[:, None], where
+    wrong = rng.integers(0, r - 1, (rows, k))
+    x[picked] = wrong + (wrong >= x[picked])  # uniform over the r-1 wrong values
+    return x
+
+
+def plant_rows_at_fitness(instance: ProblemInstance, s: int, rows: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """(rows, n) points with fitness exactly s: each row spreads s unit
+    distance increments over uniformly chosen components with headroom left."""
+    caps = _max_distances(instance)
+    reachable = int(caps.sum())  # can undercut n*(r-1) when an interval target is interior
+    if not (0 <= s <= reachable):
+        raise ValueError(f"fitness level must lie in [0, {reachable}] for this target, got {s}")
+    dist = np.zeros((rows, instance.params.n), dtype=np.int64)
+    everyone = np.arange(rows)
+    for _ in range(s):
+        room = np.cumsum(dist < caps, axis=1)
+        # the j-th component with headroom, j uniform below the row's count
+        j = (rng.random(rows) * room[:, -1]).astype(np.int64)
+        dist[everyone, (room <= j[:, None]).sum(axis=1)] += 1
+    return _realize(instance, dist, rng)
+
+
 def plant_state_at_fitness(instance: ProblemInstance, s: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Construct a point with fitness exactly s by spreading unit distance
     increments over randomly chosen components with remaining headroom."""
-    n = instance.params.n
-    caps = [_max_component_distance(instance, i) for i in range(n)]
-    reachable = sum(caps)  # can undercut n*(r-1) when an interval target is interior
-    if not (0 <= s <= reachable):
-        raise ValueError(f"fitness level must lie in [0, {reachable}] for this target, got {s}")
-    dist = [0] * n
-    room = [i for i in range(n) if caps[i] > 0]
-    for _ in range(s):
-        j = int(rng.integers(0, len(room)))
-        i = room[j]
-        dist[i] += 1
-        if dist[i] == caps[i]:
-            room[j] = room[-1]
-            room.pop()
-    return realize_distances(instance, dist, rng)
+    return plant_rows_at_fitness(instance, s, 1, rng)[0]
 
 
 def estimate_drift(config: RunConfig, potential: Potential, conditioning: Sequence,
@@ -121,7 +158,9 @@ def estimate_drift(config: RunConfig, potential: Potential, conditioning: Sequen
     potential, fitness level for the fitness potential) or an explicit
     per-component distance vector (required for exp_weight). For every
     sample a fresh state is planted at that level and a single
-    mutation-selection round of the configured algorithm is applied.
+    mutation-selection round of the configured algorithm is applied. The
+    samples of a level are drawn in blocks of BLOCK_ROWS rows from the
+    generator seeded with subseed(seed, level index).
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
@@ -132,26 +171,21 @@ def estimate_drift(config: RunConfig, potential: Potential, conditioning: Sequen
     for index, cond in enumerate(conditioning):
         rng = np.random.default_rng(subseed(config.seed, index))
         if np.isscalar(cond) or isinstance(cond, (int, np.integer)):
-            level_kind = potential.kind
-            if level_kind == "exp_weight":
+            if potential.kind == "exp_weight":
                 raise ValueError("exp_weight conditioning requires an explicit distance vector")
-            plant = (plant_state_at_hamming if level_kind == "hamming"
-                     else plant_state_at_fitness)
-            make_state = lambda g, c=int(cond): plant(instance, c, g)  # noqa: E731
+            plant = (plant_rows_at_hamming if potential.kind == "hamming"
+                     else plant_rows_at_fitness)
+            level = int(cond)
         else:
-            vector = tuple(int(v) for v in cond)
-            make_state = lambda g, v=vector: realize_distances(instance, v, g)  # noqa: E731
+            plant, level = realize_distance_rows, tuple(int(v) for v in cond)
         drops = np.empty(samples)
-        level = None
-        for j in range(samples):
-            x = make_state(rng)
+        for lo in range(0, samples, BLOCK_ROWS):
+            x = plant(instance, level, min(BLOCK_ROWS, samples - lo), rng)
             before = potential_value(potential, instance, x)
             x_next = one_iteration(config.algorithm, config.operator, instance, x, rng)
-            drops[j] = before - potential_value(potential, instance, x_next)
-            if level is None:
-                level = before
+            drops[lo:lo + len(x)] = before - potential_value(potential, instance, x_next)
         sd = float(drops.std(ddof=1))
-        estimates.append(DriftEstimate(level=float(level),
+        estimates.append(DriftEstimate(level=float(before[0]),
                                        mean_drop=float(drops.mean()),
                                        confidence_halfwidth=1.96 * sd / math.sqrt(samples),
                                        samples=samples))

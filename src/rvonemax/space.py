@@ -88,15 +88,17 @@ class ProblemInstance:
         return n * (r // 2) if self.metric is MetricKind.RING else n * (r - 1)
 
 
-def fitness(instance: ProblemInstance, x) -> int:
-    """Sum of component-wise metric distances from x to the target."""
+def fitness(instance: ProblemInstance, x):
+    """Sum of component-wise metric distances from x to the target: an int
+    for one point, an int64 array of S values for an (S, n) array of rows."""
     x = np.asarray(x, dtype=np.int64)
     params = instance.params
-    if x.shape != (params.n,):
-        raise ValueError(f"point must have shape ({params.n},), got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != params.n:
+        raise ValueError(f"point must have shape ({params.n},) or (S, {params.n}), got {x.shape}")
     if x.min() < 0 or x.max() >= params.r:
         raise ValueError(f"point entries must lie in [0, {params.r - 1}]")
-    return int(component_distances(instance.metric, x, instance.target, params.r).sum())
+    d = component_distances(instance.metric, x, instance.target, params.r)
+    return int(d.sum()) if x.ndim == 1 else d.sum(axis=1)
 
 
 def hamming_distance(x, y) -> int:
@@ -111,9 +113,3 @@ def hamming_distance(x, y) -> int:
 def sample_uniform_point(params: SpaceParams, rng: np.random.Generator) -> np.ndarray:
     """Draw each component independently and uniformly from [0, r-1]."""
     return rng.integers(0, params.r, size=params.n, dtype=np.int64)
-
-
-def uniform_wrong_value(value: int, r: int, rng: np.random.Generator) -> int:
-    """Uniform draw from [0, r-1] excluding the given value."""
-    v = int(rng.integers(0, r - 1))
-    return v if v < value else v + 1

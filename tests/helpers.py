@@ -7,8 +7,8 @@ import bisect
 import numpy as np
 from scipy import stats
 
-from rvonemax import (AlgorithmKind, StepOperatorKind, fitness, harmonic_pmf, harmonic_table,
-                      mutate, sample_uniform_point, step, token_step_pmf)
+from rvonemax import (AlgorithmKind, MetricKind, StepOperatorKind, fitness, harmonic_pmf,
+                      harmonic_table, mutate, sample_uniform_point, step, token_step_pmf)
 
 
 def assert_chi_square(counts, expected_probs, significance=0.001):
@@ -59,6 +59,57 @@ def reference_state_after(algorithm, operator, instance, x, iterations, rng):
         if fy <= fx:
             x, fx = y, fy
     return x
+
+
+def reference_one_iteration(algorithm, operator, instance, x, rng):
+    """One mutation-selection round on one point through mutate(); an oracle
+    for the row round algorithms.one_iteration."""
+    y, _ = mutate(algorithm, operator, instance, x, rng)
+    return y if fitness(instance, y) <= fitness(instance, x) else np.array(x, dtype=np.int64)
+
+
+def _max_component_distance(instance, i):
+    r = instance.params.r
+    if instance.metric is MetricKind.RING:
+        return r // 2
+    z = int(instance.target[i])
+    return max(z, r - 1 - z)
+
+
+def reference_realize_distances(instance, distances, rng):
+    """One point at the given per-component distances, a side drawn per
+    component among the feasible ones; an oracle for the row planters."""
+    r = instance.params.r
+    x = np.array(instance.target, dtype=np.int64)
+    for i, d in enumerate(distances):
+        d = int(d)
+        if d == 0:
+            continue
+        assert 0 < d <= _max_component_distance(instance, i)
+        z = int(instance.target[i])
+        if instance.metric is MetricKind.RING:
+            options = sorted({(z - d) % r, (z + d) % r})
+        else:
+            options = [v for v in (z - d, z + d) if 0 <= v < r]
+        x[i] = options[int(rng.integers(0, len(options)))]
+    return x
+
+
+def reference_plant_state_at_fitness(instance, s, rng):
+    """One point at fitness s, one unit of distance at a time on a uniform
+    component with headroom left; an oracle for the row planters."""
+    n = instance.params.n
+    caps = [_max_component_distance(instance, i) for i in range(n)]
+    dist = [0] * n
+    room = [i for i in range(n) if caps[i] > 0]
+    for _ in range(s):
+        j = int(rng.integers(0, len(room)))
+        i = room[j]
+        dist[i] += 1
+        if dist[i] == caps[i]:
+            room[j] = room[-1]
+            room.pop()
+    return reference_realize_distances(instance, dist, rng)
 
 
 def assert_same_categorical(counts_a, counts_b, significance=0.001):
@@ -130,5 +181,7 @@ def binomial_pmf(n, p, k):
 
 
 __all__ = ["assert_chi_square", "assert_same_categorical", "assert_same_distribution",
-           "reference_hitting_time", "reference_state_after", "reference_token_hitting_time",
-           "step_outcomes", "binomial_pmf", "AlgorithmKind"]
+           "reference_hitting_time", "reference_one_iteration",
+           "reference_plant_state_at_fitness", "reference_realize_distances",
+           "reference_state_after", "reference_token_hitting_time", "step_outcomes",
+           "binomial_pmf", "AlgorithmKind"]

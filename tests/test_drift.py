@@ -1,18 +1,23 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from helpers import assert_chi_square
+from helpers import (assert_chi_square, assert_same_categorical, reference_one_iteration,
+                     reference_plant_state_at_fitness, reference_realize_distances)
 from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
                       SpaceParams, StepOperatorKind, estimate_drift, fitness, hamming_distance,
-                      harmonic_number, plant_state_at_fitness, plant_state_at_hamming,
-                      potential_value, realize_distances)
+                      harmonic_number, one_iteration, plant_rows_at_fitness,
+                      plant_rows_at_hamming, plant_state_at_fitness, plant_state_at_hamming,
+                      potential_value, realize_distance_rows, realize_distances)
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
 UNIFORM = StepOperatorKind.UNIFORM
 PM1 = StepOperatorKind.PLUS_MINUS_ONE
+HARMONIC = StepOperatorKind.HARMONIC
 
 
 def make_instance(n, r, metric=MetricKind.INTERVAL, target=None):
@@ -47,6 +52,20 @@ def test_fitness_potential_equals_fitness_function():
         inst = make_instance(n, r, metric, target=rng.integers(0, r, n))
         x = rng.integers(0, r, n)
         assert potential_value(pot, inst, x) == float(fitness(inst, x))
+
+
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_row_potential_equals_point_value_on_every_row(metric):
+    rng = np.random.default_rng(77)
+    for n in (1, 7, 20, 130):
+        inst = make_instance(n, 9, metric, target=rng.integers(0, 9, n))
+        rows = rng.integers(0, 9, (200, n))
+        rows[0] = inst.target
+        for pot in (Potential.hamming(), Potential.fitness(), Potential.exp_weight(1.25),
+                    Potential.exp_weight(2.0)):
+            values = potential_value(pot, inst, rows)
+            assert values.dtype == np.float64 and values.shape == (200,)
+            assert values.tolist() == [potential_value(pot, inst, x) for x in rows]
 
 
 def test_exp_weight_base_range_enforced():
@@ -122,6 +141,104 @@ def test_realize_distances_exact_and_infeasible():
         realize_distances(inst, (4, 0, 0, 0), rng)  # ring caps distance at r//2
 
 
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_row_planters_hit_the_level_on_every_row(metric):
+    # an interior interval target, so the reachable fitness undercuts n (r-1)
+    n, r, rows = 8, 6, 500
+    target = (0, 5, 2, 3, 1, 4, 0, 2)
+    inst = make_instance(n, r, metric, target=target)
+    rng = np.random.default_rng(42)
+    for k in (0, 1, 5, n):
+        x = plant_rows_at_hamming(inst, k, rows, rng)
+        assert x.shape == (rows, n) and (x >= 0).all() and (x < r).all()
+        assert (np.count_nonzero(x != inst.target, axis=1) == k).all()
+    reachable = (sum(max(z, r - 1 - z) for z in target) if metric is MetricKind.INTERVAL
+                 else n * (r // 2))
+    for s in (0, 1, 7, 15, reachable):
+        assert (fitness(inst, plant_rows_at_fitness(inst, s, rows, rng)) == s).all()
+    # on the ring, 2d = r leaves one value at distance d
+    for distances in ((3, 0, 1, 2, 0, 3, 1, 3), (1, 1, 0, 0, 2, 2, 3, 0)):
+        x = realize_distance_rows(inst, distances, rows, rng)
+        d = np.abs(x - inst.target)
+        if metric is MetricKind.RING:
+            d = np.minimum(d, r - d)
+        assert (d == distances).all()
+    with pytest.raises(ValueError):
+        plant_rows_at_hamming(inst, n + 1, rows, rng)
+    with pytest.raises(ValueError):
+        plant_rows_at_fitness(inst, reachable + 1, rows, rng)
+    with pytest.raises(ValueError):
+        realize_distance_rows(inst, (0, 0, 0, 0, 0, 0, 0, r // 2 + 4), rows, rng)
+    with pytest.raises(ValueError):
+        realize_distance_rows(inst, (1,) * (n - 1), rows, rng)
+
+
+def _counts(points):
+    return Counter(tuple(int(v) for v in x) for x in points)
+
+
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_row_planting_law_matches_scalar_oracles(metric):
+    # chi-square homogeneity at 0.001 of the planted points: the row planters
+    # against the one-unit-at-a-time oracle loops
+    n, r, plants = 3, 6, 20000
+    inst = make_instance(n, r, metric, target=(0, 2, 5))
+    rng = np.random.default_rng(2121)
+    ref_rng = np.random.default_rng(1212)
+    for s in (2, 5):
+        rows = plant_rows_at_fitness(inst, s, plants, rng)
+        oracle = [reference_plant_state_at_fitness(inst, s, ref_rng) for _ in range(plants)]
+        assert len(_counts(rows)) > 5
+        assert_same_categorical(_counts(rows), _counts(oracle))
+    distances = (3, 1, 2)
+    rows = realize_distance_rows(inst, distances, plants, rng)
+    oracle = [reference_realize_distances(inst, distances, ref_rng) for _ in range(plants)]
+    assert len(_counts(rows)) > 1
+    assert_same_categorical(_counts(rows), _counts(oracle))
+    rows = plant_rows_at_hamming(inst, 2, plants, rng)
+    oracle = [plant_state_at_hamming(inst, 2, ref_rng) for _ in range(plants)]
+    assert_same_categorical(_counts(rows), _counts(oracle))
+
+
+# the two levels per potential: Hamming levels, fitness levels, distance vectors
+DROP_LEVELS = {"hamming": (2, 5), "fitness": (3, 10),
+               "exp_weight": ((2, 0, 1, 3, 0, 1), (3, 3, 2, 1, 3, 2))}
+
+
+@pytest.mark.parametrize("potential", [Potential.hamming(), Potential.fitness(),
+                                       Potential.exp_weight(1.5)], ids=lambda p: p.kind)
+@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+@pytest.mark.parametrize("algorithm", [RLS, EA])
+def test_one_step_drop_law_matches_reference_round(algorithm, operator, potential):
+    # chi-square homogeneity at 0.001 of the one-step drop: planted rows and
+    # the row round against the scalar planters and reference_one_iteration,
+    # on the interval (interior target, discarded steps) and on the ring
+    n, r, samples = 6, 7, 3000
+    for metric, level in zip((MetricKind.INTERVAL, MetricKind.RING), DROP_LEVELS[potential.kind]):
+        inst = make_instance(n, r, metric, target=(0, 3, 6, 2, 5, 1))
+        rng = np.random.default_rng(3131)
+        ref_rng = np.random.default_rng(1313)
+        if potential.kind == "hamming":
+            x = plant_rows_at_hamming(inst, level, samples, rng)
+            starts = [plant_state_at_hamming(inst, level, ref_rng) for _ in range(samples)]
+        elif potential.kind == "fitness":
+            x = plant_rows_at_fitness(inst, level, samples, rng)
+            starts = [reference_plant_state_at_fitness(inst, level, ref_rng)
+                      for _ in range(samples)]
+        else:
+            x = realize_distance_rows(inst, level, samples, rng)
+            starts = [reference_realize_distances(inst, level, ref_rng) for _ in range(samples)]
+        drops = (potential_value(potential, inst, x)
+                 - potential_value(potential, inst, one_iteration(algorithm, operator, inst,
+                                                                   x, rng)))
+        reference = [potential_value(potential, inst, y)
+                     - potential_value(potential, inst, reference_one_iteration(
+                         algorithm, operator, inst, y, ref_rng)) for y in starts]
+        row_counts = Counter(round(float(d), 9) for d in drops)
+        assert len(row_counts) >= 2
+        assert_same_categorical(row_counts, Counter(round(d, 9) for d in reference))
+
+
 # ---------------------------------------------------------------------------
 # Drift estimation
 # ---------------------------------------------------------------------------
@@ -137,14 +254,33 @@ def test_rls_uniform_hamming_drift_matches_exact_law():
 
 
 def test_rls_uniform_hamming_drift_grid():
+    # the drop at Hamming level k is Bernoulli(k / (n (r-1))): an exact
+    # binomial test per cell at 0.001 / 12 (0.001 over the grid), with
+    # samples enough that the accepted band is narrower than a 95% CI at
+    # 4000 samples (3.94 / sqrt(20000) < 1.96 / sqrt(4000) standard deviations)
+    samples, cells = 20000, 12
     for n in (10, 50):
         for r in (3, 8):
             inst = make_instance(n, r)
             cfg = RunConfig(RLS, UNIFORM, inst, seed=0)
             levels = [1, n // 2, n]
-            for k, est in zip(levels, estimate_drift(cfg, Potential.hamming(), levels, 4000)):
-                want = k / (n * (r - 1))
-                assert abs(est.mean_drop - want) <= est.confidence_halfwidth, (n, r, k)
+            for k, est in zip(levels, estimate_drift(cfg, Potential.hamming(), levels, samples)):
+                drops = round(est.mean_drop * samples)
+                assert drops == pytest.approx(est.mean_drop * samples, abs=1e-6)
+                test = stats.binomtest(drops, samples, k / (n * (r - 1)))
+                assert test.pvalue > 0.001 / cells, (n, r, k, est.mean_drop, test.pvalue)
+
+
+@pytest.mark.parametrize("samples", [100, 1024, 1025])
+def test_estimate_drift_reproduces_across_calls(samples):
+    # one block, exactly one full block, and a full block plus one row
+    inst = make_instance(7, 5, MetricKind.RING, target=(0, 1, 2, 3, 4, 0, 1))
+    for potential, levels in ((Potential.hamming(), [1, 7]), (Potential.fitness(), [3, 14]),
+                              (Potential.exp_weight(), [(2, 0, 1, 2, 0, 1, 1)])):
+        cfg = RunConfig(EA, HARMONIC, inst, seed=9)
+        first = estimate_drift(cfg, potential, levels, samples)
+        assert first == estimate_drift(cfg, potential, levels, samples)
+        assert [est.samples for est in first] == [samples] * len(levels)
 
 
 def test_drift_at_optimum_is_zero():

@@ -1,4 +1,4 @@
-"""Seed sweep of the statistical (1+1) EA gates: pass rate and margin per gate.
+"""Seed sweep of the statistical EA and drift gates: pass rate and margin per gate.
 
 Usage, from the repository root:
 
@@ -8,17 +8,22 @@ Each gate reruns the workload of one fixed-seed test whose outcome comes
 from EA runs, once per seed given on the command line in place of the
 test's own seed, and applies that test's pass rule:
 
-- criteria 3 to 6 of tests/test_acceptance.py;
+- criteria 2 to 6 of tests/test_acceptance.py;
 - test_ea_uniform_fit_recovers_leading_constant and
   test_ea_pm1_fit_dominant_term_doubles_with_r of tests/test_experiments.py;
-- test_ea_can_increase_hamming_distance_while_fitness_holds of
-  tests/test_algorithms.py (an existence check on one run).
+- the run-level check of
+  test_ea_can_increase_hamming_distance_while_fitness_holds of
+  tests/test_algorithms.py (an existence check on one run, the form that
+  test had before it pooled 400 runs);
+- test_rls_uniform_hamming_drift_grid and
+  test_ea_fitness_drift_beats_multiplicative_floor of tests/test_drift.py.
 
 The margin is how far the measured value lies inside the rule's bounds, in
 the rule's own units (negative when the gate fails). A gate that passes at
 its fixed seed but not at most seeds rests on a lucky seed. This is a
 report, not a test: it asserts nothing and is not part of the test suite.
-One seed takes about a minute on one core; criteria 4 and 6 dominate.
+One seed takes about a minute on one core; criteria 4 and 6 dominate. The
+drift gates take under a second per seed.
 """
 
 from __future__ import annotations
@@ -30,13 +35,16 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy import stats
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential,  # noqa: E402
                       ProblemInstance, RunConfig, SpaceParams, StartPolicy,
-                      StepOperatorKind, TargetPolicy, execute_plan, fit_scaling, run)
+                      StepOperatorKind, TargetPolicy, estimate_drift, execute_plan,
+                      fit_scaling, run)
 
+RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
 UNIFORM = StepOperatorKind.UNIFORM
 PM1 = StepOperatorKind.PLUS_MINUS_ONE
@@ -57,6 +65,46 @@ def _inside(value, lo, hi):
 
 def _uncapped(aggs):
     return all(agg.capped_count == 0 for agg in aggs)
+
+
+def _zeros(n, r):
+    return ProblemInstance(SpaceParams(n, r), MetricKind.INTERVAL, np.zeros(n, dtype=np.int64))
+
+
+def criterion_2(seed, workers):
+    """RLS Hamming drift at k = 1, 5, 10 (n=10, r=4) within the 95% CI of k/30."""
+    levels = [1, 5, 10]
+    ests = estimate_drift(RunConfig(RLS, UNIFORM, _zeros(10, 4), seed=seed),
+                          Potential.hamming(), levels, samples=10_000)
+    margin = min(est.confidence_halfwidth - abs(est.mean_drop - k / 30)
+                 for k, est in zip(levels, ests))
+    return margin, True, "drops=" + ",".join(f"{est.mean_drop:.4f}" for est in ests)
+
+
+def drift_grid(seed, workers):
+    """RLS Hamming drift over n in {10, 50}, r in {3, 8}, k in {1, n/2, n}:
+    exact binomial test of each drop count at 0.001/12 (margin: smallest
+    p-value minus the threshold)."""
+    samples, cells = 20000, 12
+    pvalues = []
+    for n in (10, 50):
+        for r in (3, 8):
+            levels = [1, n // 2, n]
+            ests = estimate_drift(RunConfig(RLS, UNIFORM, _zeros(n, r), seed=seed),
+                                  Potential.hamming(), levels, samples)
+            pvalues += [stats.binomtest(round(est.mean_drop * samples), samples,
+                                        k / (n * (r - 1))).pvalue
+                        for k, est in zip(levels, ests)]
+    return min(pvalues) - 0.001 / cells, True, f"min_p={min(pvalues):.3g}"
+
+
+def drift_floor(seed, workers):
+    """EA uniform fitness drift at s=10 (n=10, r=3) at least 0.85 s/(e (r-1) n)."""
+    n, r, s = 10, 3, 10
+    est, = estimate_drift(RunConfig(EA, UNIFORM, _zeros(n, r), seed=seed),
+                          Potential.fitness(), [s], 10000)
+    floor = s / (math.e * (r - 1) * n) * (1 - 0.15)
+    return est.mean_drop - floor, True, f"drop={est.mean_drop:.4f}"
 
 
 def criterion_3(seed, workers):
@@ -116,8 +164,7 @@ def hamming_increase(seed, workers):
     """One uniform-step EA run at n=8, r=6 makes an accepted move that raises
     the Hamming distance; the margin is the number of such moves minus the 1
     the gate needs."""
-    inst = ProblemInstance(SpaceParams(8, 6), MetricKind.INTERVAL, np.zeros(8, dtype=np.int64))
-    trace = run(RunConfig(EA, UNIFORM, inst, seed=seed, iteration_cap=20000,
+    trace = run(RunConfig(EA, UNIFORM, _zeros(8, 6), seed=seed, iteration_cap=20000,
                           trace_potentials=(Potential.fitness(), Potential.hamming()))).trace
     moves = sum(1 for (_, (f0, h0)), (_, (f1, h1)) in zip(trace, trace[1:])
                 if f1 <= f0 and h1 > h0)
@@ -126,6 +173,9 @@ def hamming_increase(seed, workers):
 
 # (name, fixed seed of the test, gate)
 GATES = (
+    ("criterion 2", 2, criterion_2),
+    ("drift grid", 0, drift_grid),
+    ("drift floor", 0, drift_floor),
     ("criterion 3", 1003, criterion_3),
     ("criterion 4", 1004, criterion_4),
     ("criterion 5", 1005, criterion_5),
