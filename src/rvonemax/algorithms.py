@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
@@ -43,7 +43,8 @@ import numpy as np
 
 from .operators import StepOperatorKind, harmonic_table, step
 from .potentials import Potential, potential_value
-from .space import MetricKind, ProblemInstance, as_point, fitness, sample_uniform_point
+from .space import (MetricKind, ProblemInstance, as_point, component_distances, fitness,
+                    sample_uniform_point)
 
 DEFAULT_ITERATION_CAP = 10**10
 
@@ -187,7 +188,7 @@ def run_batch(config: RunConfig, replicates: int, workers: int = 1) -> list[RunR
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    return _map_runs(run, [_with_seed(config, subseed(config.seed, k))
+    return _map_runs(run, [replace(config, seed=subseed(config.seed, k))
                            for k in range(replicates)], workers)
 
 
@@ -203,28 +204,14 @@ def _map_runs(run_fn, configs: list[RunConfig], workers: int) -> list[RunRecord]
         return list(pool.map(run_fn, configs, chunksize=max(1, len(configs) // (4 * workers))))
 
 
-def _with_seed(config: RunConfig, seed: int) -> RunConfig:
-    return RunConfig(algorithm=config.algorithm, operator=config.operator,
-                     instance=config.instance, seed=seed,
-                     iteration_cap=config.iteration_cap,
-                     initial_point=config.initial_point,
-                     trace_potentials=config.trace_potentials)
-
-
 def _start(instance, x0, trace_pots):
     """Scalar state of a run: values, target, per-position distances, fitness,
     and the trace (None when no potentials are traced) with its row 0."""
-    r = instance.params.r
-    x = x0.tolist()
-    z = instance.target.tolist()
-    if instance.metric is MetricKind.RING:
-        dist = [min(abs(a - b), r - abs(a - b)) for a, b in zip(x, z)]
-    else:
-        dist = [abs(a - b) for a, b in zip(x, z)]
+    dist = component_distances(instance.metric, x0, instance.target, instance.params.r).tolist()
     trace = None
     if trace_pots:
         trace = [(0, tuple(potential_value(p, instance, x0) for p in trace_pots))]
-    return x, z, dist, sum(dist), trace
+    return x0.tolist(), instance.target.tolist(), dist, sum(dist), trace
 
 
 # ---------------------------------------------------------------------------

@@ -51,15 +51,6 @@ def harmonic_number(k: int) -> float:
 BLOCK_ROWS = 1024  # rows planted and stepped at once; bounds the arrays' memory
 
 
-def _max_distances(instance: ProblemInstance) -> np.ndarray:
-    """Per position, the largest distance a value can have from the target."""
-    r = instance.params.r
-    if instance.metric is MetricKind.RING:
-        return np.full(instance.params.n, r // 2, dtype=np.int64)
-    z = instance.target
-    return np.maximum(z, r - 1 - z)
-
-
 def _realize(instance: ProblemInstance, dist: np.ndarray,
              rng: np.random.Generator) -> np.ndarray:
     """Rows of points at the given (S, n) per-component distances from the
@@ -82,7 +73,7 @@ def realize_distance_rows(instance: ProblemInstance, distances: Sequence[int], r
     dist = np.asarray(distances, dtype=np.int64)
     if dist.shape != (n,):
         raise ValueError(f"need {n} distances, got {len(distances)}")
-    bad = np.flatnonzero((dist < 0) | (dist > _max_distances(instance)))
+    bad = np.flatnonzero((dist < 0) | (dist > instance.max_distances))
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"distance {int(dist[i])} infeasible at position {i}")
@@ -129,10 +120,10 @@ def plant_rows_at_fitness(instance: ProblemInstance, s: int, rows: int,
                           rng: np.random.Generator) -> np.ndarray:
     """(rows, n) points with fitness exactly s: each row spreads s unit
     distance increments over uniformly chosen components with headroom left."""
-    caps = _max_distances(instance)
-    reachable = int(caps.sum())  # can undercut n*(r-1) when an interval target is interior
+    reachable = instance.max_fitness
     if not (0 <= s <= reachable):
         raise ValueError(f"fitness level must lie in [0, {reachable}] for this target, got {s}")
+    caps = instance.max_distances
     dist = np.zeros((rows, instance.params.n), dtype=np.int64)
     everyone = np.arange(rows)
     for _ in range(s):

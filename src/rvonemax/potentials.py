@@ -73,19 +73,13 @@ def potential_value(pot: Potential, instance: ProblemInstance, x):
     """Evaluate a potential at a search point; zero iff x equals the target.
 
     x is one point (returns a float) or an (S, n) array of rows (returns a
-    float64 array of S values, each equal to the value at that row).
+    float64 array of S values); one point is scored as a one-row array.
     """
-    if np.ndim(x) == 2:
-        if pot.kind == "fitness":
-            return fitness(instance, x).astype(np.float64)
-        d = component_distances(instance.metric, x, instance.target, instance.params.r)
-        if pot.kind == "hamming":
-            return np.count_nonzero(d, axis=1).astype(np.float64)
-        return (pot.base ** d.astype(np.float64) - 1.0).sum(axis=1)
-    if pot.kind == "hamming":
-        return float(hamming_distance(x, instance.target))
+    if np.ndim(x) == 1:
+        return float(potential_value(pot, instance, np.asarray(x)[None])[0])
     if pot.kind == "fitness":
-        return float(fitness(instance, x))
-    x = np.asarray(x, dtype=np.int64)
+        return fitness(instance, x).astype(np.float64)
+    if pot.kind == "hamming":
+        return hamming_distance(x, instance.target).astype(np.float64)
     d = component_distances(instance.metric, x, instance.target, instance.params.r)
-    return float((pot.base ** d.astype(np.float64) - 1.0).sum())
+    return (pot.base ** d.astype(np.float64) - 1.0).sum(axis=1)

@@ -83,9 +83,18 @@ class ProblemInstance:
         object.__setattr__(self, "target", as_point(self.target, self.params))
 
     @property
+    def max_distances(self) -> np.ndarray:
+        """Per position, the largest distance a value can have from the target."""
+        r = self.params.r
+        if self.metric is MetricKind.RING:
+            return np.full(self.params.n, r // 2, dtype=np.int64)
+        return np.maximum(self.target, r - 1 - self.target)
+
+    @property
     def max_fitness(self) -> int:
-        n, r = self.params.n, self.params.r
-        return n * (r // 2) if self.metric is MetricKind.RING else n * (r - 1)
+        """The largest fitness of any point; an interior interval target
+        keeps it below n (r-1)."""
+        return int(self.max_distances.sum())
 
 
 def fitness(instance: ProblemInstance, x):
@@ -101,13 +110,15 @@ def fitness(instance: ProblemInstance, x):
     return int(d.sum()) if x.ndim == 1 else d.sum(axis=1)
 
 
-def hamming_distance(x, y) -> int:
-    """Number of positions where two equal-length points differ."""
+def hamming_distance(x, y):
+    """Number of positions where x differs from the point y: an int for one
+    point x, an array of S counts for an (S, n) array x of rows."""
     x = np.asarray(x)
     y = np.asarray(y)
-    if x.shape != y.shape:
+    if x.ndim not in (1, 2) or x.shape[-1:] != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return int(np.count_nonzero(x != y))
+    d = np.count_nonzero(x != y, axis=-1)
+    return int(d) if x.ndim == 1 else d
 
 
 def sample_uniform_point(params: SpaceParams, rng: np.random.Generator) -> np.ndarray:

@@ -112,8 +112,8 @@ def reference_plant_state_at_fitness(instance, s, rng):
     return reference_realize_distances(instance, dist, rng)
 
 
-def assert_same_categorical(counts_a, counts_b, significance=0.001):
-    """Chi-square test of homogeneity of two samples given as
+def same_categorical_pvalue(counts_a, counts_b):
+    """p-value of a chi-square test of homogeneity of two samples given as
     {category: count} mappings; categories seen fewer than 10 times in the
     two samples together are pooled into one."""
     keys = sorted(set(counts_a) | set(counts_b))
@@ -121,9 +121,13 @@ def assert_same_categorical(counts_a, counts_b, significance=0.001):
     rare = table.sum(axis=0) < 10
     table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
     table = table[:, table.sum(axis=0) > 0]
-    result = stats.chi2_contingency(table)
-    assert result.pvalue > significance, (
-        f"chi-square rejected homogeneity: p={result.pvalue:.3g} <= {significance}")
+    return stats.chi2_contingency(table).pvalue
+
+
+def assert_same_categorical(counts_a, counts_b, significance=0.001):
+    pvalue = same_categorical_pvalue(counts_a, counts_b)
+    assert pvalue > significance, (
+        f"chi-square rejected homogeneity: p={pvalue:.3g} <= {significance}")
 
 
 def reference_token_hitting_time(r, distribution, rng, cap=10**7):
@@ -183,5 +187,5 @@ def binomial_pmf(n, p, k):
 __all__ = ["assert_chi_square", "assert_same_categorical", "assert_same_distribution",
            "reference_hitting_time", "reference_one_iteration",
            "reference_plant_state_at_fitness", "reference_realize_distances",
-           "reference_state_after", "reference_token_hitting_time", "step_outcomes",
-           "binomial_pmf", "AlgorithmKind"]
+           "reference_state_after", "reference_token_hitting_time", "same_categorical_pvalue",
+           "step_outcomes", "binomial_pmf", "AlgorithmKind"]

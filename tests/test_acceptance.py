@@ -1,24 +1,20 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete. Seeds are fixed so the whole suite is
-deterministic; statistical assertions hold at their stated significance for
-these seeds.
+lines as they complete. The workloads, fixed seeds and pass rules of
+criteria 1-7 are their gates in tests/gates.py, which tools/seed_sweep.py
+also runs at other seeds.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
+from gates import check
 from helpers import assert_chi_square, assert_same_distribution
-from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential,
-                      ProblemInstance, RunConfig, SpaceParams, StartPolicy,
-                      StepOperatorKind, TargetPolicy, TokenConfig, estimate_drift,
-                      execute_plan, fit_scaling, harmonic_number, harmonic_pmf,
-                      harmonic_table, metric_distance, run, run_batch,
-                      token_expected_hitting_time_exact, token_run_batch)
+from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
+                      SpaceParams, StepOperatorKind, fit_scaling, harmonic_pmf, harmonic_table,
+                      metric_distance, run, run_batch, token_expected_hitting_time_exact)
 from rvonemax.cli import main as cli_main
 
 RLS = AlgorithmKind.RLS
@@ -36,118 +32,39 @@ def report(criterion, ok, detail, elapsed, budget):
     assert elapsed <= budget, f"criterion {criterion} exceeded its {budget}s budget ({elapsed:.1f}s)"
 
 
-def cell_plan(grid, algorithm, operator, start, replicates, seed, cap):
-    return ExperimentPlan(grid=grid, algorithms=(algorithm,), operators=(operator,),
-                          metric=MetricKind.INTERVAL, target_policy=TargetPolicy.ALL_ZERO,
-                          start_policy=start, replicates=replicates, base_seed=seed,
-                          iteration_cap=cap)
+def accept(criterion, budget):
+    """Run the criterion's gate at its fixed seed and report it."""
+    t0 = time.perf_counter()
+    ok, _, _, detail = check(f"criterion {criterion}")
+    report(criterion, ok, detail, time.perf_counter() - t0, budget)
 
 
 def test_criterion_1_exact_rls_law():
-    # E[T | start at Hamming distance 20] = n (r-1) H_20 = 60 * H_20
-    t0 = time.perf_counter()
-    plan = cell_plan(((20, 4),), RLS, UNIFORM, StartPolicy.fixed_hamming(20),
-                     replicates=2000, seed=1001, cap=50_000)
-    agg, = execute_plan(plan)
-    expected = 20 * 3 * harmonic_number(20)
-    rel_err = abs(agg.mean - expected) / expected
-    elapsed = time.perf_counter() - t0
-    ok = rel_err <= 0.03 and agg.capped_count == 0
-    report(1, ok, f"mean={agg.mean:.2f}, expected={expected:.2f}, rel_err={rel_err:.4f}",
-           elapsed, 10)
+    accept(1, 10)
 
 
 def test_criterion_2_rls_drift_exactness():
-    # one-step Hamming drift at level k is exactly k / (n (r-1)) = k / 30
-    t0 = time.perf_counter()
-    inst = ProblemInstance(SpaceParams(10, 4), MetricKind.INTERVAL, np.zeros(10))
-    cfg = RunConfig(RLS, UNIFORM, inst, seed=2)
-    levels = [1, 5, 10]
-    estimates = estimate_drift(cfg, Potential.hamming(), levels, samples=10_000)
-    details = []
-    ok = True
-    for k, est in zip(levels, estimates):
-        predicted = k / 30
-        inside = abs(est.mean_drop - predicted) <= est.confidence_halfwidth
-        ok = ok and inside
-        details.append(f"k={k}: {est.mean_drop:.4f}~{predicted:.4f}+-{est.confidence_halfwidth:.4f}")
-    report(2, ok, "; ".join(details), time.perf_counter() - t0, 30)
+    accept(2, 30)
 
 
 def test_criterion_3_ea_uniform_leading_constant():
-    # E[T] = e (r-1) n ln(n) + lower-order terms; 20% tolerance at n=100, r=3
-    t0 = time.perf_counter()
-    plan = cell_plan(((100, 3),), EA, UNIFORM, StartPolicy.uniform_random(),
-                     replicates=500, seed=1003, cap=200_000)
-    agg, = execute_plan(plan)
-    expected = math.e * 2 * 100 * math.log(100)
-    rel_err = abs(agg.mean - expected) / expected
-    elapsed = time.perf_counter() - t0
-    ok = rel_err <= 0.20 and agg.capped_count == 0
-    report(3, ok, f"mean={agg.mean:.1f}, expected={expected:.1f}, rel_err={rel_err:.4f}",
-           elapsed, 120)
+    accept(3, 120)
 
 
 def test_criterion_4_pm1_linear_in_r():
-    # run time of the unit-step EA is Theta(n (r + log n)): doubling r doubles it
-    t0 = time.perf_counter()
-    plan = cell_plan(tuple((50, r) for r in (64, 128, 256)), EA, PM1,
-                     StartPolicy.uniform_random(), replicates=300, seed=1004, cap=2_000_000)
-    aggs = execute_plan(plan)
-    means = {agg.r: agg.mean for agg in aggs}
-    ratio_hi = means[256] / means[128]
-    ratio_lo = means[128] / means[64]
-    elapsed = time.perf_counter() - t0
-    ok = (1.7 <= ratio_hi <= 2.3 and 1.7 <= ratio_lo <= 2.3
-          and all(agg.capped_count == 0 for agg in aggs))
-    report(4, ok, f"mean(256)/mean(128)={ratio_hi:.3f}, mean(128)/mean(64)={ratio_lo:.3f}",
-           elapsed, 300)
+    accept(4, 300)
 
 
 def test_criterion_5_harmonic_polylog_in_r():
-    # polylog growth: a 16x larger alphabet costs well under the 16x a linear law predicts
-    t0 = time.perf_counter()
-    plan = cell_plan(((50, 16), (50, 256)), EA, HARMONIC,
-                     StartPolicy.uniform_random(), replicates=300, seed=1005, cap=1_000_000)
-    aggs = execute_plan(plan)
-    means = {agg.r: agg.mean for agg in aggs}
-    ratio = means[256] / means[16]
-    elapsed = time.perf_counter() - t0
-    ok = ratio <= 5.0 and all(agg.capped_count == 0 for agg in aggs)
-    report(5, ok, f"mean(256)/mean(16)={ratio:.3f} (linear law would give ~16)", elapsed, 300)
+    accept(5, 300)
 
 
 def test_criterion_6_operator_ordering_at_large_r():
-    # harmonic steps beat both fixed strengths by at least 2x at r=512
-    t0 = time.perf_counter()
-    plan = ExperimentPlan(grid=((30, 512),), algorithms=(EA,),
-                          operators=(UNIFORM, PM1, HARMONIC),
-                          metric=MetricKind.INTERVAL, target_policy=TargetPolicy.ALL_ZERO,
-                          start_policy=StartPolicy.uniform_random(),
-                          replicates=200, base_seed=1006, iteration_cap=10_000_000)
-    aggs = execute_plan(plan)
-    means = {agg.operator: agg.mean for agg in aggs}
-    elapsed = time.perf_counter() - t0
-    ok = (means[HARMONIC] <= means[PM1] / 2 and means[HARMONIC] <= means[UNIFORM] / 2
-          and all(agg.capped_count == 0 for agg in aggs))
-    report(6, ok, f"harmonic={means[HARMONIC]:.0f}, pm1={means[PM1]:.0f}, "
-                  f"uniform={means[UNIFORM]:.0f}", elapsed, 600)
+    accept(6, 600)
 
 
 def test_criterion_7_token_monte_carlo_matches_exact():
-    t0 = time.perf_counter()
-    details = []
-    ok = True
-    for r in (15, 63, 255):
-        for dist in ("unit", "uniform", "harmonic"):
-            exact = token_expected_hitting_time_exact(r, dist)
-            records = token_run_batch(TokenConfig(r=r, distribution=dist, seed=100), 100_000)
-            times = np.array([rec.hitting_time for rec in records], dtype=np.float64)
-            se = times.std(ddof=1) / math.sqrt(times.size)
-            pulls = abs(times.mean() - exact) / se
-            ok = ok and pulls <= 3.0
-            details.append(f"r={r}/{dist}:{pulls:.2f}se")
-    report(7, ok, "max 3se deviations: " + " ".join(details), time.perf_counter() - t0, 120)
+    accept(7, 120)
 
 
 def test_criterion_8_token_harmonic_scaling():

@@ -3,8 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import stats
 
+from gates import assert_passes
 from helpers import (assert_chi_square, assert_same_categorical, reference_one_iteration,
                      reference_plant_state_at_fitness, reference_realize_distances)
 from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
@@ -244,31 +244,11 @@ def test_one_step_drop_law_matches_reference_round(algorithm, operator, potentia
 # ---------------------------------------------------------------------------
 
 def test_rls_uniform_hamming_drift_matches_exact_law():
-    # the drop at Hamming level k is Bernoulli(k / (n (r-1)))
-    n, r, k = 10, 4, 5
-    inst = make_instance(n, r)
-    cfg = RunConfig(RLS, UNIFORM, inst, seed=0)
-    est = estimate_drift(cfg, Potential.hamming(), [k], 10000)[0]
-    assert est.level == k
-    assert abs(est.mean_drop - k / (n * (r - 1))) <= est.confidence_halfwidth
+    assert_passes("drift exact law")
 
 
 def test_rls_uniform_hamming_drift_grid():
-    # the drop at Hamming level k is Bernoulli(k / (n (r-1))): an exact
-    # binomial test per cell at 0.001 / 12 (0.001 over the grid), with
-    # samples enough that the accepted band is narrower than a 95% CI at
-    # 4000 samples (3.94 / sqrt(20000) < 1.96 / sqrt(4000) standard deviations)
-    samples, cells = 20000, 12
-    for n in (10, 50):
-        for r in (3, 8):
-            inst = make_instance(n, r)
-            cfg = RunConfig(RLS, UNIFORM, inst, seed=0)
-            levels = [1, n // 2, n]
-            for k, est in zip(levels, estimate_drift(cfg, Potential.hamming(), levels, samples)):
-                drops = round(est.mean_drop * samples)
-                assert drops == pytest.approx(est.mean_drop * samples, abs=1e-6)
-                test = stats.binomtest(drops, samples, k / (n * (r - 1)))
-                assert test.pvalue > 0.001 / cells, (n, r, k, est.mean_drop, test.pvalue)
+    assert_passes("drift grid")
 
 
 @pytest.mark.parametrize("samples", [100, 1024, 1025])
@@ -293,12 +273,7 @@ def test_drift_at_optimum_is_zero():
 
 
 def test_ea_fitness_drift_beats_multiplicative_floor():
-    # mean drop at fitness level s stays above s/(e (r-1) n), up to a 15% margin
-    n, r, s = 10, 3, 10
-    inst = make_instance(n, r)
-    cfg = RunConfig(EA, UNIFORM, inst, seed=0)
-    est = estimate_drift(cfg, Potential.fitness(), [s], 10000)[0]
-    assert est.mean_drop >= s / (math.e * (r - 1) * n) * (1 - 0.15)
+    assert_passes("drift floor")
 
 
 def test_exp_weight_drift_under_unit_steps_meets_bound():

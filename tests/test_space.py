@@ -155,5 +155,16 @@ def test_target_must_conform():
         make_instance(3, 4, MetricKind.INTERVAL, (0, 0, 4))
     inst = make_instance(3, 4, MetricKind.INTERVAL, (0, 1, 2))
     assert fitness(inst, inst.target) == 0
-    assert inst.max_fitness == 9
+    assert inst.max_fitness == 7  # 3 + 2 + 2: the interior targets 1 and 2 cap below r-1
     assert make_instance(3, 4, MetricKind.RING, (0, 1, 2)).max_fitness == 6
+
+
+@pytest.mark.parametrize("kind", [MetricKind.INTERVAL, MetricKind.RING])
+def test_max_fitness_is_the_largest_fitness_of_any_point(kind):
+    # every target and every point, n <= 3, r <= 6
+    for n in (1, 2, 3):
+        for r in range(2, 7):
+            points = np.indices((r,) * n).reshape(n, -1).T
+            for target in points:
+                inst = make_instance(n, r, kind, target)
+                assert inst.max_fitness == fitness(inst, points).max(), (n, r, target)

@@ -1,189 +1,40 @@
-"""Seed sweep of the statistical EA and drift gates: pass rate and margin per gate.
+"""Seed sweep of the statistical gates: pass rate and margin per gate.
 
 Usage, from the repository root:
 
     python3 tools/seed_sweep.py 1 2 3 4 5 --workers 2
 
-Each gate reruns the workload of one fixed-seed test whose outcome comes
-from EA runs, once per seed given on the command line in place of the
-test's own seed, and applies that test's pass rule:
+Runs every gate registered in tests/gates.py once per seed given on the
+command line, in place of the fixed seed its test uses, and reports the
+gate's own pass rule and margin. The gates, in the order of the report:
 
-- criteria 2 to 6 of tests/test_acceptance.py;
-- test_ea_uniform_fit_recovers_leading_constant and
-  test_ea_pm1_fit_dominant_term_doubles_with_r of tests/test_experiments.py;
-- the run-level check of
-  test_ea_can_increase_hamming_distance_while_fitness_holds of
-  tests/test_algorithms.py (an existence check on one run, the form that
-  test had before it pooled 400 runs);
-- test_rls_uniform_hamming_drift_grid and
-  test_ea_fitness_drift_beats_multiplicative_floor of tests/test_drift.py.
+- criterion 1, the RLS closed form from a fixed and from a uniform start,
+  and the closed form through execute_plan;
+- criterion 7, token Monte Carlo means against the exact solver;
+- criterion 2, the exact Hamming drift law at one level, the drift grid
+  and the EA fitness drift floor;
+- criteria 3 to 6, the uniform and +-1 EA scaling fits, and the pooled
+  test that EA runs raise the Hamming distance at the plain loop's rate.
 
 The margin is how far the measured value lies inside the rule's bounds, in
 the rule's own units (negative when the gate fails). A gate that passes at
 its fixed seed but not at most seeds rests on a lucky seed. This is a
 report, not a test: it asserts nothing and is not part of the test suite.
-One seed takes about a minute on one core; criteria 4 and 6 dominate. The
-drift gates take under a second per seed.
+One seed takes about half a minute with two workers; criteria 4 and 6
+dominate.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
-from scipy import stats
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential,  # noqa: E402
-                      ProblemInstance, RunConfig, SpaceParams, StartPolicy,
-                      StepOperatorKind, TargetPolicy, estimate_drift, execute_plan,
-                      fit_scaling, run)
-
-RLS = AlgorithmKind.RLS
-EA = AlgorithmKind.ONE_PLUS_ONE_EA
-UNIFORM = StepOperatorKind.UNIFORM
-PM1 = StepOperatorKind.PLUS_MINUS_ONE
-HARMONIC = StepOperatorKind.HARMONIC
-
-
-def _plan(grid, operators, replicates, seed, cap=10**10):
-    return ExperimentPlan(grid=grid, algorithms=(EA,), operators=operators,
-                          metric=MetricKind.INTERVAL, target_policy=TargetPolicy.ALL_ZERO,
-                          start_policy=StartPolicy.uniform_random(), replicates=replicates,
-                          base_seed=seed, iteration_cap=cap)
-
-
-def _inside(value, lo, hi):
-    """Distance of value inside [lo, hi]; negative outside."""
-    return min(value - lo, hi - value)
-
-
-def _uncapped(aggs):
-    return all(agg.capped_count == 0 for agg in aggs)
-
-
-def _zeros(n, r):
-    return ProblemInstance(SpaceParams(n, r), MetricKind.INTERVAL, np.zeros(n, dtype=np.int64))
-
-
-def criterion_2(seed, workers):
-    """RLS Hamming drift at k = 1, 5, 10 (n=10, r=4) within the 95% CI of k/30."""
-    levels = [1, 5, 10]
-    ests = estimate_drift(RunConfig(RLS, UNIFORM, _zeros(10, 4), seed=seed),
-                          Potential.hamming(), levels, samples=10_000)
-    margin = min(est.confidence_halfwidth - abs(est.mean_drop - k / 30)
-                 for k, est in zip(levels, ests))
-    return margin, True, "drops=" + ",".join(f"{est.mean_drop:.4f}" for est in ests)
-
-
-def drift_grid(seed, workers):
-    """RLS Hamming drift over n in {10, 50}, r in {3, 8}, k in {1, n/2, n}:
-    exact binomial test of each drop count at 0.001/12 (margin: smallest
-    p-value minus the threshold)."""
-    samples, cells = 20000, 12
-    pvalues = []
-    for n in (10, 50):
-        for r in (3, 8):
-            levels = [1, n // 2, n]
-            ests = estimate_drift(RunConfig(RLS, UNIFORM, _zeros(n, r), seed=seed),
-                                  Potential.hamming(), levels, samples)
-            pvalues += [stats.binomtest(round(est.mean_drop * samples), samples,
-                                        k / (n * (r - 1))).pvalue
-                        for k, est in zip(levels, ests)]
-    return min(pvalues) - 0.001 / cells, True, f"min_p={min(pvalues):.3g}"
-
-
-def drift_floor(seed, workers):
-    """EA uniform fitness drift at s=10 (n=10, r=3) at least 0.85 s/(e (r-1) n)."""
-    n, r, s = 10, 3, 10
-    est, = estimate_drift(RunConfig(EA, UNIFORM, _zeros(n, r), seed=seed),
-                          Potential.fitness(), [s], 10000)
-    floor = s / (math.e * (r - 1) * n) * (1 - 0.15)
-    return est.mean_drop - floor, True, f"drop={est.mean_drop:.4f}"
-
-
-def criterion_3(seed, workers):
-    """Mean of the uniform-step EA at n=100, r=3 within 20% of e(r-1) n ln n."""
-    agg, = execute_plan(_plan(((100, 3),), (UNIFORM,), 500, seed, 200_000), workers)
-    expected = math.e * 2 * 100 * math.log(100)
-    rel_err = abs(agg.mean - expected) / expected
-    return 0.20 - rel_err, agg.capped_count == 0, f"rel_err={rel_err:.4f}"
-
-
-def criterion_4(seed, workers):
-    """Doubling r doubles the +-1 EA's mean: both ratios in [1.7, 2.3]."""
-    aggs = execute_plan(_plan(tuple((50, r) for r in (64, 128, 256)), (PM1,), 300, seed,
-                              2_000_000), workers)
-    means = {agg.r: agg.mean for agg in aggs}
-    hi, lo = means[256] / means[128], means[128] / means[64]
-    margin = min(_inside(hi, 1.7, 2.3), _inside(lo, 1.7, 2.3))
-    return margin, _uncapped(aggs), f"ratios={lo:.3f},{hi:.3f}"
-
-
-def criterion_5(seed, workers):
-    """Harmonic EA: mean(r=256) / mean(r=16) at most 5."""
-    aggs = execute_plan(_plan(((50, 16), (50, 256)), (HARMONIC,), 300, seed, 1_000_000),
-                        workers)
-    means = {agg.r: agg.mean for agg in aggs}
-    ratio = means[256] / means[16]
-    return 5.0 - ratio, _uncapped(aggs), f"ratio={ratio:.3f}"
-
-
-def criterion_6(seed, workers):
-    """At n=30, r=512 the harmonic mean is at most half the +-1 and uniform means."""
-    aggs = execute_plan(_plan(((30, 512),), (UNIFORM, PM1, HARMONIC), 200, seed, 10_000_000),
-                        workers)
-    means = {agg.operator: agg.mean for agg in aggs}
-    factor = min(means[PM1], means[UNIFORM]) / means[HARMONIC]
-    return factor - 2.0, _uncapped(aggs), f"factor={factor:.2f}"
-
-
-def uniform_fit(seed, workers):
-    """Fitted c of c (r-1) n ln n within 15% of e (margin in units of e)."""
-    aggs = execute_plan(_plan(tuple((n, r) for n in (50, 100, 200) for r in (3, 5, 9)),
-                              (UNIFORM,), 40, seed), workers)
-    c = fit_scaling(aggs, "uniform_rnlogn").coefficients[0]
-    return _inside(c / math.e, 0.85, 1.15), True, f"c/e={c / math.e:.4f}"
-
-
-def pm1_fit(seed, workers):
-    """The fitted +-1 law predicts a ratio in [1.8, 2.2] from r=128 to r=256."""
-    aggs = execute_plan(_plan(tuple((50, r) for r in (32, 64, 128, 256)), (PM1,), 50, seed),
-                        workers)
-    fit = fit_scaling(aggs, "pm1_r_plus_logn")
-    ratio = fit.predict(50, 256) / fit.predict(50, 128)
-    return _inside(ratio, 1.8, 2.2), True, f"ratio={ratio:.4f}"
-
-
-def hamming_increase(seed, workers):
-    """One uniform-step EA run at n=8, r=6 makes an accepted move that raises
-    the Hamming distance; the margin is the number of such moves minus the 1
-    the gate needs."""
-    trace = run(RunConfig(EA, UNIFORM, _zeros(8, 6), seed=seed, iteration_cap=20000,
-                          trace_potentials=(Potential.fitness(), Potential.hamming()))).trace
-    moves = sum(1 for (_, (f0, h0)), (_, (f1, h1)) in zip(trace, trace[1:])
-                if f1 <= f0 and h1 > h0)
-    return moves - 1, True, f"moves={moves}"
-
-
-# (name, fixed seed of the test, gate)
-GATES = (
-    ("criterion 2", 2, criterion_2),
-    ("drift grid", 0, drift_grid),
-    ("drift floor", 0, drift_floor),
-    ("criterion 3", 1003, criterion_3),
-    ("criterion 4", 1004, criterion_4),
-    ("criterion 5", 1005, criterion_5),
-    ("criterion 6", 1006, criterion_6),
-    ("uniform fit", 1, uniform_fit),
-    ("pm1 fit", 2, pm1_fit),
-    ("hamming increase", 0, hamming_increase),
-)
+from gates import GATES  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -195,9 +46,7 @@ def main(argv=None) -> int:
     for name, fixed_seed, gate in GATES:
         margins, passed = [], 0
         for seed in args.seeds:
-            # a gate passes when its margin is >= 0 and no run was capped
-            margin, uncapped, detail = gate(seed, args.workers)
-            ok = margin >= 0 and uncapped
+            ok, margin, uncapped, detail = gate(seed, args.workers)
             passed += ok
             margins.append(margin)
             print(f"{name}: seed {seed}: {'pass' if ok else 'FAIL'} margin={margin:.4g} "
