@@ -14,15 +14,17 @@ accepted move are Geometric(sum(a)/n), the move lands at i with probability
 a_i / sum(a), and it is drawn conditioned on acceptance. A run costs about
 its number of accepted moves, not its number of iterations.
 
-The (1+1) EA, whose multi-position offspring has no such closed form, is
-simulated one event per iteration that selects at least one unfinished
-position (one off its target value). An iteration that selects only
-finished positions cannot change x: every feasible step there moves a
-position off its target and raises the fitness, so the offspring is
-rejected, and infeasible steps are discarded. With f unfinished positions
-the wait to the next event is Geometric(1 - (1-1/n)^f), so the
-coupon-collector tail of a run, where few positions are left, costs about
-f/n of its iterations.
+The (1+1) EA is simulated the same way, one event per iteration in which
+some selected position takes a not-worse step (a feasible step that does
+not raise its own distance to the target). Position i does so with
+probability a_i / n, independently of the others, with RLS's a_i; in any
+other iteration each selected step is discarded as infeasible or raises the
+fitness, so x is unchanged. The waits between events come from a Poisson
+process of such steps, the positions that step not-worse are picked as RLS
+picks them and move by RLS's conditioned law, and the other selected
+positions are drawn with their step conditioned on missing, until the
+offspring is sure to be rejected. A run costs about its number of events,
+not its number of iterations.
 
 Runs are deterministic functions of their seed. Replicates of a batch use
 sub-seeds derived from (seed, index) via subseed(), so batches reproduce
@@ -215,89 +217,67 @@ def _start(instance, x0, trace_pots):
 
 
 # ---------------------------------------------------------------------------
-# Event-driven (1+1) EA
+# Rejection-free (1+1) EA
 # ---------------------------------------------------------------------------
 
-def _binomial_cdf(m, p, conditional):
-    """[P[K <= k] for k = 0, 1, ...] for K ~ Bin(m, p), conditioned on K >= 1
-    when `conditional` (entry 0 is then 0.0).
+@lru_cache(maxsize=128)
+def _selection_cdf(n):
+    """The array [P[K <= k] for k = 0, 1, ...] for K ~ Bin(n, 1/n), the
+    number of positions an EA iteration selects.
 
     The pmf comes from the recurrence P[K = k + 1] / P[K = k] =
-    (m - k) / (k + 1) * p / (1 - p), started from an unnormalized first
-    term, and the list is cut where the next term no longer changes the sum;
-    the partial sums are divided by the total, so the last entry is exactly
-    1.0. For p = 1/n and m <= n the pmf is unimodal with its mode at 0 or 1,
-    so the dropped tail is below 1e-15.
+    (n - k) / (k + 1) / (n - 1), started from an unnormalized first term,
+    and the list is cut where the next term no longer changes the sum; the
+    partial sums are divided by the total, so the last entry is exactly 1.0.
+    The pmf is unimodal with its mode at 0 or 1, so the dropped tail is
+    below 1e-15. At n = 1 the one position is always selected.
     """
-    k = 1 if conditional else 0
-    sums = [0.0] * k + [1.0]
+    if n == 1:
+        return np.array([0.0, 1.0])
+    sums = [1.0]
     term = total = 1.0
-    while k < m:
-        term *= (m - k) / (k + 1) * p / (1.0 - p)
+    for k in range(n):
+        term *= (n - k) / (k + 1) / (n - 1)
         if total + term == total:
             break
         total += term
         sums.append(total)
-        k += 1
-    return [s / total for s in sums]
-
-
-@lru_cache(maxsize=128)
-def _ea_selection_law(n):
-    """Per number f = 1..n of unfinished positions (entry 0 is None): the
-    probability that an EA iteration selects at least one of them, the CDF
-    of how many it selects given that it does, and the CDF of how many of
-    the n - f finished positions it selects, as numpy arrays."""
-    p = 1.0 / n
-    return [None] + [(1.0 - (1.0 - p) ** f,
-                      np.array(_binomial_cdf(f, p, True)),
-                      np.array(_binomial_cdf(n - f, p, False)))
-                     for f in range(1, n + 1)]
-
-
-def _selection_block(rng, law_f, size):
-    """size events as three lists: the waits, the unfinished counts and the
-    finished counts."""
-    p, unfinished_cdf, finished_cdf = law_f
-    return (rng.geometric(p, size).tolist(),
-            np.searchsorted(unfinished_cdf, rng.random(size), "right").tolist(),
-            np.searchsorted(finished_cdf, rng.random(size), "right").tolist())
-
-
-def _distinct(order, lo, size, count, draw):
-    """count distinct entries of order[lo:lo + size], drawn uniformly."""
-    if count == 1:
-        return (order[lo + int(draw() * size)],)
-    picked = []
-    while len(picked) < count:
-        i = order[lo + int(draw() * size)]
-        if i not in picked:
-            picked.append(i)
-    return picked
+    return np.array(sums) / total
 
 
 def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
-    """Event-driven (1+1) EA: one loop pass per iteration that selects at
-    least one unfinished position (one with d_i > 0).
+    """Rejection-free (1+1) EA: one loop pass per iteration in which some
+    selected position takes a not-worse step, a feasible step that does not
+    raise that position's own distance d_i.
 
-    A feasible step at a finished position lands at distance >= 1 from its
-    target and an infeasible one is discarded, so an iteration that selects
-    only finished positions leaves x unchanged. With f unfinished positions
-    the wait to the next event is Geometric(1 - (1 - 1/n)^f); the event
-    selects Bin(f, 1/n) unfinished positions conditioned on >= 1 and,
-    independently, Bin(n - f, 1/n) finished ones, each set uniformly
-    without replacement. The waits and counts depend only on f and are
-    drawn in numpy blocks kept per f; positions and steps come from one
-    stream of uniforms. The steps at finished positions are drawn only while
-    the offspring can still be accepted: each feasible one adds at least 1
-    to the fitness. `order` holds the unfinished positions in its first f
-    slots and the finished ones after them; slot[i] is the index of i.
+    Position i takes one with probability a_i / n, independently of the
+    others, where a_i = w_i / per is RLS's acceptance probability (_rls_law);
+    in any other iteration each selected step is discarded as infeasible or
+    raises the fitness, so x is unchanged. So the not-worse steps are the
+    points of a Poisson process of rate q_i = -log1p(-a_i / n) per iteration
+    at each i. The kernel thins proposals of rate c * sum(w), with c the
+    largest possible q_i / w_i: a proposal is at i picked as RLS picks (a
+    Fenwick descent for the uniform step, a uniform live position thinned
+    by w_i / w_bound for the jump steps) with an offset uniform on [0, w_i)
+    that gives the move, and is kept with probability q_i / (c w_i). From a
+    hazard E ~ Exp(1) the next proposal is E / (c sum(w)) iterations ahead;
+    the first kept one fixes the event iteration, the kept ones after it in
+    that iteration complete the set G of positions that step not-worse,
+    and the hazard left over is a fresh Exp(1) for the next event. Every
+    other position is selected with probability (1 - a_i) / (n - a_i),
+    independently: of K ~ Bin(n, 1/n) distinct uniform candidates, each
+    outside G is kept with probability (1 - a_i) / (1 - a_i / n) and takes
+    the step conditioned on missing (`miss`), and the drawing stops as soon
+    as the offspring is sure to be rejected.
 
     Returns (hitting_time or None, final_fitness, trace or None); the trace
     repeats the previous row for every iteration of a wait.
     """
     params = instance.params
     n, r = params.n, params.r
+    if n == 1:
+        # the one position is selected in every iteration: the EA is RLS
+        return _simulate_rls(instance, operator, rng, x0, cap, trace_pots)
     ring = instance.metric is MetricKind.RING
     x, z, dist, fit, trace = _start(instance, x0, trace_pots)
     if fit == 0:
@@ -305,97 +285,129 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
     pots = trace_pots or ()
 
     uniform_op = operator is StepOperatorKind.UNIFORM
-    pm1_op = operator is StepOperatorKind.PLUS_MINUS_ONE
-    F = harmonic_table(r).cdf.tolist() if operator is StepOperatorKind.HARMONIC else None
-    # uniform steps and ring steps are never discarded, so each step at a
-    # finished position adds >= 1 to the fitness
-    always_feasible = ring or uniform_op
-    law = _ea_selection_law(n)
-    order = [i for i in range(n) if dist[i]]
-    f = len(order)
-    order += [i for i in range(n) if not dist[i]]
-    slot = [0] * n
-    for k, i in enumerate(order):
-        slot[i] = k
-    blocks = [None] * (n + 1)  # per f: (waits, kus, kfs, index of the next event)
-    waits = kus = kfs = ()
-    e = 0
-    draw = _uniforms(rng).__next__
-    pending: list[tuple[int, int, int]] = []
-
+    state, move, miss, per = _rls_law(operator, r, ring)
+    states = [state(x[i], z[i], dist[i]) for i in range(n)]
+    w = [st[0] for st in states]
+    total = sum(w)
+    norm = per * n  # position i takes a not-worse step with probability w_i / norm
+    bound = per if uniform_op else 2.0 if ring else 1.0  # no weight exceeds it
+    c = -log1p(-bound / norm) / bound  # q_i / w_i grows with w_i: its largest value
+    if uniform_op:
+        tree, top = _fenwick(w)
+    else:
+        live = [i for i in range(n) if dist[i]]
+        slot = [0] * n  # slot[i] is the index of position i in live
+        for k, i in enumerate(live):
+            slot[i] = k
+    cdf = _selection_cdf(n)
+    draw = _draws(rng.random)
+    hazard = _draws(rng.standard_exponential)
+    selected = _draws(lambda size: np.searchsorted(cdf, rng.random(size), "right"))
+    position = _draws(lambda size: rng.integers(0, n, size))
+    e = hazard()  # to the next proposal, from the end of iteration t
     t = 0
-    while True:
-        if e == len(waits):
-            waits, kus, kfs = _selection_block(rng, law[f], min(max(64, 2 * e), _BLOCK))
-            e = 0
-        wait, ku, kf = waits[e], kus[e], kfs[e]
-        e += 1
-        if wait > cap - t:
-            if trace is not None:
-                row = trace[-1][1]
-                trace.extend((s, row) for s in range(t + 1, cap + 1))
-            return None, fit, trace
-        if trace is not None:
-            row = trace[-1][1]
-            trace.extend((s, row) for s in range(t + 1, t + wait))
-        t += wait
 
-        del pending[:]
-        picks = (order[int(draw() * f)],) if ku == 1 else _distinct(order, 0, f, ku, draw)
-        delta = 0
-        finished = False
+    while True:
+        rate = c * total  # proposals per iteration
+        marked, pending, delta = [], [], 0
+        h = None  # the hazard left in the event iteration, once it is known
         while True:
-            for i in picks:
-                cur = x[i]
-                if uniform_op:
-                    v = int(draw() * (r - 1))
-                    new = v if v < cur else v + 1
-                else:
-                    jump = 1 if pm1_op else bisect_right(F, draw()) + 1
-                    new = cur + jump if draw() < 0.5 else cur - jump
-                    if ring:
-                        new %= r
-                    elif new < 0 or new >= r:
-                        continue  # infeasible step, component unchanged
-                nd = new - z[i]
-                if nd < 0:
-                    nd = -nd
+            # a proposal: i with probability w_i / total, s uniform on [0, w_i)
+            if uniform_op:
+                s = int(draw() * total)
+                i, bit = 0, top
+                while bit:
+                    k = i + bit
+                    if k <= n and tree[k] <= s:
+                        i = k
+                        s -= tree[k]
+                    bit >>= 1
+                wi = w[i]
+            else:
+                while True:
+                    i = live[int(draw() * len(live))]
+                    s = draw() * bound
+                    wi = w[i]
+                    if s < wi:
+                        break
+            # kept with probability q_i / (c w_i), which is 1 at w_i = bound
+            if (wi == bound or draw() * c * wi < -log1p(-wi / norm)) and i not in marked:
+                # a not-worse step at i
+                if h is None:
+                    wait = 1 + int(e / rate)
+                    if wait > cap - t:
+                        if trace is not None:
+                            row = trace[-1][1]
+                            trace.extend((j, row) for j in range(t + 1, cap + 1))
+                        return None, fit, trace
+                    if trace is not None:
+                        row = trace[-1][1]
+                        trace.extend((j, row) for j in range(t + 1, t + wait))
+                    t += wait
+                    h = rate * wait - e
+                marked.append(i)
+                new = move(states[i], x[i], s)
+                zi = z[i]
+                nd = new - zi if new > zi else zi - new
                 if ring and r - nd < nd:
                     nd = r - nd
                 delta += nd - dist[i]
-                if finished and delta > 0:
-                    break  # no later step can lower it: rejected
                 pending.append((i, new, nd))
-            if finished or not kf or not pending:
+            step = hazard()
+            if h is None:
+                e += step
+            elif step < h:
+                h -= step
+            else:
+                e = step - h
                 break
-            # the finished positions are drawn only while the offspring can
-            # still be accepted: each of their feasible steps adds >= 1
-            least = delta + kf if always_feasible else delta
-            if least > 0:
-                delta = least
-                break
-            picks = _distinct(order, f, n - f, kf, draw)
-            finished = True
 
-        if delta <= 0 and pending:
-            was = f
-            for i, new, nd in pending:
-                if not nd or not dist[i]:
-                    # i reaches its target, or leaves it: swap i with the
-                    # entry at the boundary of the two parts of order
-                    if not nd:
-                        f -= 1
-                    k, other = slot[i], order[f]
-                    order[k], slot[other] = other, k
-                    order[f], slot[i] = i, f
-                    if nd:
-                        f += 1
-                x[i] = new
-                dist[i] = nd
+        # the other selected positions, until the offspring is sure to be rejected
+        k = selected()
+        candidates = []
+        while k and delta <= 0:
+            i = position()
+            if i in candidates:
+                continue
+            candidates.append(i)
+            k -= 1
+            wi = w[i]
+            if i in marked or wi and draw() * (norm - wi) >= n * (per - wi):
+                continue
+            new = miss(states[i], x[i], draw() * (per - wi))
+            if new is None:
+                continue  # infeasible step, component unchanged
+            zi = z[i]
+            nd = new - zi if new > zi else zi - new
+            if ring and r - nd < nd:
+                nd = r - nd
+            delta += nd - dist[i]
+            pending.append((i, new, nd))
+
+        if delta <= 0:
             fit += delta
-            if f != was:
-                blocks[was] = (waits, kus, kfs, e)
-                waits, kus, kfs, e = blocks[f] or ((), (), (), 0)
+            for i, new, nd in pending:
+                x[i] = new
+                st = states[i] = state(new, z[i], nd)
+                wi = st[0]
+                if uniform_op:
+                    change = wi - w[i]
+                    k = i + 1
+                    while k <= n:
+                        tree[k] += change
+                        k += k & -k
+                elif not nd:
+                    k = slot[i]
+                    last = live.pop()
+                    if last != i:
+                        live[k] = last
+                        slot[last] = k
+                elif not dist[i]:
+                    slot[i] = len(live)
+                    live.append(i)
+                total += wi - w[i]
+                dist[i] = nd
+                w[i] = wi
         if trace is not None:
             trace.append((t, tuple(potential_value(p, instance, np.asarray(x)) for p in pots)))
         if fit == 0:
@@ -407,23 +419,24 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
 # ---------------------------------------------------------------------------
 
 def _rls_law(operator, r, ring):
-    """(state, move, per): the closed-form RLS step law at one position.
+    """(state, move, miss, per): the closed-form RLS step law at one position.
 
     state(x, z, d), with d the distance of x to the target value z, returns a
     tuple whose first entry is the weight w: a step at the position is
-    accepted and changes x with probability a = w / per. move(st, x, s)
-    maps s uniform on [0, w) to the new value, i.e. draws the move
-    conditioned on acceptance. The uniform step counts accepted values
-    (per = r - 1); the jump steps add the jump-law mass of the accepted
-    jumps over both signs (per = 2), read from F[j] = P[jump <= j].
+    accepted (feasible, and lands within distance d of z) and changes x with
+    probability a = w / per. move(st, x, s) maps s uniform on [0, w) to the
+    new value, i.e. draws the move conditioned on acceptance. miss(st, x, s)
+    maps s uniform on [0, per - w) to the step conditioned on the rest:
+    None for an infeasible step, else a value farther than d from z. The
+    uniform step counts values (per = r - 1); the jump steps add the
+    jump-law mass of the jumps over both signs (per = 2): the +-1 step's
+    jump is 1, and the harmonic step's is read from F[j] = P[jump <= j].
     """
     if operator is StepOperatorKind.UNIFORM:
         return _uniform_law(r, ring) + (r - 1,)
-    if operator is StepOperatorKind.HARMONIC:
-        F = [0.0] + harmonic_table(r).cdf.tolist()
-    else:
-        F = [0.0] + [1.0] * (r - 1)  # the +-1 step: jump 1 with probability 1
-    return _jump_law(r, ring, F) + (2,)
+    if operator is StepOperatorKind.PLUS_MINUS_ONE:
+        return _unit_law(r, ring) + (2,)
+    return _jump_law(r, ring, [0.0] + harmonic_table(r).cdf.tolist()) + (2,)
 
 
 def _uniform_law(r, ring):
@@ -443,7 +456,33 @@ def _uniform_law(r, ring):
             k += 1
         return (st[2] + k) % r
 
-    return state, move
+    def miss(st, x, s):
+        return (st[2] + st[0] + 1 + int(s)) % r
+
+    return state, move, miss
+
+
+def _unit_law(r, ring):
+    def state(x, z, d):
+        """(w, toward): x + toward is accepted when d > 0, and x - toward
+        too when w = 2 (on the ring, when 2d >= r - 1)."""
+        if d == 0:
+            return 0, 1
+        if ring:
+            return (2 if 2 * d >= r - 1 else 1), (-1 if (x - z) % r == d else 1)
+        return 1, (-1 if x > z else 1)
+
+    def move(st, x, s):
+        return (x + st[1] if s < 1.0 else x - st[1]) % r
+
+    def miss(st, x, s):
+        """x - toward for s < 1 and, when d = 0, x + toward for s >= 1."""
+        new = x - st[1] if s < 1.0 else x + st[1]
+        if ring:
+            return new % r
+        return new if 0 <= new < r else None
+
+    return state, move, miss
 
 
 def _jump_law(r, ring, F):
@@ -451,7 +490,7 @@ def _jump_law(r, ring, F):
         """(w, toward, F[J], F[L-1]): the accepted steps are x + toward*j
         for j in [1, J] and x - toward*j (mod r) for j in [L, r-1]."""
         if d == 0:
-            return 0.0, 0, 0.0, 1.0
+            return 0.0, 1, 0.0, 1.0
         if ring:
             toward = -1 if (x - z) % r == d else 1
             J, L = (2 * d, r - 2 * d) if 2 * d < r else (r - 1, 1)
@@ -469,19 +508,46 @@ def _jump_law(r, ring, F):
         j = bisect_right(F, far + (s - near))
         return (x - toward * (j if j < r else r - 1)) % r
 
-    return state, move
+    def miss(st, x, s):
+        """x + toward*j for j in [J+1, r-1], or x - toward*j for j in [1, L-1]."""
+        _, toward, near, far = st
+        if s < 1.0 - near:
+            j = bisect_right(F, near + s)
+            new = x + toward * (j if j < r else r - 1)
+        else:
+            new = x - toward * bisect_right(F, s - (1.0 - near))
+        if ring:
+            return new % r
+        return new if 0 <= new < r else None
+
+    return state, move, miss
 
 
-def _uniforms(rng):
-    """Endless iterator of U[0, 1) floats, drawn in blocks that double up to
-    _BLOCK; its __next__ runs in C."""
+def _fenwick(w):
+    """(tree, top): a Fenwick tree over the integer weights w, in which
+    tree[k] sums w over the positions (k - (k & -k), k], so picks and updates
+    cost O(log n); and the largest power of two <= len(w), where a pick's
+    binary descent starts."""
+    n = len(w)
+    tree = [0] + w
+    for k in range(1, n + 1):
+        up = k + (k & -k)
+        if up <= n:
+            tree[up] += tree[k]
+    return tree, 1 << (n.bit_length() - 1)
+
+
+def _draws(method):
+    """A function that returns the next of the values method(size) draws in
+    blocks whose size doubles up to _BLOCK, e.g. _draws(rng.random); it runs
+    in C."""
     def blocks():
         size = 64
         while True:
-            yield rng.random(size).tolist()
+            yield method(size).tolist()
             size = min(2 * size, _BLOCK)
 
-    return chain.from_iterable(blocks())
+    return chain.from_iterable(blocks()).__next__
 
 
 def _simulate_rls(instance, operator, rng, x0, cap, trace_pots):
@@ -508,19 +574,12 @@ def _simulate_rls(instance, operator, rng, x0, cap, trace_pots):
     pots = trace_pots or ()
 
     uniform_op = operator is StepOperatorKind.UNIFORM
-    state, move, per = _rls_law(operator, r, ring)
+    state, move, _, per = _rls_law(operator, r, ring)
     states = [state(x[i], z[i], dist[i]) for i in range(n)]
     w = [st[0] for st in states]
     total = sum(w)
     if uniform_op:
-        # Fenwick tree over the integer weights: tree[k] sums w over the
-        # positions (k - (k & -k), k], so picks and updates cost O(log n)
-        tree = [0] + w
-        for k in range(1, n + 1):
-            up = k + (k & -k)
-            if up <= n:
-                tree[up] += tree[k]
-        top = 1 << (n.bit_length() - 1)
+        tree, top = _fenwick(w)
     else:
         bound = 2.0 if ring else 1.0
         live = [i for i in range(n) if dist[i]]
@@ -528,7 +587,7 @@ def _simulate_rls(instance, operator, rng, x0, cap, trace_pots):
         for k, i in enumerate(live):
             slot[i] = k
     norm = per * n  # an iteration makes an accepted move with probability total / norm
-    draw = _uniforms(rng).__next__
+    draw = _draws(rng.random)
     t = 0
     known = None  # the total that log_q belongs to
 

@@ -11,16 +11,18 @@ module.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 from scipy import stats
 
-from helpers import same_categorical_pvalue
+from helpers import exact_transition_matrix, goodness_of_fit_pvalue, same_categorical_pvalue
 from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, ProblemInstance,
                       RunConfig, SpaceParams, StartPolicy, StepOperatorKind, TargetPolicy,
                       TokenConfig, estimate_drift, execute_plan, fit_scaling, fitness,
-                      hamming_distance, harmonic_number, mutate, run_batch,
+                      hamming_distance, harmonic_number, mutate, potential_value, run_batch,
                       sample_uniform_point, token_expected_hitting_time_exact, token_run_batch)
 
 RLS = AlgorithmKind.RLS
@@ -307,3 +309,62 @@ def hamming_increase(seed, workers=1):
                                 {True: reference, False: runs - reference})
     return (kernel > 0 and p > 0.001, p - 0.001, not any(rec.capped for rec in records),
             f"kernel={kernel}/{runs}, reference={reference}/{runs}, p={p:.3g}")
+
+
+@_gate("transition oracle", 44)
+def transition_oracle(seed, workers=1):
+    """The law of the trace row (fitness, Hamming, exp_weight:2) at
+    iterations 1 and 4 from a uniform start, for RLS and the EA with every
+    operator on both metrics (n=3, r=4, target (0, 1, 2)), against the exact
+    law: the uniform start pushed through exact_transition_matrix. One
+    chi-square test at 0.001/24 per (algorithm, operator, metric, iteration)
+    on 2000 runs, capped at 4 iterations by design (margin: the smallest
+    p-value minus 0.001/24)."""
+    runs, significance = 2000, 0.001 / 24
+    pots = (Potential.fitness(), Potential.hamming(), Potential.exp_weight(2.0))
+    pvalues, details = [], []
+    for metric in (MetricKind.INTERVAL, MetricKind.RING):
+        inst = ProblemInstance(SpaceParams(3, 4), metric, np.array([0, 1, 2]))
+        rows = [tuple(potential_value(p, inst, np.array(x)) for p in pots)
+                for x in itertools.product(range(4), repeat=3)]
+        for algorithm, operator in itertools.product((RLS, EA), (UNIFORM, PM1, HARMONIC)):
+            matrix = exact_transition_matrix(algorithm, operator, inst)
+            records = run_batch(RunConfig(algorithm, operator, inst, seed=seed, iteration_cap=4,
+                                          trace_potentials=pots), runs, workers)
+            law = np.full(len(rows), 1.0 / len(rows))
+            for t in range(1, 5):
+                law = law @ matrix
+                if t not in (1, 4):
+                    continue
+                exact = Counter()
+                for row, prob in zip(rows, law):
+                    exact[row] += prob
+                # a run that hit the optimum before t stays there: its last row
+                seen = Counter(rec.trace[min(t, len(rec.trace) - 1)][1] for rec in records)
+                p = goodness_of_fit_pvalue(seen, exact)
+                pvalues.append(p)
+                details.append(f"{algorithm.value}/{operator.value}/{metric.value}/t={t}: "
+                               f"p={p:.3g}")
+    least = min(pvalues)
+    return least > significance, least - significance, True, "; ".join(details)
+
+
+@_gate("ea one step", 45)
+def ea_one_step(seed, workers=1):
+    """The fitness after one iteration of the uniform-step EA from (4, 2)
+    (n=2, r=5, interval, target (0, 0)) against the exact law of
+    exact_transition_matrix: a chi-square test at 0.001 on 40,000 runs
+    (margin: its p-value minus 0.001). There the other position is often
+    selected beside a not-worse step with its step conditioned on missing,
+    so the rate at which the kernel keeps such candidates shows."""
+    inst, x0, runs = _zeros(2, 5), (4, 2), 40_000
+    matrix = exact_transition_matrix(EA, UNIFORM, inst)
+    points = list(itertools.product(range(5), repeat=2))
+    exact = Counter()
+    for x, prob in zip(points, matrix[points.index(x0)]):
+        exact[fitness(inst, np.array(x))] += prob
+    records = run_batch(RunConfig(EA, UNIFORM, inst, seed=seed, iteration_cap=1,
+                                  initial_point=x0), runs, workers)
+    seen = Counter(rec.final_fitness for rec in records)  # 0 when the run hit
+    p = goodness_of_fit_pvalue(seen, exact)
+    return p > 0.001, p - 0.001, True, f"p={p:.3g}, fitness counts {dict(sorted(seen.items()))}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 
 import numpy as np
 from scipy import stats
@@ -180,11 +181,71 @@ def step_outcomes(kind, metric, current, r):
             for j in range(1, r) for sign in (0, 1)]
 
 
+def exact_transition_matrix(algorithm, operator, instance):
+    """The exact one-iteration transition matrix of the mutation-selection
+    loop over all r^n points (n <= 3, r <= 5), in itertools.product order:
+    entry [a, b] is P[x_{t+1} = point b | x_t = point a].
+
+    It enumerates the selection subsets (RLS: one position, each with
+    probability 1/n; the (1+1) EA: each subset S with probability
+    (1/n)^|S| (1 - 1/n)^(n - |S|)) and every joint outcome of step_outcomes
+    at the selected positions, and the offspring replaces x iff its fitness
+    is not worse. The optimum is absorbing: a run stops there.
+    """
+    n, r = instance.params.n, instance.params.r
+    assert n <= 3 and r <= 5, "the enumeration is meant for tiny instances"
+    points = list(itertools.product(range(r), repeat=n))
+    index = {x: k for k, x in enumerate(points)}
+    fit = [fitness(instance, np.array(x)) for x in points]
+    if algorithm is AlgorithmKind.RLS:
+        subsets = [((i,), 1.0 / n) for i in range(n)]
+    else:
+        subsets = [(S, (1.0 / n) ** k * (1.0 - 1.0 / n) ** (n - k))
+                   for k in range(n + 1) for S in itertools.combinations(range(n), k)]
+    outcomes = {v: step_outcomes(operator, instance.metric, v, r) for v in range(r)}
+    matrix = np.zeros((len(points), len(points)))
+    for a, x in enumerate(points):
+        if fit[a] == 0:
+            matrix[a, a] = 1.0
+            continue
+        for S, selected in subsets:
+            for joint in itertools.product(*(outcomes[x[i]] for i in S)):
+                y, prob = list(x), selected
+                for i, (p, value) in zip(S, joint):
+                    prob *= p
+                    if value is not None:
+                        y[i] = value
+                b = index[tuple(y)]
+                matrix[a, b if fit[b] <= fit[a] else a] += prob
+    return matrix
+
+
+def goodness_of_fit_pvalue(counts, probs, min_expected=5.0):
+    """p-value of a chi-square goodness-of-fit test of the sample given as
+    {category: count} against the law {category: probability}; categories
+    expected fewer than min_expected times are pooled into one. A category
+    the law gives no mass fails the test outright (p-value 0)."""
+    if any(k not in probs or probs[k] <= 0 for k in counts):
+        return 0.0
+    total = sum(counts.values())
+    keys = sorted(probs)
+    observed = np.array([counts.get(k, 0) for k in keys], dtype=np.float64)
+    expected = np.array([probs[k] for k in keys]) * total
+    rare = expected < min_expected
+    observed = np.append(observed[~rare], observed[rare].sum())
+    expected = np.append(expected[~rare], expected[rare].sum())
+    keep = expected > 0
+    observed, expected = observed[keep], expected[keep]
+    expected *= observed.sum() / expected.sum()  # the law sums to 1 up to rounding
+    return float(stats.chisquare(observed, expected).pvalue)
+
+
 def binomial_pmf(n, p, k):
     return float(stats.binom.pmf(k, n, p))
 
 
 __all__ = ["assert_chi_square", "assert_same_categorical", "assert_same_distribution",
+           "exact_transition_matrix", "goodness_of_fit_pvalue",
            "reference_hitting_time", "reference_one_iteration",
            "reference_plant_state_at_fitness", "reference_realize_distances",
            "reference_state_after", "reference_token_hitting_time", "same_categorical_pvalue",

@@ -10,7 +10,7 @@ from helpers import (assert_chi_square, assert_same_categorical, assert_same_dis
 from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
                       SpaceParams, StepOperatorKind, fitness, hamming_distance, metric_distance,
                       mutate, run, run_batch, subseed)
-from rvonemax.algorithms import _ea_selection_law, _rls_law
+from rvonemax.algorithms import _rls_law, _selection_cdf
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -179,27 +179,30 @@ def test_ea_state_law_after_ten_iterations_matches_reference(operator):
     assert_same_categorical(kernel, reference)
 
 
+def test_kernels_match_exact_transition_law():
+    # a one-sample test against truth: the trace rows after 1 and 4
+    # iterations of every algorithm x operator x metric at n=3, r=4 against
+    # the exact chain of helpers.exact_transition_matrix
+    assert_passes("transition oracle")
+
+
+def test_ea_one_step_matches_exact_transition_law():
+    # the same oracle from one start where the kernel's rate of selecting
+    # the other positions beside a not-worse step shows clearly
+    assert_passes("ea one step")
+
+
 @pytest.mark.parametrize("n", [1, 2, 50, 2000])
-def test_ea_selection_law_matches_scipy_binomial(n):
-    # exact, no sampling: per number f of unfinished positions, the selection
-    # probability and both count CDFs agree with scipy.stats.binom
-    law = _ea_selection_law(n)
-    assert law[0] is None and len(law) == n + 1
-    p = 1.0 / n
-    for f in range(1, n + 1):
-        select, unfinished_cdf, finished_cdf = law[f]
-        assert select == pytest.approx(stats.binom.sf(0, f, p), rel=1e-12)
-        k = np.arange(len(unfinished_cdf))
-        conditioned = np.cumsum(np.where(k > 0, stats.binom.pmf(k, f, p), 0.0)) / select
-        np.testing.assert_allclose(unfinished_cdf, conditioned, rtol=1e-12, atol=1e-15)
-        k = np.arange(len(finished_cdf))
-        np.testing.assert_allclose(finished_cdf, stats.binom.cdf(k, n - f, p),
-                                   rtol=1e-12, atol=1e-15)
-        # cut where they reach 1: the last entry is exactly 1 and drops no real mass
-        for cdf, m in ((unfinished_cdf, f), (finished_cdf, n - f)):
-            assert cdf[-1] == 1.0 and len(cdf) <= m + 1
-            assert stats.binom.sf(len(cdf) - 1, m, p) < 1e-15
-            assert (np.diff(cdf) >= 0).all()
+def test_ea_selection_cdf_matches_scipy_binomial(n):
+    # exact, no sampling: the CDF of the number of positions an EA iteration
+    # selects agrees with scipy.stats.binom, and is cut where it reaches 1:
+    # the last entry is exactly 1 and the dropped tail holds no real mass
+    cdf = _selection_cdf(n)
+    k = np.arange(len(cdf))
+    np.testing.assert_allclose(cdf, stats.binom.cdf(k, n, 1.0 / n), rtol=1e-12)
+    assert cdf[-1] == 1.0 and len(cdf) <= n + 1
+    assert stats.binom.sf(len(cdf) - 1, n, 1.0 / n) < 1e-15
+    assert (np.diff(cdf) >= 0).all()
 
 
 @pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
@@ -240,24 +243,35 @@ def preimage_law(f, width, cells=512):
 @pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
 def test_rls_closed_forms_match_enumerated_step_outcomes(operator, metric):
     # exact, no sampling: for every (x, z) the kernel's acceptance probability
-    # a and its conditioned move law equal an enumeration of operators.step
+    # a, its conditioned move law and its conditioned miss law (the rejected
+    # steps: infeasible, None, or landing farther than d) equal an
+    # enumeration of operators.step
     ring = metric is MetricKind.RING
     seen = set()
     for r in (2, 3, 4, 5, 8):
-        state, move, per = _rls_law(operator, r, ring)
+        state, move, miss, per = _rls_law(operator, r, ring)
         for z in range(r):
             for x in range(r):
                 d = metric_distance(metric, x, z, r)
-                accepted = {}
+                accepted, missed = {}, {}
                 for prob, value in step_outcomes(operator, metric, x, r):
                     if value is not None and metric_distance(metric, value, z, r) <= d:
                         assert value != x
                         accepted[value] = accepted.get(value, 0.0) + prob
+                    else:
+                        missed[value] = missed.get(value, 0.0) + prob
                 a = sum(accepted.values())
                 st = state(x, z, d)
                 assert st[0] / per == pytest.approx(a, rel=1e-12, abs=1e-15), (r, x, z)
                 # the thinning bound of the jump steps
                 assert st[0] <= (per if operator is UNIFORM else 2 if ring else 1)
+                if st[0] < per:
+                    law = preimage_law(lambda s: miss(st, x, s), per - st[0])
+                    assert law.keys() == missed.keys(), (r, x, z)
+                    for value, prob in missed.items():
+                        assert law[value] == pytest.approx(prob / (1 - a), rel=1e-9), (r, x, z)
+                else:
+                    assert not missed, (r, x, z)
                 if a == 0:
                     continue
                 law = preimage_law(lambda s: move(st, x, s), st[0])

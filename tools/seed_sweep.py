@@ -14,7 +14,10 @@ gate's own pass rule and margin. The gates, in the order of the report:
 - criterion 2, the exact Hamming drift law at one level, the drift grid
   and the EA fitness drift floor;
 - criteria 3 to 6, the uniform and +-1 EA scaling fits, and the pooled
-  test that EA runs raise the Hamming distance at the plain loop's rate.
+  test that EA runs raise the Hamming distance at the plain loop's rate;
+- the trace rows of every algorithm x operator x metric after 1 and 4
+  iterations against the exact transition law of a tiny instance, and one
+  EA iteration from a fixed start against it.
 
 The margin is how far the measured value lies inside the rule's bounds, in
 the rule's own units (negative when the gate fails). A gate that passes at
