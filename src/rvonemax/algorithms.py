@@ -26,6 +26,9 @@ positions are drawn with their step conditioned on missing, until the
 offspring is sure to be rejected. A run costs about its number of events,
 not its number of iterations.
 
+Neither kernel knows the step operator: the per-position law (_law) owns
+the weights, the conditioned moves and misses, and the pick index.
+
 Runs are deterministic functions of their seed. Replicates of a batch use
 sub-seeds derived from (seed, index) via subseed(), so batches reproduce
 exactly regardless of execution order or worker count.
@@ -222,18 +225,16 @@ def _start(instance, x0, trace_pots):
 
 @lru_cache(maxsize=128)
 def _selection_cdf(n):
-    """The array [P[K <= k] for k = 0, 1, ...] for K ~ Bin(n, 1/n), the
-    number of positions an EA iteration selects.
+    """The array [P[K <= k] for k = 0, 1, ...] for K ~ Bin(n, 1/n), n >= 2,
+    the number of positions an EA iteration selects.
 
     The pmf comes from the recurrence P[K = k + 1] / P[K = k] =
     (n - k) / (k + 1) / (n - 1), started from an unnormalized first term,
     and the list is cut where the next term no longer changes the sum; the
     partial sums are divided by the total, so the last entry is exactly 1.0.
     The pmf is unimodal with its mode at 0 or 1, so the dropped tail is
-    below 1e-15. At n = 1 the one position is always selected.
+    below 1e-15.
     """
-    if n == 1:
-        return np.array([0.0, 1.0])
     sums = [1.0]
     term = total = 1.0
     for k in range(n):
@@ -251,24 +252,23 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
     raise that position's own distance d_i.
 
     Position i takes one with probability a_i / n, independently of the
-    others, where a_i = w_i / per is RLS's acceptance probability (_rls_law);
+    others, where a_i = w_i / per is RLS's acceptance probability (_law);
     in any other iteration each selected step is discarded as infeasible or
     raises the fitness, so x is unchanged. So the not-worse steps are the
     points of a Poisson process of rate q_i = -log1p(-a_i / n) per iteration
     at each i. The kernel thins proposals of rate c * sum(w), with c the
-    largest possible q_i / w_i: a proposal is at i picked as RLS picks (a
-    Fenwick descent for the uniform step, a uniform live position thinned
-    by w_i / w_bound for the jump steps) with an offset uniform on [0, w_i)
-    that gives the move, and is kept with probability q_i / (c w_i). From a
-    hazard E ~ Exp(1) the next proposal is E / (c sum(w)) iterations ahead;
-    the first kept one fixes the event iteration, the kept ones after it in
-    that iteration complete the set G of positions that step not-worse,
-    and the hazard left over is a fresh Exp(1) for the next event. Every
-    other position is selected with probability (1 - a_i) / (n - a_i),
-    independently: of K ~ Bin(n, 1/n) distinct uniform candidates, each
-    outside G is kept with probability (1 - a_i) / (1 - a_i / n) and takes
-    the step conditioned on missing (`miss`), and the drawing stops as soon
-    as the offspring is sure to be rejected.
+    largest possible q_i / w_i: a proposal is the law's pick, position i
+    with probability w_i / sum(w) and its move conditioned on acceptance,
+    and is kept with probability q_i / (c w_i). From a hazard E ~ Exp(1)
+    the next proposal is E / (c sum(w)) iterations ahead; the first kept
+    one fixes the event iteration, the kept ones after it in that iteration
+    complete the set G of positions that step not-worse, and the hazard
+    left over is a fresh Exp(1) for the next event. Every other position is
+    selected with probability (1 - a_i) / (n - a_i), independently: of
+    K ~ Bin(n, 1/n) distinct uniform candidates, each outside G is kept
+    with probability (1 - a_i) / (1 - a_i / n) and takes the step
+    conditioned on missing (`miss`), and the drawing stops as soon as the
+    offspring is sure to be rejected.
 
     Returns (hitting_time or None, final_fitness, trace or None); the trace
     repeats the previous row for every iteration of a wait.
@@ -284,23 +284,11 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
         return 0, 0, trace
     pots = trace_pots or ()
 
-    uniform_op = operator is StepOperatorKind.UNIFORM
-    state, move, miss, per = _rls_law(operator, r, ring)
-    states = [state(x[i], z[i], dist[i]) for i in range(n)]
-    w = [st[0] for st in states]
-    total = sum(w)
-    norm = per * n  # position i takes a not-worse step with probability w_i / norm
-    bound = per if uniform_op else 2.0 if ring else 1.0  # no weight exceeds it
-    c = -log1p(-bound / norm) / bound  # q_i / w_i grows with w_i: its largest value
-    if uniform_op:
-        tree, top = _fenwick(w)
-    else:
-        live = [i for i in range(n) if dist[i]]
-        slot = [0] * n  # slot[i] is the index of position i in live
-        for k, i in enumerate(live):
-            slot[i] = k
-    cdf = _selection_cdf(n)
     draw = _draws(rng.random)
+    pick, settle, miss, w, total, per, bound = _law(operator, r, ring, x, z, dist, draw)
+    norm = per * n  # position i takes a not-worse step with probability w_i / norm
+    c = -log1p(-bound / norm) / bound  # q_i / w_i grows with w_i: its largest value
+    cdf = _selection_cdf(n)
     hazard = _draws(rng.standard_exponential)
     selected = _draws(lambda size: np.searchsorted(cdf, rng.random(size), "right"))
     position = _draws(lambda size: rng.integers(0, n, size))
@@ -312,41 +300,21 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
         marked, pending, delta = [], [], 0
         h = None  # the hazard left in the event iteration, once it is known
         while True:
-            # a proposal: i with probability w_i / total, s uniform on [0, w_i)
-            if uniform_op:
-                s = int(draw() * total)
-                i, bit = 0, top
-                while bit:
-                    k = i + bit
-                    if k <= n and tree[k] <= s:
-                        i = k
-                        s -= tree[k]
-                    bit >>= 1
-                wi = w[i]
-            else:
-                while True:
-                    i = live[int(draw() * len(live))]
-                    s = draw() * bound
-                    wi = w[i]
-                    if s < wi:
-                        break
+            i, new = pick()
+            wi = w[i]
             # kept with probability q_i / (c w_i), which is 1 at w_i = bound
             if (wi == bound or draw() * c * wi < -log1p(-wi / norm)) and i not in marked:
                 # a not-worse step at i
                 if h is None:
                     wait = 1 + int(e / rate)
-                    if wait > cap - t:
-                        if trace is not None:
-                            row = trace[-1][1]
-                            trace.extend((j, row) for j in range(t + 1, cap + 1))
-                        return None, fit, trace
                     if trace is not None:
                         row = trace[-1][1]
-                        trace.extend((j, row) for j in range(t + 1, t + wait))
+                        trace.extend((j, row) for j in range(t + 1, min(t + wait, cap + 1)))
+                    if wait > cap - t:
+                        return None, fit, trace
                     t += wait
                     h = rate * wait - e
                 marked.append(i)
-                new = move(states[i], x[i], s)
                 zi = z[i]
                 nd = new - zi if new > zi else zi - new
                 if ring and r - nd < nd:
@@ -374,7 +342,7 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
             wi = w[i]
             if i in marked or wi and draw() * (norm - wi) >= n * (per - wi):
                 continue
-            new = miss(states[i], x[i], draw() * (per - wi))
+            new = miss(i, draw() * (per - wi))
             if new is None:
                 continue  # infeasible step, component unchanged
             zi = z[i]
@@ -387,27 +355,7 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
         if delta <= 0:
             fit += delta
             for i, new, nd in pending:
-                x[i] = new
-                st = states[i] = state(new, z[i], nd)
-                wi = st[0]
-                if uniform_op:
-                    change = wi - w[i]
-                    k = i + 1
-                    while k <= n:
-                        tree[k] += change
-                        k += k & -k
-                elif not nd:
-                    k = slot[i]
-                    last = live.pop()
-                    if last != i:
-                        live[k] = last
-                        slot[last] = k
-                elif not dist[i]:
-                    slot[i] = len(live)
-                    live.append(i)
-                total += wi - w[i]
-                dist[i] = nd
-                w[i] = wi
+                total = settle(i, new, nd)
         if trace is not None:
             trace.append((t, tuple(potential_value(p, instance, np.asarray(x)) for p in pots)))
         if fit == 0:
@@ -415,126 +363,224 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
 
 
 # ---------------------------------------------------------------------------
-# Rejection-free RLS
+# Per-position step laws
 # ---------------------------------------------------------------------------
 
-def _rls_law(operator, r, ring):
-    """(state, move, miss, per): the closed-form RLS step law at one position.
+def _law(operator, r, ring, x, z, dist, draw):
+    """(pick, settle, miss, w, total, per, bound): the closed-form step law
+    of every position of a run, and the index the kernels pick from.
 
-    state(x, z, d), with d the distance of x to the target value z, returns a
-    tuple whose first entry is the weight w: a step at the position is
-    accepted (feasible, and lands within distance d of z) and changes x with
-    probability a = w / per. move(st, x, s) maps s uniform on [0, w) to the
-    new value, i.e. draws the move conditioned on acceptance. miss(st, x, s)
-    maps s uniform on [0, per - w) to the step conditioned on the rest:
-    None for an infeasible step, else a value farther than d from z. The
-    uniform step counts values (per = r - 1); the jump steps add the
-    jump-law mass of the jumps over both signs (per = 2): the +-1 step's
-    jump is 1, and the harmonic step's is read from F[j] = P[jump <= j].
+    A step at position i is accepted (feasible, and lands within distance
+    d_i of z_i) and changes x_i with probability a_i = w_i / per, and w_i
+    never exceeds bound; total is sum(w). pick() returns (i, new): i with
+    probability w_i / total, and new drawn from the step at i conditioned
+    on acceptance. settle(i, new, d) moves x_i to new != x_i at distance d
+    from z_i: it sets x_i, d_i, the law state, w_i, the index and total,
+    and returns the new total. miss(i, s) maps s uniform on [0, per - w_i)
+    to the step at i conditioned on the rest: None for an infeasible step,
+    else a value farther than d_i from z_i. x and dist are the run's lists,
+    updated in place; draw is its stream of uniforms, from which pick draws.
+
+    The uniform step counts values (per = bound = r - 1) and picks by a
+    binary descent through a Fenwick tree over the integer weights, whose
+    remainder gives the move. The jump steps add the jump-law mass of the
+    jumps over both signs (per = 2; bound 1 on the interval, 2 on the ring),
+    and pick by thinning: a uniform position of `live`, those with w_i > 0,
+    is kept with probability w_i / bound, and the kept draw, uniform on
+    [0, w_i), gives the move. The +-1 step's jump is 1, and the harmonic
+    step's is read from F[j] = P[jump <= j].
     """
     if operator is StepOperatorKind.UNIFORM:
-        return _uniform_law(r, ring) + (r - 1,)
-    if operator is StepOperatorKind.PLUS_MINUS_ONE:
-        return _unit_law(r, ring) + (2,)
-    return _jump_law(r, ring, [0.0] + harmonic_table(r).cdf.tolist()) + (2,)
+        per = bound = r - 1
+        pick, settle, miss, w = _uniform_law(r, ring, x, z, dist, draw)
+    else:
+        per, bound = 2, 2.0 if ring else 1.0
+        make = _unit_law if operator is StepOperatorKind.PLUS_MINUS_ONE else _jump_law
+        pick, settle, miss, w = make(r, ring, x, z, dist, draw, bound)
+    # each law starts with every position finished (w_i = 0, not in the
+    # index); the unfinished ones are settled into place
+    total = 0
+    for i in range(len(x)):
+        if dist[i]:
+            total = settle(i, x[i], dist[i])
+    return pick, settle, miss, w, total, per, bound
 
 
-def _uniform_law(r, ring):
-    def state(x, z, d):
-        """(w, offset of x, lo): the values within distance d of z are the
-        run lo, lo+1, ... (mod r) of length w + 1, x among them."""
+def _uniform_law(r, ring, x, z, dist, draw):
+    n = len(x)
+    w = [0] * n
+    lo = list(z)  # position i's run starts at lo_i, see settle; [z_i] when finished
+    offset = [0] * n  # x_i's offset in its run
+    tree = [0] * (n + 1)  # tree[k] sums w over the positions (k - (k & -k), k]
+    top = 1 << (n.bit_length() - 1)  # where the binary descent starts
+    total = 0
+
+    def pick():
+        # descend to the position whose cumulative weight range holds the
+        # target; the remainder is the offset within it
+        s = int(draw() * total)
+        i, bit = 0, top
+        while bit:
+            k = i + bit
+            if k <= n and tree[k] <= s:
+                i = k
+                s -= tree[k]
+            bit >>= 1
+        if s >= offset[i]:
+            s += 1
+        return i, (lo[i] + s) % r
+
+    def settle(i, new, d):
+        """The values within distance d of z_i are the run lo_i, lo_i + 1,
+        ... (mod r) of length w_i + 1, new among them."""
+        nonlocal total
+        x[i] = new
+        dist[i] = d
+        zi = z[i]
         if ring:
-            lo, size = (z - d, 2 * d + 1) if 2 * d + 1 < r else (0, r)
+            start, wi = (zi - d, 2 * d) if 2 * d + 1 < r else (0, r - 1)
         else:
-            lo = z - d if z > d else 0
-            size = (z + d if z + d < r else r - 1) - lo + 1
-        return size - 1, (x - lo) % r, lo
+            start = zi - d if zi > d else 0
+            wi = (zi + d if zi + d < r else r - 1) - start
+        lo[i] = start
+        offset[i] = (new - start) % r
+        change = wi - w[i]
+        w[i] = wi
+        k = i + 1
+        while k <= n:
+            tree[k] += change
+            k += k & -k
+        total += change
+        return total
 
-    def move(st, x, s):
-        k = int(s)
-        if k >= st[1]:
-            k += 1
-        return (st[2] + k) % r
+    def miss(i, s):
+        return (lo[i] + w[i] + 1 + int(s)) % r
 
-    def miss(st, x, s):
-        return (st[2] + st[0] + 1 + int(s)) % r
-
-    return state, move, miss
+    return pick, settle, miss, w
 
 
-def _unit_law(r, ring):
-    def state(x, z, d):
-        """(w, toward): x + toward is accepted when d > 0, and x - toward
-        too when w = 2 (on the ring, when 2d >= r - 1)."""
+def _unit_law(r, ring, x, z, dist, draw, bound):
+    n = len(x)
+    w = [0] * n
+    toward = [1] * n  # x_i + toward_i is accepted when d_i > 0: see settle
+    live, slot = [], [0] * n  # slot[i] is the index of position i in live
+    total = 0
+
+    def pick():
+        while True:
+            i = live[int(draw() * len(live))]
+            s = draw() * bound
+            if s < w[i]:
+                return i, (x[i] + toward[i] if s < 1.0 else x[i] - toward[i]) % r
+
+    def settle(i, new, d):
+        """x_i + toward_i is accepted when d > 0, and x_i - toward_i too
+        when w_i = 2 (on the ring, when 2d >= r - 1)."""
+        nonlocal total
+        x[i] = new
+        dist[i] = d
+        old = w[i]
         if d == 0:
-            return 0, 1
-        if ring:
-            return (2 if 2 * d >= r - 1 else 1), (-1 if (x - z) % r == d else 1)
-        return 1, (-1 if x > z else 1)
+            wi, toward[i] = 0, 1
+            _toggle(live, slot, i)
+        else:
+            if not old:
+                _toggle(live, slot, i)
+            if ring:
+                wi = 2 if 2 * d >= r - 1 else 1
+                toward[i] = -1 if (new - z[i]) % r == d else 1
+            else:
+                wi, toward[i] = 1, (-1 if new > z[i] else 1)
+        total += wi - old
+        w[i] = wi
+        return total
 
-    def move(st, x, s):
-        return (x + st[1] if s < 1.0 else x - st[1]) % r
-
-    def miss(st, x, s):
-        """x - toward for s < 1 and, when d = 0, x + toward for s >= 1."""
-        new = x - st[1] if s < 1.0 else x + st[1]
+    def miss(i, s):
+        """x_i - toward_i for s < 1 and, when d_i = 0, x_i + toward_i for s >= 1."""
+        new = x[i] - toward[i] if s < 1.0 else x[i] + toward[i]
         if ring:
             return new % r
         return new if 0 <= new < r else None
 
-    return state, move, miss
+    return pick, settle, miss, w
 
 
-def _jump_law(r, ring, F):
-    def state(x, z, d):
-        """(w, toward, F[J], F[L-1]): the accepted steps are x + toward*j
-        for j in [1, J] and x - toward*j (mod r) for j in [L, r-1]."""
-        if d == 0:
-            return 0.0, 1, 0.0, 1.0
-        if ring:
-            toward = -1 if (x - z) % r == d else 1
-            J, L = (2 * d, r - 2 * d) if 2 * d < r else (r - 1, 1)
-        elif x > z:
-            toward, J, L = -1, (2 * d if 2 * d < x else x), r
-        else:
-            toward, J, L = 1, (2 * d if 2 * d < r - 1 - x else r - 1 - x), r
-        near, far = F[J], F[L - 1]
-        return near + (1.0 - far), toward, near, far
+def _jump_law(r, ring, x, z, dist, draw, bound):
+    n = len(x)
+    F = [0.0] + harmonic_table(r).cdf.tolist()
+    w = [0.0] * n
+    states = [(1, 0.0, 1.0)] * n  # (toward, F[J], F[L-1]): see settle
+    live, slot = [], [0] * n  # slot[i] is the index of position i in live
+    total = 0
 
-    def move(st, x, s):
-        _, toward, near, far = st
+    def pick():
+        while True:
+            i = live[int(draw() * len(live))]
+            s = draw() * bound
+            if s < w[i]:
+                break
+        toward, near, far = states[i]
         if s < near:
-            return (x + toward * bisect_right(F, s)) % r
+            return i, (x[i] + toward * bisect_right(F, s)) % r
         j = bisect_right(F, far + (s - near))
-        return (x - toward * (j if j < r else r - 1)) % r
+        return i, (x[i] - toward * (j if j < r else r - 1)) % r
 
-    def miss(st, x, s):
-        """x + toward*j for j in [J+1, r-1], or x - toward*j for j in [1, L-1]."""
-        _, toward, near, far = st
+    def settle(i, new, d):
+        """The accepted steps are new + toward*j for j in [1, J] and
+        new - toward*j (mod r) for j in [L, r-1]."""
+        nonlocal total
+        x[i] = new
+        dist[i] = d
+        old = w[i]
+        if d == 0:
+            wi = 0.0
+            states[i] = (1, 0.0, 1.0)
+            _toggle(live, slot, i)
+        else:
+            if not old:
+                _toggle(live, slot, i)
+            zi = z[i]
+            if ring:
+                toward = -1 if (new - zi) % r == d else 1
+                J, L = (2 * d, r - 2 * d) if 2 * d < r else (r - 1, 1)
+            elif new > zi:
+                toward, J, L = -1, (2 * d if 2 * d < new else new), r
+            else:
+                toward, J, L = 1, (2 * d if 2 * d < r - 1 - new else r - 1 - new), r
+            near, far = F[J], F[L - 1]
+            wi = near + (1.0 - far)
+            states[i] = (toward, near, far)
+        total += wi - old
+        w[i] = wi
+        return total
+
+    def miss(i, s):
+        """x_i + toward*j for j in [J+1, r-1], or x_i - toward*j for j in [1, L-1]."""
+        toward, near, _ = states[i]
         if s < 1.0 - near:
             j = bisect_right(F, near + s)
-            new = x + toward * (j if j < r else r - 1)
+            new = x[i] + toward * (j if j < r else r - 1)
         else:
-            new = x - toward * bisect_right(F, s - (1.0 - near))
+            new = x[i] - toward * bisect_right(F, s - (1.0 - near))
         if ring:
             return new % r
         return new if 0 <= new < r else None
 
-    return state, move, miss
+    return pick, settle, miss, w
 
 
-def _fenwick(w):
-    """(tree, top): a Fenwick tree over the integer weights w, in which
-    tree[k] sums w over the positions (k - (k & -k), k], so picks and updates
-    cost O(log n); and the largest power of two <= len(w), where a pick's
-    binary descent starts."""
-    n = len(w)
-    tree = [0] + w
-    for k in range(1, n + 1):
-        up = k + (k & -k)
-        if up <= n:
-            tree[up] += tree[k]
-    return tree, 1 << (n.bit_length() - 1)
+def _toggle(live, slot, i):
+    """Remove position i from live if it is there, else append it, keeping
+    slot[j] the index of each j in live; O(1)."""
+    k = slot[i]
+    if k < len(live) and live[k] == i:
+        last = live.pop()
+        if last != i:
+            live[k] = last
+            slot[last] = k
+    else:
+        slot[i] = len(live)
+        live.append(i)
 
 
 def _draws(method):
@@ -550,17 +596,16 @@ def _draws(method):
     return chain.from_iterable(blocks()).__next__
 
 
+# ---------------------------------------------------------------------------
+# Rejection-free RLS
+# ---------------------------------------------------------------------------
+
 def _simulate_rls(instance, operator, rng, x0, cap, trace_pots):
     """Rejection-free RLS: one loop pass per accepted move.
 
-    Each pass draws the wait W ~ Geometric(sum(a)/n) by inversion, picks i
-    with probability a_i / sum(a), draws the accepted move at i and updates
-    x_i, d_i and the law state of i. The uniform step picks i by a binary
-    descent through the cumulative integer weights (a Fenwick tree), and the
-    same draw gives the move. The jump steps pick i by thinning: a uniformly
-    drawn unfinished position is kept with probability w_i / w_bound
-    (w_bound 1 on the interval, 2 on the ring), and the kept draw, uniform
-    on [0, w_i), gives the move.
+    Each pass draws the wait W ~ Geometric(sum(a)/n) by inversion, then the
+    law's pick: i with probability a_i / sum(a) and the accepted move at i;
+    settling it updates x_i, d_i, the law state of i and sum(a).
 
     Returns (hitting_time or None, final_fitness, trace or None); the trace
     repeats the previous row for every iteration of a wait.
@@ -573,21 +618,9 @@ def _simulate_rls(instance, operator, rng, x0, cap, trace_pots):
         return 0, 0, trace
     pots = trace_pots or ()
 
-    uniform_op = operator is StepOperatorKind.UNIFORM
-    state, move, _, per = _rls_law(operator, r, ring)
-    states = [state(x[i], z[i], dist[i]) for i in range(n)]
-    w = [st[0] for st in states]
-    total = sum(w)
-    if uniform_op:
-        tree, top = _fenwick(w)
-    else:
-        bound = 2.0 if ring else 1.0
-        live = [i for i in range(n) if dist[i]]
-        slot = [0] * n  # slot[i] is the index of position i in live
-        for k, i in enumerate(live):
-            slot[i] = k
-    norm = per * n  # an iteration makes an accepted move with probability total / norm
     draw = _draws(rng.random)
+    pick, settle, _, _, total, per, _ = _law(operator, r, ring, x, z, dist, draw)
+    norm = per * n  # an iteration makes an accepted move with probability total / norm
     t = 0
     known = None  # the total that log_q belongs to
 
@@ -596,56 +629,20 @@ def _simulate_rls(instance, operator, rng, x0, cap, trace_pots):
             known, p = total, total / norm
             log_q = log1p(-p) if p < 1.0 else None  # None: every iteration moves
         wait = 1 if log_q is None else 1 + int(log(1.0 - draw()) / log_q)
-        if wait > cap - t:
-            if trace is not None:
-                row = trace[-1][1]
-                trace.extend((s, row) for s in range(t + 1, cap + 1))
-            return None, fit, trace
         if trace is not None:
             row = trace[-1][1]
-            trace.extend((s, row) for s in range(t + 1, t + wait))
+            trace.extend((s, row) for s in range(t + 1, min(t + wait, cap + 1)))
+        if wait > cap - t:
+            return None, fit, trace
         t += wait
 
-        if uniform_op:
-            # descend to the position whose cumulative weight range holds
-            # the target; the remainder is the offset s within it
-            s = int(draw() * total)
-            i, bit = 0, top
-            while bit:
-                k = i + bit
-                if k <= n and tree[k] <= s:
-                    i = k
-                    s -= tree[k]
-                bit >>= 1
-        else:
-            while True:
-                i = live[int(draw() * len(live))]
-                s = draw() * bound
-                if s < w[i]:
-                    break
+        i, new = pick()
         zi = z[i]
-        new = move(states[i], x[i], s)
         nd = new - zi if new > zi else zi - new
         if ring and r - nd < nd:
             nd = r - nd
         fit += nd - dist[i]
-        x[i] = new
-        dist[i] = nd
-        st = states[i] = state(new, zi, nd)
-        delta = st[0] - w[i]
-        total += delta
-        w[i] = st[0]
-        if uniform_op:
-            k = i + 1
-            while k <= n:
-                tree[k] += delta
-                k += k & -k
-        elif nd == 0:
-            k = slot[i]
-            last = live.pop()
-            if last != i:
-                live[k] = last
-                slot[last] = k
+        total = settle(i, new, nd)
         if trace is not None:
             trace.append((t, tuple(potential_value(q, instance, np.asarray(x)) for q in pots)))
         if fit == 0:

@@ -55,12 +55,11 @@ class HarmonicTable:
     the cumulative table, O(log r) per draw.
     """
 
-    __slots__ = ("r", "pmf", "cdf", "normalizer")
+    __slots__ = ("r", "pmf", "cdf")
 
     def __init__(self, r: int):
         self.r = r
         self.pmf = harmonic_pmf(r)
-        self.normalizer = float((1.0 / np.arange(1, r, dtype=np.float64)).sum())
         cdf = np.cumsum(self.pmf)
         cdf[-1] = 1.0  # guard against cumulative rounding
         self.cdf = cdf

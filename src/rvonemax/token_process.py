@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import subseed
+from .operators import harmonic_pmf
 
 MAX_EXACT_STATES = 4096  # dense O(r^2) solve stays cheap up to here
 
@@ -52,8 +53,7 @@ def token_step_pmf(distribution, r: int) -> np.ndarray:
         elif name == "uniform":
             p = np.full(r, 1.0 / r)
         elif name == "harmonic":
-            w = 1.0 / np.arange(1, r + 1, dtype=np.float64)
-            p = w / w.sum()
+            p = harmonic_pmf(r + 1)
         else:
             raise ValueError(f"unknown distribution {distribution!r}")
         return p

@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from helpers import (assert_chi_square, assert_same_categorical, assert_same_dis
 from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
                       SpaceParams, StepOperatorKind, fitness, hamming_distance, metric_distance,
                       mutate, run, run_batch, subseed)
-from rvonemax.algorithms import _rls_law, _selection_cdf
+from rvonemax.algorithms import _law, _selection_cdf
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -192,7 +193,7 @@ def test_ea_one_step_matches_exact_transition_law():
     assert_passes("ea one step")
 
 
-@pytest.mark.parametrize("n", [1, 2, 50, 2000])
+@pytest.mark.parametrize("n", [2, 50, 2000])
 def test_ea_selection_cdf_matches_scipy_binomial(n):
     # exact, no sampling: the CDF of the number of positions an EA iteration
     # selects agrees with scipy.stats.binom, and is cut where it reaches 1:
@@ -239,17 +240,32 @@ def preimage_law(f, width, cells=512):
     return {v: mass / width for v, mass in law.items()}
 
 
+def pick_at(pick, script, operator, s, w, bound):
+    """The move pick() of a one-position law makes when its kept draw is s
+    in [0, w): the uniform step's one uniform u has int(u * w) = int(s); a
+    jump step draws its position, then u = s / bound, exact as bound is 1
+    or 2. script holds pick's uniforms, popped from the end."""
+    if operator is UNIFORM:
+        u = (int(s) + 0.5) / w
+        assert int(u * w) == int(s)
+        script[:] = [u]
+    else:
+        script[:] = [s / bound, 0.0]
+    i, new = pick()
+    assert i == 0 and not script
+    return new
+
+
 @pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
 @pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
 def test_rls_closed_forms_match_enumerated_step_outcomes(operator, metric):
-    # exact, no sampling: for every (x, z) the kernel's acceptance probability
-    # a, its conditioned move law and its conditioned miss law (the rejected
-    # steps: infeasible, None, or landing farther than d) equal an
-    # enumeration of operators.step
+    # exact, no sampling: for every (x, z) the law's acceptance probability
+    # a, its conditioned move law (what pick draws) and its conditioned miss
+    # law (the rejected steps: infeasible, None, or landing farther than d)
+    # equal an enumeration of operators.step
     ring = metric is MetricKind.RING
     seen = set()
     for r in (2, 3, 4, 5, 8):
-        state, move, miss, per = _rls_law(operator, r, ring)
         for z in range(r):
             for x in range(r):
                 d = metric_distance(metric, x, z, r)
@@ -261,12 +277,16 @@ def test_rls_closed_forms_match_enumerated_step_outcomes(operator, metric):
                     else:
                         missed[value] = missed.get(value, 0.0) + prob
                 a = sum(accepted.values())
-                st = state(x, z, d)
-                assert st[0] / per == pytest.approx(a, rel=1e-12, abs=1e-15), (r, x, z)
+                script = []
+                pick, _, miss, w, total, per, bound = _law(operator, r, ring, [x], [z], [d],
+                                                           script.pop)
+                assert total == w[0]
+                assert w[0] / per == pytest.approx(a, rel=1e-12, abs=1e-15), (r, x, z)
                 # the thinning bound of the jump steps
-                assert st[0] <= (per if operator is UNIFORM else 2 if ring else 1)
-                if st[0] < per:
-                    law = preimage_law(lambda s: miss(st, x, s), per - st[0])
+                assert bound == (per if operator is UNIFORM else 2 if ring else 1)
+                assert w[0] <= bound
+                if w[0] < per:
+                    law = preimage_law(lambda s: miss(0, s), per - w[0])
                     assert law.keys() == missed.keys(), (r, x, z)
                     for value, prob in missed.items():
                         assert law[value] == pytest.approx(prob / (1 - a), rel=1e-9), (r, x, z)
@@ -274,7 +294,7 @@ def test_rls_closed_forms_match_enumerated_step_outcomes(operator, metric):
                     assert not missed, (r, x, z)
                 if a == 0:
                     continue
-                law = preimage_law(lambda s: move(st, x, s), st[0])
+                law = preimage_law(lambda s: pick_at(pick, script, operator, s, w[0], bound), w[0])
                 assert law.keys() == accepted.keys(), (r, x, z)
                 for value, prob in accepted.items():
                     assert law[value] == pytest.approx(prob / a, rel=1e-9), (r, x, z, value)
@@ -283,6 +303,48 @@ def test_rls_closed_forms_match_enumerated_step_outcomes(operator, metric):
                 if not ring and 0 < d and (x > z and 2 * d > x or x < z and 2 * d > r - 1 - x):
                     seen.add("interval truncation")
     assert seen == ({"ring tie, odd r", "ring tie, even r"} if ring else {"interval truncation"})
+
+
+@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_law_index_follows_settled_moves(operator, metric):
+    # exact, no sampling: along a seeded walk of moves at n=6, in which
+    # positions reach their target and leave it again (the EA's re-add
+    # path), total, w and the pick index (the uniform step's Fenwick tree,
+    # the jump steps' live list and its inverse slot) stay what a law built
+    # afresh from the current point holds
+    n, r = 6, 5
+    ring = metric is MetricKind.RING
+    rng = np.random.default_rng(2024)
+    z = rng.integers(0, r, n).tolist()
+    x = rng.integers(0, r, n).tolist()
+    dist = [metric_distance(metric, v, zi, r) for v, zi in zip(x, z)]
+    _, settle, _, w, total, _, _ = _law(operator, r, ring, x, z, dist, None)
+    index = inspect.getclosurevars(settle).nonlocals
+    moves = Counter()
+    for _ in range(300):
+        i = int(rng.integers(n))
+        if dist[i] and rng.random() < 0.5:
+            new = z[i]
+        else:
+            new = (x[i] + int(rng.integers(1, r))) % r
+        d = metric_distance(metric, new, z[i], r)
+        moves[bool(dist[i]), bool(d)] += 1
+        total = settle(i, new, d)
+        assert x[i] == new and dist[i] == d
+        assert [bool(v) for v in w] == [bool(v) for v in dist]
+        assert w == _law(operator, r, ring, list(x), z, list(dist), None)[3]
+        if operator is HARMONIC:
+            assert total == pytest.approx(sum(w), rel=1e-12)
+        else:
+            assert total == sum(w)
+        if operator is UNIFORM:
+            assert index["tree"] == [0] + [sum(w[k - (k & -k):k]) for k in range(1, n + 1)]
+        else:
+            live, slot = index["live"], index["slot"]
+            assert sorted(live) == [j for j in range(n) if w[j] > 0]
+            assert all(slot[j] == k for k, j in enumerate(live))
+    assert moves[True, False] >= 10 and moves[False, True] >= 10  # removals and re-adds
 
 
 @pytest.mark.parametrize("algorithm", [RLS, EA])

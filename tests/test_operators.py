@@ -36,7 +36,7 @@ def test_harmonic_pmf_properties(r):
 def test_harmonic_table_matches_harmonic_number():
     for r in (2, 5, 40, 300):
         table = HarmonicTable(r)
-        assert table.normalizer == pytest.approx(harmonic_number(r - 1), rel=1e-12)
+        assert table.pmf[0] == pytest.approx(1 / harmonic_number(r - 1), rel=1e-12)
         assert table.cdf[-1] == 1.0
         assert harmonic_table(r) is harmonic_table(r)  # cached and shared
 
