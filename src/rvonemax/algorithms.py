@@ -37,7 +37,6 @@ exactly regardless of execution order or worker count.
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -205,6 +204,8 @@ def _map_runs(run_fn, configs: list[RunConfig], workers: int) -> list[RunRecord]
     """
     if workers <= 1 or len(configs) == 1:
         return [run_fn(c) for c in configs]
+    # imported here, as it loads multiprocessing, which serial runs never need
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_fn, configs, chunksize=max(1, len(configs) // (4 * workers))))
 

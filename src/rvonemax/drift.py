@@ -6,6 +6,19 @@ vector), applies a single mutation-selection round, and averages the
 one-step drop of the chosen potential. Planting makes conditioning on a
 level exact instead of waiting for natural visits. The samples of a level
 are planted, stepped and scored as (S, n) numpy arrays, S rows at a time.
+
+A fitness level s is planted by spreading s units of distance over the
+components, each unit on a uniform component with room left (component i
+has room up to its largest distance c_i). That loop is simulated without
+a pass per unit, by Poisson clocks: component i rings at the points of a
+rate-1 Poisson process stopped after c_i points. By memorylessness each
+next point of their union falls on a uniform component among those with
+room left, so the counts among the first s points have exactly the loop's
+law (ties have probability 0). Arrival times are drawn SLOTS at a time per
+component; a round stops at the s-th point or at the first time a
+component with more than SLOTS room left uses its last drawn slot. That
+time is a stopping time, so the next round restarts fresh clocks from the
+counts committed so far.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ def harmonic_number(k: int) -> float:
 # ---------------------------------------------------------------------------
 
 BLOCK_ROWS = 1024  # rows planted and stepped at once; bounds the arrays' memory
+SLOTS = 8  # arrival times per clock and round when planting a fitness level
 
 
 def _realize(instance: ProblemInstance, dist: np.ndarray,
@@ -119,25 +133,51 @@ def plant_rows_at_hamming(instance: ProblemInstance, k: int, rows: int,
 def plant_rows_at_fitness(instance: ProblemInstance, s: int, rows: int,
                           rng: np.random.Generator) -> np.ndarray:
     """(rows, n) points with fitness exactly s: each row spreads s unit
-    distance increments over uniformly chosen components with headroom left."""
+    distance increments over uniformly chosen components with headroom left.
+
+    The increments are the first s points of per-component Poisson clocks,
+    which have exactly that law (see the module docstring). Each round
+    draws SLOTS arrival times per clock; rows are planted BLOCK_ROWS // SLOTS
+    at a time, so no round holds more than BLOCK_ROWS * n of them.
+    """
     reachable = instance.max_fitness
     if not (0 <= s <= reachable):
         raise ValueError(f"fitness level must lie in [0, {reachable}] for this target, got {s}")
     caps = instance.max_distances
-    dist = np.zeros((rows, instance.params.n), dtype=np.int64)
-    everyone = np.arange(rows)
-    for _ in range(s):
-        room = np.cumsum(dist < caps, axis=1)
-        # the j-th component with headroom, j uniform below the row's count
-        j = (rng.random(rows) * room[:, -1]).astype(np.int64)
-        dist[everyone, (room <= j[:, None]).sum(axis=1)] += 1
+    n = instance.params.n
+    dist = np.zeros((rows, n), dtype=np.int64)
+    for lo in range(0, rows, BLOCK_ROWS // SLOTS):
+        d = dist[lo:lo + BLOCK_ROWS // SLOTS]
+        need = np.full(len(d), s, dtype=np.int64)
+        live = np.flatnonzero(need)
+        while live.size:
+            room = caps - d[live]
+            slots = min(SLOTS, int(room.max()))
+            # times[:, j, i]: the (j+1)-th arrival of clock i, inf past its room
+            times = rng.standard_exponential((live.size, slots, n))
+            row, i = np.nonzero(room < slots)
+            times[row, room[row, i], i] = np.inf
+            for j in range(1, slots):  # a slot at a time: np.cumsum is slower on this axis
+                times[:, j] += times[:, j - 1]
+            # every arrival up to theta is drawn: theta is the first time a clock
+            # with room past its slots uses its last one
+            theta = np.where(room > slots, times[:, -1], np.inf).min(axis=1)
+            ranked = np.sort(times.reshape(live.size, -1), axis=1)
+            nth = ranked[np.arange(live.size), np.minimum(need[live], slots * n) - 1]
+            got = (times <= np.minimum(theta, nth)[:, None, None]).sum(axis=1)
+            total = got.sum(axis=1)
+            ok = total <= need[live]  # a tie at the cut has probability 0: redraw
+            d[live[ok]] += got[ok]
+            need[live[ok]] -= total[ok]
+            live = live[need[live] > 0]
     return _realize(instance, dist, rng)
 
 
 def plant_state_at_fitness(instance: ProblemInstance, s: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Construct a point with fitness exactly s by spreading unit distance
-    increments over randomly chosen components with remaining headroom."""
+    increments over randomly chosen components with remaining headroom; the
+    one-row call of plant_rows_at_fitness."""
     return plant_rows_at_fitness(instance, s, 1, rng)[0]
 
 

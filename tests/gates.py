@@ -18,12 +18,14 @@ from collections import Counter
 import numpy as np
 from scipy import stats
 
-from helpers import exact_transition_matrix, goodness_of_fit_pvalue, same_categorical_pvalue
+from helpers import (exact_fitness_planting_law, exact_transition_matrix, goodness_of_fit_pvalue,
+                     same_categorical_pvalue)
 from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, ProblemInstance,
                       RunConfig, SpaceParams, StartPolicy, StepOperatorKind, TargetPolicy,
-                      TokenConfig, estimate_drift, execute_plan, fit_scaling, fitness,
-                      hamming_distance, harmonic_number, mutate, potential_value, run_batch,
-                      sample_uniform_point, token_expected_hitting_time_exact, token_run_batch)
+                      TokenConfig, component_distances, estimate_drift, execute_plan,
+                      fit_scaling, fitness, hamming_distance, harmonic_number, mutate,
+                      plant_rows_at_fitness, potential_value, run_batch, sample_uniform_point,
+                      token_expected_hitting_time_exact, token_run_batch)
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -199,6 +201,37 @@ def drift_floor(seed, workers=1):
     floor = s / (math.e * (r - 1) * n) * (1 - 0.15)
     return (est.mean_drop >= floor, est.mean_drop - floor, True,
             f"drop={est.mean_drop:.4f}, floor={floor:.4f}")
+
+
+@_gate("fitness planting law", 46)
+def fitness_planting_law(seed, workers=1):
+    """The distance vectors of 100,000 rows planted at fitness level s
+    against the exact law of the one-unit-at-a-time loop: an interior
+    interval target (n=2, r=20, target (0, 7), s in {5, 15, 25}; n=3, r=40,
+    target (0, 30, 10), s in {20, 50, 80}) and the ring (n=3, r=40, s in
+    {20, 50}), every cap above the planter's SLOTS = 8 arrivals per round,
+    so rows take several rounds. One chi-square test at 0.001/8 per level,
+    cells expected fewer than 10 times pooled (margin: the smallest p-value
+    minus 0.001/8)."""
+    cases = ((MetricKind.INTERVAL, 20, (0, 7), (5, 15, 25)),
+             (MetricKind.INTERVAL, 40, (0, 30, 10), (20, 50, 80)),
+             (MetricKind.RING, 40, (0, 30, 10), (20, 50)))
+    rows, significance = 100_000, 0.001 / 8
+    rng = np.random.default_rng(seed)
+    pvalues, details = [], []
+    for metric, r, target, levels in cases:
+        inst = ProblemInstance(SpaceParams(len(target), r), metric, np.array(target))
+        for s in levels:
+            x = plant_rows_at_fitness(inst, s, rows, rng)
+            dist, counts = np.unique(component_distances(metric, x, inst.target, r), axis=0,
+                                     return_counts=True)
+            seen = dict(zip(map(tuple, dist.tolist()), counts.tolist()))
+            law = exact_fitness_planting_law(inst.max_distances.tolist(), s)
+            p = goodness_of_fit_pvalue(seen, law, min_expected=10.0)
+            pvalues.append(p)
+            details.append(f"{metric.value} r={r} s={s}: p={p:.3g}")
+    least = min(pvalues)
+    return least > significance, least - significance, True, "; ".join(details)
 
 
 @_gate("criterion 3", 1003)

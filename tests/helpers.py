@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import defaultdict
 
 import numpy as np
 from scipy import stats
@@ -111,6 +112,21 @@ def reference_plant_state_at_fitness(instance, s, rng):
             room[j] = room[-1]
             room.pop()
     return reference_realize_distances(instance, dist, rng)
+
+
+def exact_fitness_planting_law(caps, s):
+    """The law {distance vector: probability} of the one-unit-at-a-time
+    planting loop after s units with per-component caps: each unit goes to a
+    uniform component below its cap (a DP over distance vectors)."""
+    law = {(0,) * len(caps): 1.0}
+    for _ in range(s):
+        nxt = defaultdict(float)
+        for dist, prob in law.items():
+            room = [i for i, cap in enumerate(caps) if dist[i] < cap]
+            for i in room:
+                nxt[dist[:i] + (dist[i] + 1,) + dist[i + 1:]] += prob / len(room)
+        law = nxt
+    return dict(law)
 
 
 def same_categorical_pvalue(counts_a, counts_b):
@@ -245,7 +261,7 @@ def binomial_pmf(n, p, k):
 
 
 __all__ = ["assert_chi_square", "assert_same_categorical", "assert_same_distribution",
-           "exact_transition_matrix", "goodness_of_fit_pvalue",
+           "exact_fitness_planting_law", "exact_transition_matrix", "goodness_of_fit_pvalue",
            "reference_hitting_time", "reference_one_iteration",
            "reference_plant_state_at_fitness", "reference_realize_distances",
            "reference_state_after", "reference_token_hitting_time", "same_categorical_pvalue",

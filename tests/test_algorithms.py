@@ -1,5 +1,9 @@
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from scipy import stats
 from gates import assert_passes
 from helpers import (assert_chi_square, assert_same_categorical, assert_same_distribution,
                      reference_hitting_time, reference_state_after, step_outcomes)
+import rvonemax
 from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
                       SpaceParams, StepOperatorKind, fitness, hamming_distance, metric_distance,
                       mutate, run, run_batch, subseed)
@@ -68,6 +73,18 @@ def test_run_batch_parallel_matches_sequential():
     for algorithm in (EA, RLS):
         cfg = RunConfig(algorithm, UNIFORM, inst, seed=17)
         assert run_batch(cfg, 6, workers=2) == run_batch(cfg, 6, workers=1)
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the process pool is imported by the runs that use it (workers > 1)
+    src = str(Path(rvonemax.__file__).resolve().parents[1])
+    code = ("import sys; import rvonemax; "
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "
+            "'concurrent.futures.process'))))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_rls_mean_matches_closed_form_from_fixed_hamming_start():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, Run
                       harmonic_number, one_iteration, plant_rows_at_fitness,
                       plant_rows_at_hamming, plant_state_at_fitness, plant_state_at_hamming,
                       potential_value, realize_distance_rows, realize_distances)
+from rvonemax.drift import BLOCK_ROWS, SLOTS
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -171,6 +173,40 @@ def test_row_planters_hit_the_level_on_every_row(metric):
         realize_distance_rows(inst, (0, 0, 0, 0, 0, 0, 0, r // 2 + 4), rows, rng)
     with pytest.raises(ValueError):
         realize_distance_rows(inst, (1,) * (n - 1), rows, rng)
+
+
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_fitness_planting_hits_the_level_when_caps_exceed_slots(metric):
+    # every cap above SLOTS, so a far level takes several rounds per row, and
+    # more rows than one chunk of BLOCK_ROWS // SLOTS
+    n, r, rows = 5, 64, 300
+    inst = make_instance(n, r, metric, target=(0, 10, 31, 50, 63))
+    assert inst.max_distances.min() > SLOTS and rows > BLOCK_ROWS // SLOTS
+    rng = np.random.default_rng(77)
+    for s in (0, 1, inst.max_fitness // 2, inst.max_fitness - 1, inst.max_fitness):
+        x = plant_rows_at_fitness(inst, s, rows, rng)
+        assert x.shape == (rows, n) and (fitness(inst, x) == s).all()
+
+
+def test_fitness_planting_memory_stays_within_a_few_blocks():
+    # a far level at n=50, r=256 takes about 36 rounds per chunk of rows; no
+    # round's arrival times may outgrow one (BLOCK_ROWS, n) block, whatever s or r
+    n, r, s = 50, 256, 5000
+    inst = make_instance(n, r)
+    block = BLOCK_ROWS * n * np.dtype(np.int64).itemsize
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        x = plant_rows_at_fitness(inst, s, BLOCK_ROWS, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (fitness(inst, x) == s).all()
+    assert peak < 6 * block, f"peak {peak / 2**20:.2f} MiB, one block {block / 2**20:.2f} MiB"
+
+
+def test_fitness_planting_matches_exact_sequential_law():
+    assert_passes("fitness planting law")
 
 
 def _counts(points):

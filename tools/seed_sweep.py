@@ -3,16 +3,19 @@
 Usage, from the repository root:
 
     python3 tools/seed_sweep.py 1 2 3 4 5 --workers 2
+    python3 tools/seed_sweep.py 1 2 3 --gate "drift floor" --gate "fitness planting law"
 
-Runs every gate registered in tests/gates.py once per seed given on the
-command line, in place of the fixed seed its test uses, and reports the
-gate's own pass rule and margin. The gates, in the order of the report:
+Runs every gate registered in tests/gates.py (or only those named by
+--gate) once per seed given on the command line, in place of the fixed
+seed its test uses, and reports the gate's own pass rule and margin. The
+gates, in the order of the report:
 
 - criterion 1, the RLS closed form from a fixed and from a uniform start,
   and the closed form through execute_plan;
 - criterion 7, token Monte Carlo means against the exact solver;
-- criterion 2, the exact Hamming drift law at one level, the drift grid
-  and the EA fitness drift floor;
+- criterion 2, the exact Hamming drift law at one level, the drift grid,
+  the EA fitness drift floor, and the rows planted at a fitness level
+  against the exact law of the one-unit-at-a-time loop;
 - criteria 3 to 6, the uniform and +-1 EA scaling fits, and the pooled
   test that EA runs raise the Hamming distance at the plain loop's rate;
 - the trace rows of every algorithm x operator x metric after 1 and 4
@@ -44,9 +47,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", type=int, nargs="+", help="seeds to run each gate at")
     parser.add_argument("--workers", type=int, default=1, help="processes per plan")
+    parser.add_argument("--gate", action="append", choices=[name for name, _, _ in GATES],
+                        help="run only this gate (repeatable); default: every gate")
     args = parser.parse_args(argv)
     summary = []
     for name, fixed_seed, gate in GATES:
+        if args.gate and name not in args.gate:
+            continue
         margins, passed = [], 0
         for seed in args.seeds:
             ok, margin, uncapped, detail = gate(seed, args.workers)
@@ -55,9 +62,9 @@ def main(argv=None) -> int:
             print(f"{name}: seed {seed}: {'pass' if ok else 'FAIL'} margin={margin:.4g} "
                   f"({detail}{'' if uncapped else ', capped runs'})", flush=True)
         summary.append((name, fixed_seed, passed, margins))
-    print(f"{'gate':<18} {'test seed':>9} {'passed':>8} {'min margin':>11} {'median margin':>14}")
+    print(f"{'gate':<20} {'test seed':>9} {'passed':>8} {'min margin':>11} {'median margin':>14}")
     for name, fixed_seed, passed, margins in summary:
-        print(f"{name:<18} {fixed_seed:>9} {passed:>4}/{len(margins):<3} "
+        print(f"{name:<20} {fixed_seed:>9} {passed:>4}/{len(margins):<3} "
               f"{min(margins):>11.4g} {statistics.median(margins):>14.4g}")
     return 0
 
