@@ -7,31 +7,43 @@ with probability 1/n. The run records the hitting time, i.e. the 1-based
 index of the first iteration whose offspring evaluates to fitness 0 (0 when
 the initial point is already optimal).
 
-RLS is simulated rejection-free (the n-fold way of Bortz, Kalos and
-Lebowitz; Gillespie's SSA). A step at position i is accepted and changes
-x_i with a closed-form probability a_i, so the iterations up to the next
-accepted move are Geometric(sum(a)/n), the move lands at i with probability
-a_i / sum(a), and it is drawn conditioned on acceptance. A run costs about
-its number of accepted moves, not its number of iterations.
+RLS is simulated in lockstep over a batch of runs. A step at position i is
+accepted, and changes x_i, with a closed-form probability a_i = w_i / per
+that depends on d_i alone, so in continuous time, with iterations at rate
+norm = per * n, the positions are independent chains: position i moves at
+rate w_i by its move conditioned on acceptance, and the rejected
+iterations come at rate norm - sum(w). The kernel advances every
+(replicate, unfinished position) lane of a batch as numpy arrays, one move
+per lane and round: a lane draws e ~ Exp(1), adds e / w_i to its clock
+and moves. A run's hitting time is its number of moves M plus a Poisson
+count of rejected iterations, of mean norm * tau - sum(e), with tau its
+last lane's clock and sum(e) all its lanes' draws. Traced and capped runs
+are replayed with their moves recorded, merged by clock, with that count
+split over the intervals between moves. A batch costs about its largest
+number of moves at one position in numpy rounds, plus a few calls per run.
 
-The (1+1) EA is simulated the same way, one event per iteration in which
-some selected position takes a not-worse step (a feasible step that does
-not raise its own distance to the target). Position i does so with
+The (1+1) EA is simulated rejection-free (the n-fold way of Bortz, Kalos
+and Lebowitz; Gillespie's SSA), one event per iteration in which some
+selected position takes a not-worse step (a feasible step that does not
+raise its own distance to the target). Position i does so with
 probability a_i / n, independently of the others, with RLS's a_i; in any
 other iteration each selected step is discarded as infeasible or raises the
 fitness, so x is unchanged. The waits between events come from a Poisson
-process of such steps, the positions that step not-worse are picked as RLS
-picks them and move by RLS's conditioned law, and the other selected
+process of such steps, the positions that step not-worse are picked by
+their weight w_i and move by the conditioned law, and the other selected
 positions are drawn with their step conditioned on missing, until the
 offspring is sure to be rejected. A run costs about its number of events,
 not its number of iterations.
 
-Neither kernel knows the step operator: the per-position law (_law) owns
-the weights, the conditioned moves and misses, and the pick index.
+Neither kernel knows the step operator: the per-position law (_law for the
+EA, its vectorized closed forms _lane_law for RLS) owns the weights and the
+conditioned moves, and _law also the misses and the pick index.
 
 Runs are deterministic functions of their seed. Replicates of a batch use
 sub-seeds derived from (seed, index) via subseed(), so batches reproduce
-exactly regardless of execution order or worker count.
+exactly regardless of execution order or worker count. Each RLS run draws
+from its own generator in chunks shaped by its own state only, so its
+record is the same alone (run) and in any lockstep batch.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
-from math import log, log1p
+from math import log1p
 
 import numpy as np
 
@@ -51,8 +63,10 @@ from .space import (MetricKind, ProblemInstance, as_point, component_distances, 
                     sample_uniform_point)
 
 DEFAULT_ITERATION_CAP = 10**10
+LANES = 2048  # lanes (replicate x position) the lockstep RLS kernel advances at once
 
 _BLOCK = 4096
+_CHUNK_ROUNDS = 8  # the most rounds of uniforms a lockstep replicate draws at once
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -168,15 +182,16 @@ def one_iteration(algorithm: AlgorithmKind, operator: StepOperatorKind,
 
 def run(config: RunConfig) -> RunRecord:
     """Execute one seeded run until the optimum is evaluated or the cap hits."""
+    if _lockstep(config):
+        return _run_lanes([config])[0]
     rng = np.random.default_rng(subseed(config.seed, 0))
     instance = config.instance
     if config.initial_point is not None:
         x0 = np.array(config.initial_point, dtype=np.int64)
     else:
         x0 = sample_uniform_point(instance.params, rng)
-    simulate = _simulate_rls if config.algorithm is AlgorithmKind.RLS else _simulate_ea
-    hit, final_fit, trace = simulate(instance, config.operator, rng, x0,
-                                     config.iteration_cap, config.trace_potentials)
+    hit, final_fit, trace = _simulate_ea(instance, config.operator, rng, x0,
+                                         config.iteration_cap, config.trace_potentials)
     capped = hit is None
     iterations = config.iteration_cap if capped else hit
     return RunRecord(hitting_time=hit, capped=capped, final_fitness=final_fit,
@@ -197,17 +212,48 @@ def run_batch(config: RunConfig, replicates: int, workers: int = 1) -> list[RunR
 
 
 def _map_runs(run_fn, configs: list[RunConfig], workers: int) -> list[RunRecord]:
-    """run_fn over configs in order; workers > 1 spreads them over processes.
+    """The record of each config, in order; workers > 1 spreads them over
+    processes.
 
-    Callers pass the `run` of their own module, so a wrapper installed on
-    that module-level name sees every call.
+    Lockstep configs (RLS, and the EA at n = 1) go to the lockstep kernel in
+    groups of at most LANES lanes that share the operator, n, r and metric;
+    every other config goes to run_fn. Callers pass the `run` of their own
+    module, so a wrapper installed on that module-level name sees every
+    call that is not a lockstep group. A config's record is the same in any
+    group, so the grouping and the worker count do not change any result.
     """
-    if workers <= 1 or len(configs) == 1:
-        return [run_fn(c) for c in configs]
-    # imported here, as it loads multiprocessing, which serial runs never need
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_fn, configs, chunksize=max(1, len(configs) // (4 * workers))))
+    tasks, slots = [], []  # (function, argument) and the config indices it covers
+    laws = {}  # (operator, params, metric) -> indices of the lockstep configs
+    for k, config in enumerate(configs):
+        if _lockstep(config):
+            key = (config.operator, config.instance.params, config.instance.metric)
+            laws.setdefault(key, []).append(k)
+        else:
+            tasks.append((run_fn, config))
+            slots.append((k,))
+    for (_, params, _), where in laws.items():
+        size = max(1, LANES // params.n)
+        for lo in range(0, len(where), size):
+            tasks.append((_run_lanes, [configs[k] for k in where[lo:lo + size]]))
+            slots.append(where[lo:lo + size])
+    if workers <= 1 or len(tasks) == 1:
+        outputs = [fn(arg) for fn, arg in tasks]
+    else:
+        # imported here, as it loads multiprocessing, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outputs = list(pool.map(_call, tasks,
+                                    chunksize=max(1, len(tasks) // (4 * workers))))
+    records = [None] * len(configs)
+    for where, output in zip(slots, outputs):
+        for k, record in zip(where, [output] if isinstance(output, RunRecord) else output):
+            records[k] = record
+    return records
+
+
+def _call(task):
+    fn, arg = task
+    return fn(arg)
 
 
 def _start(instance, x0, trace_pots):
@@ -276,9 +322,6 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
     """
     params = instance.params
     n, r = params.n, params.r
-    if n == 1:
-        # the one position is selected in every iteration: the EA is RLS
-        return _simulate_rls(instance, operator, rng, x0, cap, trace_pots)
     ring = instance.metric is MetricKind.RING
     x, z, dist, fit, trace = _start(instance, x0, trace_pots)
     if fit == 0:
@@ -369,7 +412,7 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
 
 def _law(operator, r, ring, x, z, dist, draw):
     """(pick, settle, miss, w, total, per, bound): the closed-form step law
-    of every position of a run, and the index the kernels pick from.
+    of every position of a run, and the index the EA kernel picks from.
 
     A step at position i is accepted (feasible, and lands within distance
     d_i of z_i) and changes x_i with probability a_i = w_i / per, and w_i
@@ -598,53 +641,232 @@ def _draws(method):
 
 
 # ---------------------------------------------------------------------------
-# Rejection-free RLS
+# Lockstep RLS batches
 # ---------------------------------------------------------------------------
 
-def _simulate_rls(instance, operator, rng, x0, cap, trace_pots):
-    """Rejection-free RLS: one loop pass per accepted move.
+def _lockstep(config):
+    """Whether the config runs on the lockstep kernel: RLS, and the EA at
+    n = 1, which selects its one position in every iteration and so is RLS."""
+    return config.algorithm is AlgorithmKind.RLS or config.instance.params.n == 1
 
-    Each pass draws the wait W ~ Geometric(sum(a)/n) by inversion, then the
-    law's pick: i with probability a_i / sum(a) and the accepted move at i;
-    settling it updates x_i, d_i, the law state of i and sum(a).
 
-    Returns (hitting_time or None, final_fitness, trace or None); the trace
-    repeats the previous row for every iteration of a wait.
+def _lane_law(operator, r, ring):
+    """(per, move): the closed-form step law of _law, vectorized over lanes.
+
+    move(x, z, d, u) takes arrays of lane values x, targets z, distances d
+    and uniforms u in [0, 1), and returns (w, new): the lanes' weights (a
+    step is accepted with probability w / per, as in _law; w = 0 at d = 0)
+    and, where w > 0, their accepted moves, drawn from the step conditioned
+    on acceptance by inverting s = u * w, uniform on [0, w), as _law's pick
+    does.
     """
-    params = instance.params
-    n, r = params.n, params.r
-    ring = instance.metric is MetricKind.RING
-    x, z, dist, fit, trace = _start(instance, x0, trace_pots)
-    if fit == 0:
-        return 0, 0, trace
-    pots = trace_pots or ()
+    if operator is StepOperatorKind.UNIFORM:
+        def move(x, z, d, u):
+            # the accepted values are the run start, start + 1, ... (mod r) of
+            # length w + 1, x among them
+            if ring:
+                full = 2 * d + 1 >= r
+                start, w = np.where(full, 0, z - d), np.where(full, r - 1, 2 * d)
+            else:
+                start = np.maximum(z - d, 0)
+                w = np.minimum(z + d, r - 1) - start
+            s = (u * w).astype(np.int64)
+            s += s >= (x - start) % r
+            return w, (start + s) % r
+        return r - 1, move
 
-    draw = _draws(rng.random)
-    pick, settle, _, _, total, per, _ = _law(operator, r, ring, x, z, dist, draw)
-    norm = per * n  # an iteration makes an accepted move with probability total / norm
-    t = 0
-    known = None  # the total that log_q belongs to
+    if operator is StepOperatorKind.PLUS_MINUS_ONE:
+        def move(x, z, d, u):
+            # x + toward is accepted when d > 0, and on the ring x - toward too
+            # when 2d >= r - 1
+            if not ring:
+                return np.minimum(d, 1), np.where(x > z, x - 1, x + 1)
+            toward = np.where((x - z) % r == d, -1, 1)
+            w = np.where(2 * d >= r - 1, 2, np.minimum(d, 1))
+            return w, (x + np.where(u * w < 1.0, toward, -toward)) % r
+        return 2, move
 
-    while True:
-        if total != known:
-            known, p = total, total / norm
-            log_q = log1p(-p) if p < 1.0 else None  # None: every iteration moves
-        wait = 1 if log_q is None else 1 + int(log(1.0 - draw()) / log_q)
-        if trace is not None:
-            row = trace[-1][1]
-            trace.extend((s, row) for s in range(t + 1, min(t + wait, cap + 1)))
-        if wait > cap - t:
-            return None, fit, trace
-        t += wait
+    F = np.concatenate(([0.0], harmonic_table(r).cdf))  # F[j] = P[jump <= j]
 
-        i, new = pick()
-        zi = z[i]
-        nd = new - zi if new > zi else zi - new
-        if ring and r - nd < nd:
-            nd = r - nd
-        fit += nd - dist[i]
-        total = settle(i, new, nd)
-        if trace is not None:
-            trace.append((t, tuple(potential_value(q, instance, np.asarray(x)) for q in pots)))
-        if fit == 0:
-            return t, 0, trace
+    def move(x, z, d, u):
+        # the accepted steps are x + toward*j for j in [1, J], mass F[J], and
+        # x - toward*j (mod r) for j in [L, r-1], mass 1 - F[L-1]
+        if not ring:
+            up = x > z
+            w = F[np.minimum(2 * d, np.where(up, x, r - 1 - x))]
+            j = np.searchsorted(F, u * w, "right")
+            return w, np.where(up, x - j, x + j)
+        toward = np.where((x - z) % r == d, -1, 1)
+        tie = 2 * d >= r
+        near, far = F[np.where(tie, r - 1, 2 * d)], F[np.where(tie, 0, r - 2 * d - 1)]
+        w = near + (1.0 - far)
+        s = u * w
+        low = s < near
+        j = np.minimum(np.searchsorted(F, np.where(low, s, far + (s - near)), "right"), r - 1)
+        return w, (x + np.where(low, toward, -toward) * j) % r
+    return 2, move
+
+
+def _advance(configs, record=False):
+    """Advance every (replicate, unfinished position) lane of a batch of
+    lockstep configs, which share the operator, n, r and metric, to its
+    target.
+
+    Position i of a replicate moves at the points of a Poisson clock of
+    rate w_i, independently of the others (RLS accepts a step at i on the
+    strength of d_i alone), by its conditioned accepted move; the rejected
+    iterations are a Poisson process of rate norm - sum(w), norm = per * n.
+    So each round a lane draws e ~ Exp(1), adds e / w_i to its clock and
+    moves, and a replicate's hitting time is T = M + Poisson(norm tau -
+    sum(e)), with M its moves, tau its last lane's clock and sum(e) all its
+    lanes' draws: the rejected iterations up to its last move. Every
+    replicate draws from its own generator: its start point when it has
+    none, then its lanes' uniforms in chunks of (its unfinished lanes,
+    rounds, 2) for the rounds 0-1, 2-5, 6-13, 14-21, ... (at most _CHUNK_ROUNDS
+    and LANES // n at a time), then the Poisson count; the chunks depend
+    only on the replicate's own state, so its T does too, in any batch.
+
+    Returns (hits, rngs, starts, moves): moves is [] without record, and
+    with it the arrays (lane, clock, new value, old and new distance,
+    change of w) of every move, lane k * n + i being position i of
+    replicate k.
+    """
+    first = configs[0].instance
+    n, r, ring = first.params.n, first.params.r, first.metric is MetricKind.RING
+    per, move = _lane_law(configs[0].operator, r, ring)
+    most = max(1, min(_CHUNK_ROUNDS, LANES // n))
+    rngs, starts = [], []
+    for config in configs:
+        rng = np.random.default_rng(subseed(config.seed, 0))
+        if config.initial_point is not None:
+            starts.append(np.array(config.initial_point, dtype=np.int64))
+        else:
+            starts.append(sample_uniform_point(config.instance.params, rng))
+        rngs.append(rng)
+    z_all = np.concatenate([config.instance.target for config in configs])
+    d_all = component_distances(first.metric, np.concatenate(starts), z_all, r)
+    lane = np.flatnonzero(d_all)  # the unfinished lanes, in batch order
+    x, z, d = np.concatenate(starts)[lane], z_all[lane], d_all[lane]
+    clock, spent = np.zeros(lane.size), np.zeros(lane.size)
+    tau, spent_all = np.zeros(d_all.size), np.zeros(d_all.size)
+    moves = np.zeros(d_all.size, dtype=np.int64)
+    log = []
+    t = start = size = 0
+    while lane.size:
+        if t == start + size:
+            start, size = t, min(2 * size or 2, most)
+            chunk, row, end = np.empty((lane.size, size, 2)), np.arange(lane.size), 0
+            for k, c in enumerate(np.bincount(lane // n, minlength=len(configs)).tolist()):
+                if c:
+                    rngs[k].random(out=chunk[end:end + c])  # replicate k's (c, size, 2) draw
+                    end += c
+        u = chunk[row, t - start]
+        e = -np.log1p(-u[:, 0])
+        w, x = move(x, z, d, u[:, 1])
+        clock += e / w
+        spent += e
+        nd = component_distances(first.metric, x, z, r)
+        if record:
+            log.append((lane, clock.copy(), x, d, nd, move(x, z, nd, u[:, 1])[0] - w))
+        d = nd
+        t += 1
+        done = d == 0
+        if done.any():
+            ids = lane[done]
+            tau[ids], spent_all[ids], moves[ids] = clock[done], spent[done], t
+            keep = ~done
+            lane, x, z, d, clock, spent, row = (a[keep] for a in (lane, x, z, d, clock, spent,
+                                                                  row))
+
+    # per replicate; each reduction runs over the replicate's own lanes only
+    offsets = np.arange(0, d_all.size, n)
+    mean = np.maximum(per * n * np.maximum.reduceat(tau, offsets)
+                      - np.add.reduceat(spent_all, offsets), 0.0).tolist()
+    hits = [m and m + int(rng.poisson(v)) for m, v, rng in
+            zip(np.add.reduceat(moves, offsets).tolist(), mean, rngs)]
+    if record:
+        log = ([np.concatenate(column) for column in zip(*log)] if log
+               else [np.zeros(0, dtype=np.int64)] * 6)
+    return hits, rngs, starts, log
+
+
+def _run_lanes(configs):
+    """The RunRecords of lockstep configs that share the operator, n, r and
+    metric, advanced together by _advance; each equals its config's record
+    in any batch.
+
+    A traced run, or one with T above its cap, is replayed with its moves
+    recorded (see _replay)."""
+    hits, _, _, _ = _advance(configs)
+    records = [None if config.trace_potentials or hit > config.iteration_cap
+               else RunRecord(hitting_time=hit, capped=False, final_fitness=0,
+                              evaluations=hit + 1)
+               for config, hit in zip(configs, hits)]
+    again = [k for k, record in enumerate(records) if record is None]
+    if again:
+        for k, record in zip(again, _replay([configs[k] for k in again])):
+            records[k] = record
+    return records
+
+
+def _replay(configs):
+    """Records of lockstep configs from their recorded moves.
+
+    The moves of a replicate's lanes, merged by clock, are its accepted
+    moves in order; between moves k - 1 and k the rejected iterations come
+    at rate norm - total_(k-1), total being sum(w) after move k - 1. So,
+    given their number (the Poisson count _advance draws), they fall into
+    the intervals multinomially in proportion to (norm - total_(k-1))
+    (t_k - t_(k-1)), which gives each move's iteration, the trace rows, the
+    state at the cap and the capped-prefix property exactly. The
+    multinomial is the replicate's last draw.
+    """
+    hits, rngs, starts, (lane, clock, new, old, nd, change) = _advance(configs, record=True)
+    params = configs[0].instance.params
+    norm = params.n * (params.r - 1 if configs[0].operator is StepOperatorKind.UNIFORM else 2)
+    owner = lane // params.n
+    order = np.lexsort((clock, owner))  # stable: a lane's moves keep their order
+    bounds = np.searchsorted(owner[order], np.arange(len(configs) + 1)).tolist()
+    return [_replayed_record(config, hits[k], rngs[k], starts[k], norm,
+                             *(a[order[bounds[k]:bounds[k + 1]]]
+                               for a in (lane % params.n, clock, new, old, nd, change)))
+            for k, config in enumerate(configs)]
+
+
+def _replayed_record(config, hit, rng, x0, norm, pos, clock, new, old, nd, change):
+    """One replicate's record from its moves in clock order (see _replay);
+    change is the change of sum(w) at each move."""
+    instance, cap, pots = config.instance, config.iteration_cap, config.trace_potentials
+    m = pos.size
+    # every lane ends at w = 0, so the total before move k is minus the
+    # changes from move k on
+    rate = np.maximum(norm + np.cumsum(change[::-1])[::-1], 0.0)
+    weights = rate * np.diff(clock, prepend=0.0)
+    skipped = np.zeros(m, dtype=np.int64)
+    if hit > m:
+        if not weights.sum() > 0.0:
+            weights[-1] = 1.0
+        skipped = rng.multinomial(hit - m, weights / weights.sum())
+    when = np.arange(1, m + 1) + np.cumsum(skipped)  # the iteration of each move
+    done = int(np.searchsorted(when, cap, "right"))  # moves by the cap
+    fit = int(component_distances(instance.metric, x0, instance.target,
+                                  instance.params.r).sum())
+    final = fit + int((nd[:done] - old[:done]).sum())
+    trace = None
+    if pots:
+        # the point after each of the first `done` moves, by forward fill per position
+        n = x0.size
+        values = np.full((done + 1, n), -1, dtype=np.int64)
+        values[0] = x0
+        values[np.arange(1, done + 1), pos[:done]] = new[:done]
+        latest = np.where(values >= 0, np.arange(done + 1)[:, None], 0)
+        np.maximum.accumulate(latest, axis=0, out=latest)
+        points = values[latest, np.arange(n)]
+        rows = list(zip(*(potential_value(p, instance, points).tolist() for p in pots)))
+        steps = np.searchsorted(when[:done], np.arange(min(hit, cap) + 1), "right")
+        trace = tuple((t, rows[s]) for t, s in enumerate(steps.tolist()))
+    if hit > cap:
+        return RunRecord(hitting_time=None, capped=True, final_fitness=final,
+                         evaluations=cap + 1, trace=trace)
+    return RunRecord(hitting_time=hit, capped=False, final_fitness=0, evaluations=hit + 1,
+                     trace=trace)

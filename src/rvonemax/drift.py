@@ -103,15 +103,9 @@ def realize_distances(instance: ProblemInstance, distances: Sequence[int],
 
 def plant_state_at_hamming(instance: ProblemInstance, k: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """Corrupt k uniformly chosen positions of the target to wrong values."""
-    params = instance.params
-    if not (0 <= k <= params.n):
-        raise ValueError(f"hamming level must lie in [0, {params.n}], got {k}")
-    x = np.array(instance.target, dtype=np.int64)
-    where = rng.choice(params.n, size=k, replace=False)
-    wrong = rng.integers(0, params.r - 1, size=k)
-    x[where] = wrong + (wrong >= x[where])  # uniform over the r-1 wrong values
-    return x
+    """Corrupt k uniformly chosen positions of the target to wrong values;
+    the one-row call of plant_rows_at_hamming."""
+    return plant_rows_at_hamming(instance, k, 1, rng)[0]
 
 
 def plant_rows_at_hamming(instance: ProblemInstance, k: int, rows: int,

@@ -18,8 +18,8 @@ from collections import Counter
 import numpy as np
 from scipy import stats
 
-from helpers import (exact_fitness_planting_law, exact_transition_matrix, goodness_of_fit_pvalue,
-                     same_categorical_pvalue)
+from helpers import (exact_expected_hitting_time, exact_fitness_planting_law,
+                     exact_transition_matrix, goodness_of_fit_pvalue, same_categorical_pvalue)
 from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, ProblemInstance,
                       RunConfig, SpaceParams, StartPolicy, StepOperatorKind, TargetPolicy,
                       TokenConfig, component_distances, estimate_drift, execute_plan,
@@ -378,6 +378,31 @@ def transition_oracle(seed, workers=1):
                 pvalues.append(p)
                 details.append(f"{algorithm.value}/{operator.value}/{metric.value}/t={t}: "
                                f"p={p:.3g}")
+    least = min(pvalues)
+    return least > significance, least - significance, True, "; ".join(details)
+
+
+@_gate("rls exact mean", 47)
+def rls_exact_mean(seed, workers=1):
+    """The mean hitting time of 20,000 RLS runs from a uniform start, for
+    every operator on both metrics (n=3, r=4, target (0, 1, 2)), against the
+    exact E[T] of exact_transition_matrix: one two-sided z-test at 0.001/6
+    per (operator, metric), so the gate as a whole is at 0.001 (margin: the
+    smallest p-value minus 0.001/6)."""
+    runs, significance = 20_000, 0.001 / 6
+    pvalues, details = [], []
+    for metric in (MetricKind.INTERVAL, MetricKind.RING):
+        inst = ProblemInstance(SpaceParams(3, 4), metric, np.array([0, 1, 2]))
+        for operator in (UNIFORM, PM1, HARMONIC):
+            exact = exact_expected_hitting_time(exact_transition_matrix(RLS, operator, inst))
+            times = np.array([rec.hitting_time for rec in
+                              run_batch(RunConfig(RLS, operator, inst, seed=seed), runs, workers)],
+                             dtype=np.float64)
+            z = (times.mean() - exact) / (times.std(ddof=1) / math.sqrt(runs))
+            p = 2.0 * stats.norm.sf(abs(z))
+            pvalues.append(p)
+            details.append(f"{operator.value}/{metric.value}: mean={times.mean():.3f} "
+                           f"exact={exact:.3f} z={z:.2f}")
     least = min(pvalues)
     return least > significance, least - significance, True, "; ".join(details)
 

@@ -97,6 +97,18 @@ def reference_realize_distances(instance, distances, rng):
     return x
 
 
+def reference_plant_state_at_hamming(instance, k, rng):
+    """The target with k uniformly chosen positions set to uniform wrong
+    values, by rng.choice of the positions; an oracle for the row planters."""
+    params = instance.params
+    assert 0 <= k <= params.n
+    x = np.array(instance.target, dtype=np.int64)
+    where = rng.choice(params.n, size=k, replace=False)
+    wrong = rng.integers(0, params.r - 1, size=k)
+    x[where] = wrong + (wrong >= x[where])  # uniform over the r-1 wrong values
+    return x
+
+
 def reference_plant_state_at_fitness(instance, s, rng):
     """One point at fitness s, one unit of distance at a time on a uniform
     component with headroom left; an oracle for the row planters."""
@@ -236,6 +248,17 @@ def exact_transition_matrix(algorithm, operator, instance):
     return matrix
 
 
+def exact_expected_hitting_time(matrix):
+    """E[T] from a uniform start over all points under a matrix of
+    exact_transition_matrix: the expected iterations to the optimum solve
+    m = 1 + Q m on the other points (Q the matrix restricted to them), and
+    are 0 at the optimum, the one point that stays put surely."""
+    transient = np.diag(matrix) < 1.0
+    q = matrix[np.ix_(transient, transient)]
+    m = np.linalg.solve(np.eye(q.shape[0]) - q, np.ones(q.shape[0]))
+    return float(m.sum() / matrix.shape[0])
+
+
 def goodness_of_fit_pvalue(counts, probs, min_expected=5.0):
     """p-value of a chi-square goodness-of-fit test of the sample given as
     {category: count} against the law {category: probability}; categories
@@ -261,8 +284,10 @@ def binomial_pmf(n, p, k):
 
 
 __all__ = ["assert_chi_square", "assert_same_categorical", "assert_same_distribution",
-           "exact_fitness_planting_law", "exact_transition_matrix", "goodness_of_fit_pvalue",
+           "exact_expected_hitting_time", "exact_fitness_planting_law", "exact_transition_matrix",
+           "goodness_of_fit_pvalue",
            "reference_hitting_time", "reference_one_iteration",
-           "reference_plant_state_at_fitness", "reference_realize_distances",
+           "reference_plant_state_at_fitness", "reference_plant_state_at_hamming",
+           "reference_realize_distances",
            "reference_state_after", "reference_token_hitting_time", "same_categorical_pvalue",
            "step_outcomes", "binomial_pmf", "AlgorithmKind"]

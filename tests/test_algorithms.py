@@ -2,7 +2,9 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,12 @@ from gates import assert_passes
 from helpers import (assert_chi_square, assert_same_categorical, assert_same_distribution,
                      reference_hitting_time, reference_state_after, step_outcomes)
 import rvonemax
-from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
-                      SpaceParams, StepOperatorKind, fitness, hamming_distance, metric_distance,
-                      mutate, run, run_batch, subseed)
-from rvonemax.algorithms import _law, _selection_cdf
+from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, ProblemInstance,
+                      RunConfig, SpaceParams, StepOperatorKind, TargetPolicy, execute_plan,
+                      fitness, hamming_distance, metric_distance, mutate, run, run_batch,
+                      subseed)
+from rvonemax.algorithms import LANES, _lane_law, _law, _map_runs, _selection_cdf
+from rvonemax.experiments import _replicate_config, hitting_time_summary
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -73,6 +77,94 @@ def test_run_batch_parallel_matches_sequential():
     for algorithm in (EA, RLS):
         cfg = RunConfig(algorithm, UNIFORM, inst, seed=17)
         assert run_batch(cfg, 6, workers=2) == run_batch(cfg, 6, workers=1)
+
+
+def _lockstep_mix():
+    """Configs the lockstep kernel runs, of every operator and metric, plain,
+    traced, capped, capped and traced, at the optimum, and the EA at n = 1,
+    at two sizes per law, with EA configs between them."""
+    pots = (Potential.fitness(), Potential.exp_weight(1.5))
+    configs = []
+    for k, (operator, metric) in enumerate([(o, m) for o in (UNIFORM, PM1, HARMONIC)
+                                            for m in MetricKind]):
+        for n in (2, 5 + k):
+            inst = make_instance(n, 6, metric, target=np.arange(n) % 6)
+            seed = 100 * k + 10 * n
+            configs += [RunConfig(RLS, operator, inst, seed=seed),
+                        RunConfig(RLS, operator, inst, seed=seed + 1, trace_potentials=pots),
+                        RunConfig(RLS, operator, inst, seed=seed + 2, iteration_cap=12),
+                        RunConfig(RLS, operator, inst, seed=seed + 3, iteration_cap=12,
+                                  trace_potentials=pots),
+                        RunConfig(EA, operator, inst, seed=seed + 4)]
+    optimum = make_instance(4, 5, target=(1, 2, 3, 4))
+    configs += [RunConfig(RLS, PM1, optimum, seed=1, initial_point=optimum.target,
+                          trace_potentials=pots),
+                RunConfig(EA, HARMONIC, make_instance(1, 7), seed=2),
+                RunConfig(EA, UNIFORM, make_instance(1, 7), seed=3, trace_potentials=pots)]
+    return configs
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lockstep_record_is_the_same_in_any_batch(workers):
+    # a lockstep replicate depends only on its own seed: each config's record
+    # in a mixed batch, in either order, is its record run alone
+    configs = _lockstep_mix()
+    alone = [run(c) for c in configs]
+    assert any(rec.capped for rec in alone) and any(rec.trace for rec in alone)
+    assert any(rec.capped and rec.trace for rec in alone)
+    assert _map_runs(run, configs, workers) == alone
+    assert _map_runs(run, configs[::-1], workers) == alone[::-1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("size", [1, 7, 300])
+def test_run_is_its_record_in_run_batch(size, workers):
+    # 300 replicates at n=16 fill more than one group of LANES lanes
+    inst = make_instance(16, 6, MetricKind.RING, target=np.arange(16) % 6)
+    assert 300 * 16 > LANES
+    for cfg in (RunConfig(RLS, HARMONIC, inst, seed=81),
+                RunConfig(RLS, PM1, inst, seed=82, iteration_cap=150,
+                          trace_potentials=(Potential.fitness(),))):
+        batch = run_batch(cfg, size, workers)
+        for k in sorted({0, 1, size // 2, size - 1} & set(range(size))):
+            assert batch[k] == run(replace(cfg, seed=subseed(cfg.seed, k)))
+        if size == 300 and cfg.iteration_cap == 150:
+            assert 0 < sum(rec.capped for rec in batch) < size
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("size", [1, 7, 300])
+def test_run_is_its_record_in_execute_plan(size, workers):
+    # every cell's aggregate is that of its replicates' configs run alone
+    plan = ExperimentPlan(grid=((16, 6), (3, 4)), algorithms=(RLS, EA),
+                          operators=(UNIFORM, HARMONIC), metric=MetricKind.RING,
+                          target_policy=TargetPolicy.UNIFORM_RANDOM, replicates=size,
+                          base_seed=5, iteration_cap=300)
+    aggs = execute_plan(plan, workers)
+    assert len(aggs) == 8
+    for agg in aggs:
+        records = [run(_replicate_config(plan, agg.n, agg.r, agg.algorithm, agg.operator, rep))
+                   for rep in range(size)]
+        np.testing.assert_equal((agg.mean, agg.std_error, agg.median, agg.capped_count),
+                                hitting_time_summary(records))
+
+
+def test_lockstep_batch_memory_stays_within_a_few_mib():
+    # tracemalloc peak of a plan_short-sized batch (1000 runs at n=20 from
+    # Hamming distance 20) and of plan_long's +-1 batch (24 runs at n=50,
+    # r=256): the kernel holds O(lanes) arrays and at most LANES lanes at once
+    cases = ((RunConfig(RLS, UNIFORM, make_instance(20, 8), seed=3,
+                        initial_point=np.full(20, 5)), 1000),
+             (RunConfig(RLS, PM1, make_instance(50, 256), seed=4), 24))
+    for cfg, reps in cases:
+        run_batch(cfg, 2)  # caches and lazy imports outside the measurement
+        tracemalloc.start()
+        try:
+            run_batch(cfg, reps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (reps, peak)  # measured 1.15 and 0.48 MiB
 
 
 def test_import_leaves_multiprocessing_unloaded():
@@ -204,6 +296,12 @@ def test_kernels_match_exact_transition_law():
     assert_passes("transition oracle")
 
 
+def test_rls_mean_matches_exact_expected_hitting_time():
+    # a one-sample test against truth: the RLS mean of every operator x
+    # metric at n=3, r=4 against the exact E[T] of the transition matrix
+    assert_passes("rls exact mean")
+
+
 def test_ea_one_step_matches_exact_transition_law():
     # the same oracle from one start where the kernel's rate of selecting
     # the other positions beside a not-worse step shows clearly
@@ -320,6 +418,44 @@ def test_rls_closed_forms_match_enumerated_step_outcomes(operator, metric):
                 if not ring and 0 < d and (x > z and 2 * d > x or x < z and 2 * d > r - 1 - x):
                     seen.add("interval truncation")
     assert seen == ({"ring tie, odd r", "ring tie, even r"} if ring else {"interval truncation"})
+
+
+@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_lane_law_matches_enumerated_step_outcomes(operator, metric):
+    # exact, no sampling: for every (x, z) the lockstep kernel's weight w
+    # (acceptance probability w / per) and its conditioned move law, over
+    # the lane's uniform u in [0, 1), equal an enumeration of operators.step
+    ring = metric is MetricKind.RING
+    seen = set()
+    for r in (2, 3, 4, 5, 8):
+        per, move = _lane_law(operator, r, ring)
+        for z in range(r):
+            for x in range(r):
+                d = metric_distance(metric, x, z, r)
+                accepted = {}
+                for prob, value in step_outcomes(operator, metric, x, r):
+                    if value is not None and metric_distance(metric, value, z, r) <= d:
+                        accepted[value] = accepted.get(value, 0.0) + prob
+                a = sum(accepted.values())
+
+                def lane(u):
+                    w, new = move(np.array([x]), np.array([z]), np.array([d]), np.array([u]))
+                    return float(w[0]), int(new[0])
+
+                w = lane(0.0)[0]
+                assert w / per == pytest.approx(a, rel=1e-12, abs=1e-15), (r, x, z)
+                if a == 0:
+                    continue
+                law = preimage_law(lambda u: lane(u)[1], 1.0)
+                assert law.keys() == accepted.keys(), (r, x, z)
+                for value, prob in accepted.items():
+                    assert law[value] == pytest.approx(prob / a, rel=1e-9), (r, x, z, value)
+                if ring and 2 * d >= r - 1:
+                    seen.add(f"ring tie, w = {w:g}")
+    if ring:
+        # the +-1 law's w = 2 states, where both neighbours are accepted
+        assert "ring tie, w = 2" in seen
 
 
 @pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])

@@ -7,7 +7,8 @@ import pytest
 
 from gates import assert_passes
 from helpers import (assert_chi_square, assert_same_categorical, reference_one_iteration,
-                     reference_plant_state_at_fitness, reference_realize_distances)
+                     reference_plant_state_at_fitness, reference_plant_state_at_hamming,
+                     reference_realize_distances)
 from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
                       SpaceParams, StepOperatorKind, estimate_drift, fitness, hamming_distance,
                       harmonic_number, one_iteration, plant_rows_at_fitness,
@@ -232,7 +233,7 @@ def test_row_planting_law_matches_scalar_oracles(metric):
     assert len(_counts(rows)) > 1
     assert_same_categorical(_counts(rows), _counts(oracle))
     rows = plant_rows_at_hamming(inst, 2, plants, rng)
-    oracle = [plant_state_at_hamming(inst, 2, ref_rng) for _ in range(plants)]
+    oracle = [reference_plant_state_at_hamming(inst, 2, ref_rng) for _ in range(plants)]
     assert_same_categorical(_counts(rows), _counts(oracle))
 
 
@@ -256,7 +257,8 @@ def test_one_step_drop_law_matches_reference_round(algorithm, operator, potentia
         ref_rng = np.random.default_rng(1313)
         if potential.kind == "hamming":
             x = plant_rows_at_hamming(inst, level, samples, rng)
-            starts = [plant_state_at_hamming(inst, level, ref_rng) for _ in range(samples)]
+            starts = [reference_plant_state_at_hamming(inst, level, ref_rng)
+                      for _ in range(samples)]
         elif potential.kind == "fitness":
             x = plant_rows_at_fitness(inst, level, samples, rng)
             starts = [reference_plant_state_at_fitness(inst, level, ref_rng)

@@ -19,8 +19,9 @@ gates, in the order of the report:
 - criteria 3 to 6, the uniform and +-1 EA scaling fits, and the pooled
   test that EA runs raise the Hamming distance at the plain loop's rate;
 - the trace rows of every algorithm x operator x metric after 1 and 4
-  iterations against the exact transition law of a tiny instance, and one
-  EA iteration from a fixed start against it.
+  iterations against the exact transition law of a tiny instance, the RLS
+  mean of every operator x metric against that instance's exact E[T], and
+  one EA iteration from a fixed start against the law.
 
 The margin is how far the measured value lies inside the rule's bounds, in
 the rule's own units (negative when the gate fails). A gate that passes at
