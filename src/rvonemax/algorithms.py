@@ -739,7 +739,7 @@ def _advance(configs, record=False):
     for config in configs:
         rng = np.random.default_rng(subseed(config.seed, 0))
         if config.initial_point is not None:
-            starts.append(np.array(config.initial_point, dtype=np.int64))
+            starts.append(config.initial_point)  # validated read-only int64
         else:
             starts.append(sample_uniform_point(config.instance.params, rng))
         rngs.append(rng)

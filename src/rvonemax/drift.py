@@ -115,12 +115,20 @@ def plant_rows_at_hamming(instance: ProblemInstance, k: int, rows: int,
     n, r = instance.params.n, instance.params.r
     if not (0 <= k <= n):
         raise ValueError(f"hamming level must lie in [0, {n}], got {k}")
-    x = np.tile(instance.target, (rows, 1))
-    # the k smallest of n uniform keys per row are a uniform k-subset
-    where = np.argsort(rng.random((rows, n)), axis=1)[:, :k]
-    picked = np.arange(rows)[:, None], where
+    keys = rng.random((rows, n))
     wrong = rng.integers(0, r - 1, (rows, k))
-    x[picked] = wrong + (wrong >= x[picked])  # uniform over the r-1 wrong values
+    return _place_at_hamming(np.broadcast_to(instance.target, (rows, n)), keys, wrong)
+
+
+def _place_at_hamming(targets: np.ndarray, keys: np.ndarray, wrong: np.ndarray) -> np.ndarray:
+    """A copy of the (rows, n) target rows with, per row, the positions of
+    its k smallest keys set to its k wrong values; wrong holds (rows, k)
+    draws from [0, r-2], and w stands for w + (w >= x), so uniform keys and
+    draws give a uniform k-subset set to uniform wrong values."""
+    x = np.array(targets, dtype=np.int64)
+    rows, k = wrong.shape
+    picked = np.arange(rows)[:, None], np.argsort(keys, axis=1)[:, :k]
+    x[picked] = wrong + (wrong >= x[picked])
     return x
 
 

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .algorithms import DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, _map_runs, run
-from .drift import plant_state_at_hamming
+from .drift import _place_at_hamming, plant_state_at_hamming
 from .operators import StepOperatorKind
 from .space import MetricKind, ProblemInstance, SpaceParams
 
@@ -139,6 +139,14 @@ def build_target(policy: TargetPolicy, params: SpaceParams,
     return rng.integers(0, params.r, size=params.n, dtype=np.int64)
 
 
+def _farthest(metric: MetricKind, r: int, targets: np.ndarray) -> np.ndarray:
+    """The value farthest from each target value; on the interval ties are
+    broken toward r-1."""
+    if metric is MetricKind.RING:
+        return (targets + r // 2) % r
+    return np.where(targets > (r - 1) - targets, 0, r - 1)
+
+
 def build_start(policy: StartPolicy, instance: ProblemInstance,
                 rng: np.random.Generator | None) -> np.ndarray | None:
     """Start point for a replicate, or None to let the run sample uniformly;
@@ -147,29 +155,58 @@ def build_start(policy: StartPolicy, instance: ProblemInstance,
         return None
     if policy.kind is StartKind.FIXED_HAMMING:
         return plant_state_at_hamming(instance, policy.hamming_k, rng)
-    n, r = instance.params.n, instance.params.r
-    z = instance.target
-    if instance.metric is MetricKind.RING:
-        return (z + r // 2) % r
-    # farthest interval value; ties broken toward r-1
-    return np.where(z > (r - 1) - z, np.zeros(n, dtype=np.int64),
-                    np.full(n, r - 1, dtype=np.int64))
+    return _farthest(instance.metric, instance.params.r, instance.target)
+
+
+def _replicate_configs(plan: ExperimentPlan, n: int, r: int, algorithm: AlgorithmKind,
+                       operator: StepOperatorKind, reps: range) -> list[RunConfig]:
+    """The RunConfigs of replicates `reps` of one cell.
+
+    A replicate's set-up generator, seeded by its key, is built only for a
+    random target or a planted start, which draw from it in that order (the
+    target, then the n keys and k wrong values of plant_rows_at_hamming).
+    The zero and center targets are one instance shared by the cell, and
+    the planted starts are placed as one block.
+    """
+    cell = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}|"
+    keys = [cell + str(rep) for rep in reps]
+    params = SpaceParams(n=n, r=r)
+    policy, kind = plan.target_policy, plan.start_policy.kind
+    setups = []  # only a random target and a planted start draw from them
+    if policy is TargetPolicy.UNIFORM_RANDOM or kind is StartKind.FIXED_HAMMING:
+        setups = [np.random.default_rng(stable_seed(plan.base_seed, key + "|setup"))
+                  for key in keys]
+    if policy is TargetPolicy.UNIFORM_RANDOM:
+        instances = [ProblemInstance(params=params, metric=plan.metric,
+                                     target=build_target(policy, params, rng))
+                     for rng in setups]
+        targets = np.array([instance.target for instance in instances])
+    else:
+        shared = ProblemInstance(params=params, metric=plan.metric,
+                                 target=build_target(policy, params, None))
+        instances = [shared] * len(keys)
+        targets = shared.target[None, :]
+    starts = [None] * len(keys)
+    if kind is StartKind.FIXED_HAMMING:
+        k = plan.start_policy.hamming_k
+        draws, wrong = np.empty((len(keys), n)), np.empty((len(keys), k), dtype=np.int64)
+        for row, rng in enumerate(setups):
+            rng.random(out=draws[row])
+            wrong[row] = rng.integers(0, r - 1, k)
+        starts = _place_at_hamming(np.broadcast_to(targets, draws.shape), draws, wrong)
+    elif kind is StartKind.ALL_MAX_DISTANCE:
+        starts = np.broadcast_to(_farthest(plan.metric, r, targets), (len(keys), n))
+    return [RunConfig(algorithm=algorithm, operator=operator, instance=instance,
+                      seed=stable_seed(plan.base_seed, key),
+                      iteration_cap=plan.iteration_cap, initial_point=start)
+            for key, instance, start in zip(keys, instances, starts)]
 
 
 def _replicate_config(plan: ExperimentPlan, n: int, r: int, algorithm: AlgorithmKind,
                       operator: StepOperatorKind, rep: int) -> RunConfig:
-    key = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}|{rep}"
-    setup_rng = None  # only a random target and a planted start draw from it
-    if (plan.target_policy is TargetPolicy.UNIFORM_RANDOM
-            or plan.start_policy.kind is StartKind.FIXED_HAMMING):
-        setup_rng = np.random.default_rng(stable_seed(plan.base_seed, key + "|setup"))
-    params = SpaceParams(n=n, r=r)
-    instance = ProblemInstance(params=params, metric=plan.metric,
-                               target=build_target(plan.target_policy, params, setup_rng))
-    start = build_start(plan.start_policy, instance, setup_rng)
-    return RunConfig(algorithm=algorithm, operator=operator, instance=instance,
-                     seed=stable_seed(plan.base_seed, key),
-                     iteration_cap=plan.iteration_cap, initial_point=start)
+    """The RunConfig of one replicate: the one-replicate call of
+    _replicate_configs."""
+    return _replicate_configs(plan, n, r, algorithm, operator, range(rep, rep + 1))[0]
 
 
 def hitting_time_summary(records) -> tuple[float, float, float, int]:
@@ -190,9 +227,9 @@ def execute_plan(plan: ExperimentPlan, workers: int = 1) -> list[AggregateResult
              for n, r in plan.grid
              for algorithm in plan.algorithms
              for operator in plan.operators]
-    configs = [_replicate_config(plan, n, r, algorithm, operator, rep)
-               for n, r, algorithm, operator, _ in cells
-               for rep in range(plan.replicates)]
+    configs = [config for n, r, algorithm, operator, _ in cells
+               for config in _replicate_configs(plan, n, r, algorithm, operator,
+                                                range(plan.replicates))]
     records = _map_runs(run, configs, workers)
     out = []
     for index, (n, r, algorithm, operator, metric) in enumerate(cells):

@@ -47,7 +47,7 @@ def as_point(values, params: SpaceParams) -> np.ndarray:
     x = np.asarray(values, dtype=np.int64).copy()
     if x.ndim != 1 or x.shape[0] != params.n:
         raise ValueError(f"point must have shape ({params.n},), got {x.shape}")
-    if x.min(initial=0) < 0 or x.max(initial=0) >= params.r:
+    if np.minimum.reduce(x) < 0 or np.maximum.reduce(x) >= params.r:
         raise ValueError(f"point entries must lie in [0, {params.r - 1}]")
     x.setflags(write=False)
     return x

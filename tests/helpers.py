@@ -9,8 +9,10 @@ from collections import defaultdict
 import numpy as np
 from scipy import stats
 
-from rvonemax import (AlgorithmKind, MetricKind, StepOperatorKind, fitness, harmonic_pmf,
-                      harmonic_table, mutate, sample_uniform_point, step, token_step_pmf)
+from rvonemax import (AlgorithmKind, MetricKind, ProblemInstance, RunConfig, SpaceParams,
+                      StartKind, StepOperatorKind, TargetPolicy, fitness, harmonic_pmf,
+                      harmonic_table, mutate, sample_uniform_point, stable_seed, step,
+                      token_step_pmf)
 
 
 def assert_chi_square(counts, expected_probs, significance=0.001):
@@ -107,6 +109,36 @@ def reference_plant_state_at_hamming(instance, k, rng):
     wrong = rng.integers(0, params.r - 1, size=k)
     x[where] = wrong + (wrong >= x[where])  # uniform over the r-1 wrong values
     return x
+
+
+def reference_replicate_config(plan, n, r, algorithm, operator, rep):
+    """The RunConfig of one replicate of a plan, built alone: its set-up
+    generator draws the random target, then n uniform keys whose k smallest
+    pick the planted positions, then their wrong values; an exact oracle
+    for the cell builder."""
+    key = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}|{rep}"
+    rng = np.random.default_rng(stable_seed(plan.base_seed, key + "|setup"))
+    if plan.target_policy is TargetPolicy.ALL_ZERO:
+        target = np.zeros(n, dtype=np.int64)
+    elif plan.target_policy is TargetPolicy.CENTER:
+        target = np.full(n, r // 2, dtype=np.int64)
+    else:
+        target = rng.integers(0, r, size=n, dtype=np.int64)
+    start = None
+    if plan.start_policy.kind is StartKind.FIXED_HAMMING:
+        k = plan.start_policy.hamming_k
+        start = target.copy()
+        where = np.argsort(rng.random(n))[:k]
+        wrong = rng.integers(0, r - 1, k)
+        start[where] = wrong + (wrong >= start[where])
+    elif plan.start_policy.kind is StartKind.ALL_MAX_DISTANCE:
+        if plan.metric is MetricKind.RING:
+            start = (target + r // 2) % r
+        else:  # farthest interval value; ties broken toward r-1
+            start = np.array([0 if z > r - 1 - z else r - 1 for z in target.tolist()])
+    instance = ProblemInstance(SpaceParams(n, r), plan.metric, target)
+    return RunConfig(algorithm, operator, instance, seed=stable_seed(plan.base_seed, key),
+                     iteration_cap=plan.iteration_cap, initial_point=start)
 
 
 def reference_plant_state_at_fitness(instance, s, rng):
@@ -288,6 +320,6 @@ __all__ = ["assert_chi_square", "assert_same_categorical", "assert_same_distribu
            "goodness_of_fit_pvalue",
            "reference_hitting_time", "reference_one_iteration",
            "reference_plant_state_at_fitness", "reference_plant_state_at_hamming",
-           "reference_realize_distances",
+           "reference_realize_distances", "reference_replicate_config",
            "reference_state_after", "reference_token_hitting_time", "same_categorical_pvalue",
            "step_outcomes", "binomial_pmf", "AlgorithmKind"]

@@ -13,14 +13,15 @@ from scipy import stats
 
 from gates import assert_passes
 from helpers import (assert_chi_square, assert_same_categorical, assert_same_distribution,
-                     reference_hitting_time, reference_state_after, step_outcomes)
+                     reference_hitting_time, reference_replicate_config, reference_state_after,
+                     step_outcomes)
 import rvonemax
 from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, ProblemInstance,
                       RunConfig, SpaceParams, StepOperatorKind, TargetPolicy, execute_plan,
                       fitness, hamming_distance, metric_distance, mutate, run, run_batch,
                       subseed)
 from rvonemax.algorithms import LANES, _lane_law, _law, _map_runs, _selection_cdf
-from rvonemax.experiments import _replicate_config, hitting_time_summary
+from rvonemax.experiments import hitting_time_summary
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -143,7 +144,8 @@ def test_run_is_its_record_in_execute_plan(size, workers):
     aggs = execute_plan(plan, workers)
     assert len(aggs) == 8
     for agg in aggs:
-        records = [run(_replicate_config(plan, agg.n, agg.r, agg.algorithm, agg.operator, rep))
+        records = [run(reference_replicate_config(plan, agg.n, agg.r, agg.algorithm,
+                                                  agg.operator, rep))
                    for rep in range(size)]
         np.testing.assert_equal((agg.mean, agg.std_error, agg.median, agg.capped_count),
                                 hitting_time_summary(records))

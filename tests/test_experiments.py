@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from gates import assert_passes
+from helpers import reference_replicate_config
 from rvonemax import (AggregateResult, AlgorithmKind, DegenerateModelError, ExperimentPlan,
                       MetricKind, ProblemInstance, SpaceParams, StartKind, StartPolicy,
                       StepOperatorKind, TargetPolicy, build_start, build_target,
@@ -110,7 +112,8 @@ def test_plan_validation():
 
 def test_replicate_setup_generator_only_where_drawn_from(monkeypatch):
     # a set-up Generator is built only for a random target or a planted
-    # start, with the seed it always had, so targets and starts are unchanged
+    # start, one per replicate of the cell, in replicate order, with the seed
+    # it always had, so targets and starts are unchanged
     real = np.random.default_rng
     built = []
 
@@ -119,28 +122,94 @@ def test_replicate_setup_generator_only_where_drawn_from(monkeypatch):
         return real(seed)
 
     monkeypatch.setattr(experiments.np.random, "default_rng", counting)
-    n, r, rep = 6, 5, 3
-    key = f"{n}|{r}|{EA.value}|{PM1.value}|{MetricKind.RING.value}|{rep}"
-    setup_seed = stable_seed(11, key + "|setup")
+    n, r, replicates = 6, 5, 5
+
+    def key(rep):
+        return f"{n}|{r}|{EA.value}|{PM1.value}|{MetricKind.RING.value}|{rep}"
+
+    setup_seeds = [stable_seed(11, key(rep) + "|setup") for rep in range(replicates)]
     for target in TargetPolicy:
         for start in (StartPolicy.uniform_random(), StartPolicy.fixed_hamming(4),
                       StartPolicy.all_max_distance()):
-            plan = single_cell_plan(n, r, EA, PM1, start, 5, seed=11,
+            plan = single_cell_plan(n, r, EA, PM1, start, replicates, seed=11,
                                     metric=MetricKind.RING, target=target)
-            del built[:]
-            cfg = _replicate_config(plan, n, r, EA, PM1, rep)
             draws = target is TargetPolicy.UNIFORM_RANDOM or start.kind is StartKind.FIXED_HAMMING
-            assert built == ([setup_seed] if draws else [])
-            assert cfg.seed == stable_seed(11, key)
-            setup_rng = real(setup_seed)
-            params = SpaceParams(n, r)
-            expected_target = build_target(target, params, setup_rng)
-            assert (cfg.instance.target == expected_target).all()
-            expected_start = build_start(start, cfg.instance, setup_rng)
-            if expected_start is None:
+            del built[:]
+            cell = experiments._replicate_configs(plan, n, r, EA, PM1, range(replicates))
+            assert built == (setup_seeds if draws else [])
+            del built[:]
+            alone = _replicate_config(plan, n, r, EA, PM1, 3)
+            assert built == (setup_seeds[3:4] if draws else [])
+            assert alone.seed == cell[3].seed
+            assert (alone.instance.target == cell[3].instance.target).all()
+            assert (alone.initial_point is None) is (cell[3].initial_point is None)
+            if alone.initial_point is not None:
+                assert (alone.initial_point == cell[3].initial_point).all()
+            for rep, cfg in enumerate(cell):
+                assert cfg.seed == stable_seed(11, key(rep))
+                setup_rng = real(setup_seeds[rep])
+                expected_target = build_target(target, SpaceParams(n, r), setup_rng)
+                assert (cfg.instance.target == expected_target).all()
+                expected_start = build_start(start, cfg.instance, setup_rng)
+                if expected_start is None:
+                    assert cfg.initial_point is None
+                else:
+                    assert (cfg.initial_point == expected_start).all()
+
+
+@pytest.mark.parametrize("metric", list(MetricKind))
+@pytest.mark.parametrize("target", list(TargetPolicy))
+def test_replicate_configs_match_scalar_reference(target, metric):
+    # every config of a cell equals the one its replicate builds alone, by
+    # the scalar oracle: r = 2 (one wrong value per position), k = 0 and
+    # k = n, and replicate ranges that start past 0
+    starts = (StartPolicy.uniform_random(), StartPolicy.fixed_hamming(0),
+              StartPolicy.fixed_hamming(3), StartPolicy.fixed_hamming(7),
+              StartPolicy.all_max_distance())
+    for (n, r), start, reps in itertools.product(((7, 2), (7, 5), (7, 256)), starts,
+                                                 (range(0, 6), range(4, 9), range(13, 14))):
+        plan = single_cell_plan(n, r, RLS, PM1, start, 20, seed=31, metric=metric,
+                                target=target, cap=999)
+        cell = experiments._replicate_configs(plan, n, r, RLS, PM1, reps)
+        assert len(cell) == len(reps)
+        for rep, cfg in zip(reps, cell):
+            expected = reference_replicate_config(plan, n, r, RLS, PM1, rep)
+            assert (cfg.algorithm, cfg.operator, cfg.seed, cfg.iteration_cap) == \
+                (expected.algorithm, expected.operator, expected.seed, expected.iteration_cap)
+            assert cfg.instance.params == expected.instance.params
+            assert cfg.instance.metric is expected.instance.metric
+            np.testing.assert_array_equal(cfg.instance.target, expected.instance.target)
+            if expected.initial_point is None:
                 assert cfg.initial_point is None
             else:
-                assert (cfg.initial_point == expected_start).all()
+                assert cfg.initial_point.dtype == np.int64
+                np.testing.assert_array_equal(cfg.initial_point, expected.initial_point)
+            assert cfg.trace_potentials is None
+
+
+def test_fixed_targets_share_one_instance_per_cell():
+    # a zero or center target is one read-only instance for the whole cell,
+    # and runs over worker processes, each with its own copy of it, give the
+    # same aggregates as in one process
+    for target in (TargetPolicy.ALL_ZERO, TargetPolicy.CENTER):
+        plan = ExperimentPlan(grid=((12, 6), (5, 9)), algorithms=(RLS, EA),
+                              operators=(UNIFORM, PM1), metric=MetricKind.INTERVAL,
+                              target_policy=target, start_policy=StartPolicy.fixed_hamming(4),
+                              replicates=9, base_seed=23)
+        for n, r in plan.grid:
+            cell = experiments._replicate_configs(plan, n, r, EA, PM1, range(9))
+            shared = cell[0].instance
+            assert all(cfg.instance is shared for cfg in cell)
+            assert not shared.target.flags.writeable
+            with pytest.raises(ValueError):
+                shared.target[0] = 1
+            assert all(not cfg.initial_point.flags.writeable for cfg in cell)
+            assert len({cfg.initial_point.tobytes() for cfg in cell}) > 1
+        assert execute_plan(plan, workers=2) == execute_plan(plan, workers=1)
+    plan = single_cell_plan(5, 4, RLS, UNIFORM, StartPolicy.uniform_random(), 4, seed=2,
+                            target=TargetPolicy.UNIFORM_RANDOM)
+    cell = experiments._replicate_configs(plan, 5, 4, RLS, UNIFORM, range(4))
+    assert len({id(cfg.instance) for cfg in cell}) == 4
 
 
 class _Record:

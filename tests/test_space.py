@@ -124,6 +124,25 @@ def test_as_point_validation_and_immutability():
         as_point([0, 1], params)
 
 
+def test_as_point_errors():
+    # each bad input raises its own message; a valid point comes back as a
+    # read-only int64 copy
+    params = SpaceParams(3, 4)
+    shape = r"point must have shape \(3,\)"
+    entries = r"point entries must lie in \[0, 3\]"
+    for values, message in (([0, 4, 0], entries), ([-1, 0, 0], entries), ([3, 3, 9], entries),
+                            ([0, 1], shape), ([0, 1, 2, 3], shape), ([], shape), (2, shape),
+                            ([[0, 1, 2]], shape), ([[0, 1, 2], [0, 1, 2]], shape),
+                            (np.zeros((3, 1), dtype=np.int64), shape)):
+        with pytest.raises(ValueError, match=message):
+            as_point(values, params)
+    source = np.array([3, 0, 2], dtype=np.int32)
+    p = as_point(source, params)
+    assert p.dtype == np.int64 and not p.flags.writeable and (p == source).all()
+    source[0] = 1
+    assert p[0] == 3  # a copy, not a view
+
+
 def test_sample_uniform_point_binary_frequency():
     rng = np.random.default_rng(101)
     params = SpaceParams(1, 2)
