@@ -39,11 +39,12 @@ Neither kernel knows the step operator: the per-position law (_law for the
 EA, its vectorized closed forms _lane_law for RLS) owns the weights and the
 conditioned moves, and _law also the misses and the pick index.
 
-Runs are deterministic functions of their seed. Replicates of a batch use
-sub-seeds derived from (seed, index) via subseed(), so batches reproduce
-exactly regardless of execution order or worker count. Each RLS run draws
-from its own generator in chunks shaped by its own state only, so its
-record is the same alone (run) and in any lockstep batch.
+Runs are deterministic functions of their seed, and run one after another
+in the calling process. Replicates of a batch use sub-seeds derived from
+(seed, index) via subseed(), so batches reproduce exactly regardless of
+execution order. Each RLS run draws from its own generator in chunks
+shaped by its own state only, so its record is the same alone (run) and in
+any lockstep batch.
 """
 
 from __future__ import annotations
@@ -199,61 +200,40 @@ def run(config: RunConfig) -> RunRecord:
                      trace=None if trace is None else tuple(trace))
 
 
-def run_batch(config: RunConfig, replicates: int, workers: int = 1) -> list[RunRecord]:
-    """Run independent replicates with sub-seeds subseed(config.seed, k).
-
-    Results are ordered by replicate index and identical for any worker
-    count; workers > 1 distributes replicates over processes.
-    """
+def run_batch(config: RunConfig, replicates: int) -> list[RunRecord]:
+    """Run independent replicates with sub-seeds subseed(config.seed, k),
+    ordered by replicate index."""
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     return _map_runs(run, [replace(config, seed=subseed(config.seed, k))
-                           for k in range(replicates)], workers)
+                           for k in range(replicates)])
 
 
-def _map_runs(run_fn, configs: list[RunConfig], workers: int) -> list[RunRecord]:
-    """The record of each config, in order; workers > 1 spreads them over
-    processes.
+def _map_runs(run_fn, configs: list[RunConfig]) -> list[RunRecord]:
+    """The record of each config, in order.
 
     Lockstep configs (RLS, and the EA at n = 1) go to the lockstep kernel in
     groups of at most LANES lanes that share the operator, n, r and metric;
     every other config goes to run_fn. Callers pass the `run` of their own
     module, so a wrapper installed on that module-level name sees every
     call that is not a lockstep group. A config's record is the same in any
-    group, so the grouping and the worker count do not change any result.
+    group, so the grouping does not change any result.
     """
-    tasks, slots = [], []  # (function, argument) and the config indices it covers
+    records = [None] * len(configs)
     laws = {}  # (operator, params, metric) -> indices of the lockstep configs
     for k, config in enumerate(configs):
         if _lockstep(config):
             key = (config.operator, config.instance.params, config.instance.metric)
             laws.setdefault(key, []).append(k)
         else:
-            tasks.append((run_fn, config))
-            slots.append((k,))
+            records[k] = run_fn(config)
     for (_, params, _), where in laws.items():
         size = max(1, LANES // params.n)
         for lo in range(0, len(where), size):
-            tasks.append((_run_lanes, [configs[k] for k in where[lo:lo + size]]))
-            slots.append(where[lo:lo + size])
-    if workers <= 1 or len(tasks) == 1:
-        outputs = [fn(arg) for fn, arg in tasks]
-    else:
-        # imported here, as it loads multiprocessing, which serial runs never need
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_call, tasks,
-                                    chunksize=max(1, len(tasks) // (4 * workers))))
-    records = [None] * len(configs)
-    for where, output in zip(slots, outputs):
-        for k, record in zip(where, [output] if isinstance(output, RunRecord) else output):
-            records[k] = record
+            group = where[lo:lo + size]
+            for k, record in zip(group, _run_lanes([configs[k] for k in group])):
+                records[k] = record
     return records
-
-
-def _call(task):
-    fn, arg = task
-    return fn(arg)
 
 
 def _start(instance, x0, trace_pots):

@@ -90,7 +90,7 @@ def build_parser() -> _Parser:
     p_drift.add_argument("--metric", default="interval", choices=("interval", "ring"))
     p_drift.add_argument("--target", default="zero", choices=("zero", "center", "random"))
     p_drift.add_argument("--potential", default="hamming",
-                         help="hamming, fitness, or expweight[:base]")
+                         help="hamming or fitness")
     p_drift.add_argument("--levels", required=True, metavar="LIST",
                          help="comma-separated potential levels, e.g. 1,5,10")
     p_drift.add_argument("--samples", type=int, default=10000)
@@ -204,6 +204,9 @@ def _build_experiment(ns) -> ExperimentPlan:
     flags = {"n": ns.n, "r": ns.r, "algorithms": ns.algo, "operators": ns.op,
              "metric": ns.metric, "target": ns.target, "start": ns.start,
              "hamming_k": ns.hamming_k, "replicates": ns.reps, "seed": ns.seed, "cap": ns.cap}
+    unknown = sorted(set(values) - set(flags))
+    if unknown:
+        raise ValueError(f"unknown plan key(s): {', '.join(unknown)}")
     values.update((key, flag) for key, flag in flags.items() if flag is not None)
     if "n" not in values or "r" not in values:
         raise ValueError("run needs --n and --r (flags or plan file)")
@@ -253,8 +256,6 @@ def render_rows(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         payload = [{k: _json_ready(v) for k, v in row.items()} for row in rows]
         return json.dumps(payload, indent=1, allow_nan=False) + "\n"
-    if not rows:
-        return "\n"
     header = ",".join(rows[0].keys())
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row.values()) for row in rows)
@@ -263,9 +264,6 @@ def render_rows(rows: list[dict], fmt: str) -> str:
 
 def emit_results(rows: list[dict], fmt: str, destination: str | None) -> int:
     """Write rows to the destination; returns the process exit status."""
-    if not rows:
-        print("nothing to emit", file=sys.stderr)
-        return EXIT_IO
     text = render_rows(rows, fmt)
     if destination in (None, "-"):
         sys.stdout.write(text)
@@ -346,7 +344,7 @@ def read_aggregate_points(path: str) -> list[tuple[int, int, float]]:
             mean = row["mean"]
             points.append((int(row["n"]), int(row["r"]),
                            math.nan if mean is None else float(mean)))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: rows need n, r and mean columns ({exc})") from exc
     return points
 

@@ -4,7 +4,7 @@ A plan sweeps a grid of problem sizes over chosen algorithms and step
 operators, with declarative policies for the hidden target and the start
 point. Every replicate derives its own seed from the plan's base seed via a
 keyed hash of the cell identity, so results do not depend on execution
-order or worker count.
+order.
 
 Aggregates can be fed to a least-squares fitter with a small catalog of
 named scaling models (all linear in their coefficients).
@@ -221,7 +221,7 @@ def hitting_time_summary(records) -> tuple[float, float, float, int]:
     return float(times.mean()), std_error, float(np.median(times)), capped
 
 
-def execute_plan(plan: ExperimentPlan, workers: int = 1) -> list[AggregateResult]:
+def execute_plan(plan: ExperimentPlan) -> list[AggregateResult]:
     """Run the whole plan; one aggregate per grid cell x algorithm x operator."""
     cells = [(n, r, algorithm, operator, plan.metric)
              for n, r in plan.grid
@@ -230,7 +230,7 @@ def execute_plan(plan: ExperimentPlan, workers: int = 1) -> list[AggregateResult
     configs = [config for n, r, algorithm, operator, _ in cells
                for config in _replicate_configs(plan, n, r, algorithm, operator,
                                                 range(plan.replicates))]
-    records = _map_runs(run, configs, workers)
+    records = _map_runs(run, configs)
     out = []
     for index, (n, r, algorithm, operator, metric) in enumerate(cells):
         mean, std_error, median, capped = hitting_time_summary(

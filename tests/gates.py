@@ -76,52 +76,52 @@ def _zeros(n, r):
 
 
 @_gate("criterion 1", 1001)
-def criterion_1(seed, workers=1):
+def criterion_1(seed):
     """RLS from Hamming distance 20 (n=20, r=4): mean of 2000 runs within 3%
     of n (r-1) H_20."""
     agg, = execute_plan(_plan(((20, 4),), (UNIFORM,), 2000, seed, 50_000, RLS,
-                              StartPolicy.fixed_hamming(20)), workers)
+                              StartPolicy.fixed_hamming(20)))
     expected = 20 * 3 * harmonic_number(20)
     rel_err = abs(agg.mean - expected) / expected
     return (rel_err <= 0.03 and agg.capped_count == 0, 0.03 - rel_err, agg.capped_count == 0,
             f"mean={agg.mean:.2f}, expected={expected:.2f}, rel_err={rel_err:.4f}")
 
 
-def _rls_mean(seed, workers, n, r, runs, expected, tolerance, initial_point=None):
+def _rls_mean(seed, n, r, runs, expected, tolerance, initial_point=None):
     """Mean hitting time of RLS runs within a relative tolerance of expected."""
     cfg = RunConfig(RLS, UNIFORM, _zeros(n, r), seed=seed, initial_point=initial_point)
-    mean = np.mean([rec.hitting_time for rec in run_batch(cfg, runs, workers)])
+    mean = np.mean([rec.hitting_time for rec in run_batch(cfg, runs)])
     rel_err = abs(mean - expected) / expected
     return (abs(mean - expected) <= tolerance * expected, tolerance - rel_err, True,
             f"mean={mean:.2f}, expected={expected:.2f}, rel_err={rel_err:.4f}")
 
 
 @_gate("rls closed form", 2025)
-def rls_closed_form(seed, workers=1):
+def rls_closed_form(seed):
     """RLS from Hamming distance n (n=10, r=3): mean of 1500 runs within 4%
     of n (r-1) H_n."""
     n, r = 10, 3
-    return _rls_mean(seed, workers, n, r, 1500, n * (r - 1) * harmonic_number(n), 0.04,
+    return _rls_mean(seed, n, r, 1500, n * (r - 1) * harmonic_number(n), 0.04,
                      initial_point=np.full(n, 1))
 
 
 @_gate("rls random start", 31415)
-def rls_random_start(seed, workers=1):
+def rls_random_start(seed):
     """RLS from a uniform start (n=10, r=2): mean of 1000 runs within 5% of
     n (r-1) H_k averaged over the Binomial(n, 1-1/r) start level k."""
     n, r = 10, 2
     expected = sum(stats.binom.pmf(k, n, 1 - 1 / r) * n * (r - 1) * harmonic_number(k)
                    for k in range(1, n + 1))
-    return _rls_mean(seed, workers, n, r, 1000, expected, 0.05)
+    return _rls_mean(seed, n, r, 1000, expected, 0.05)
 
 
 @_gate("plan closed form", 12)
-def plan_closed_form(seed, workers=1):
+def plan_closed_form(seed):
     """execute_plan, RLS from Hamming distance n (n=10, r=3): mean of 800
     replicates within 5% of n (r-1) H_n, none capped."""
     n, r = 10, 3
     agg, = execute_plan(_plan(((n, r),), (UNIFORM,), 800, seed, algorithm=RLS,
-                              start=StartPolicy.fixed_hamming(n)), workers)
+                              start=StartPolicy.fixed_hamming(n)))
     expected = n * (r - 1) * harmonic_number(n)
     rel_err = abs(agg.mean - expected) / expected
     uncapped = agg.capped_count == 0 and not agg.censored
@@ -131,7 +131,7 @@ def plan_closed_form(seed, workers=1):
 
 
 @_gate("criterion 7", 100)
-def criterion_7(seed, workers=1):
+def criterion_7(seed):
     """Token Monte Carlo means of 100,000 replicates within 3 standard errors
     of the exact expectation, r in {15, 63, 255} times the three step laws
     (margin: 3 minus the largest deviation in standard errors)."""
@@ -167,7 +167,7 @@ def _hamming_drift_law(seed, cells, samples, significance):
 
 
 @_gate("criterion 2", 2)
-def criterion_2(seed, workers=1):
+def criterion_2(seed):
     """Hamming drift at k = 1, 5, 10 (n=10, r=4) is exactly k/30, at 0.001/3
     per level; the accepted band at 34,000 samples is no wider than a 95% CI
     at 10,000: 3.59 / sqrt(34000) <= 1.96 / sqrt(10000) standard deviations."""
@@ -175,7 +175,7 @@ def criterion_2(seed, workers=1):
 
 
 @_gate("drift exact law", 0)
-def drift_exact_law(seed, workers=1):
+def drift_exact_law(seed):
     """Hamming drift at k=5 (n=10, r=4) is exactly k / (n (r-1)), at 0.001;
     the accepted band at 30,000 samples is no wider than a 95% CI at 10,000:
     3.29 / sqrt(30000) <= 1.96 / sqrt(10000) standard deviations."""
@@ -183,7 +183,7 @@ def drift_exact_law(seed, workers=1):
 
 
 @_gate("drift grid", 0)
-def drift_grid(seed, workers=1):
+def drift_grid(seed):
     """Hamming drift over n in {10, 50}, r in {3, 8}, k in {1, n/2, n}, at
     0.001/12 per cell; the accepted band at 20,000 samples is narrower than a
     95% CI at 4000: 3.94 / sqrt(20000) < 1.96 / sqrt(4000) standard deviations."""
@@ -192,7 +192,7 @@ def drift_grid(seed, workers=1):
 
 
 @_gate("drift floor", 0)
-def drift_floor(seed, workers=1):
+def drift_floor(seed):
     """EA uniform-step fitness drift at s=10 (n=10, r=3) at least
     s/(e (r-1) n), up to a 15% margin."""
     n, r, s = 10, 3, 10
@@ -204,7 +204,7 @@ def drift_floor(seed, workers=1):
 
 
 @_gate("fitness planting law", 46)
-def fitness_planting_law(seed, workers=1):
+def fitness_planting_law(seed):
     """The distance vectors of 100,000 rows planted at fitness level s
     against the exact law of the one-unit-at-a-time loop: an interior
     interval target (n=2, r=20, target (0, 7), s in {5, 15, 25}; n=3, r=40,
@@ -235,9 +235,9 @@ def fitness_planting_law(seed, workers=1):
 
 
 @_gate("criterion 3", 1003)
-def criterion_3(seed, workers=1):
+def criterion_3(seed):
     """Mean of the uniform-step EA at n=100, r=3 within 20% of e (r-1) n ln n."""
-    agg, = execute_plan(_plan(((100, 3),), (UNIFORM,), 500, seed, 200_000), workers)
+    agg, = execute_plan(_plan(((100, 3),), (UNIFORM,), 500, seed, 200_000))
     expected = math.e * 2 * 100 * math.log(100)
     rel_err = abs(agg.mean - expected) / expected
     return (rel_err <= 0.20 and agg.capped_count == 0, 0.20 - rel_err, agg.capped_count == 0,
@@ -245,11 +245,11 @@ def criterion_3(seed, workers=1):
 
 
 @_gate("criterion 4", 1004)
-def criterion_4(seed, workers=1):
+def criterion_4(seed):
     """The +-1 EA's run time is Theta(n (r + log n)): doubling r from 64 to
     128 to 256 (n=50) doubles the mean, both ratios in [1.7, 2.3]."""
     aggs = execute_plan(_plan(tuple((50, r) for r in (64, 128, 256)), (PM1,), 300, seed,
-                                 2_000_000), workers)
+                                 2_000_000))
     means = {agg.r: agg.mean for agg in aggs}
     hi, lo = means[256] / means[128], means[128] / means[64]
     return (1.7 <= hi <= 2.3 and 1.7 <= lo <= 2.3 and _uncapped(aggs),
@@ -258,11 +258,10 @@ def criterion_4(seed, workers=1):
 
 
 @_gate("criterion 5", 1005)
-def criterion_5(seed, workers=1):
+def criterion_5(seed):
     """Harmonic EA, polylog in r: mean(r=256) / mean(r=16) at most 5 (n=50),
     well under the 16 a linear law predicts."""
-    aggs = execute_plan(_plan(((50, 16), (50, 256)), (HARMONIC,), 300, seed, 1_000_000),
-                        workers)
+    aggs = execute_plan(_plan(((50, 16), (50, 256)), (HARMONIC,), 300, seed, 1_000_000))
     means = {agg.r: agg.mean for agg in aggs}
     ratio = means[256] / means[16]
     return (ratio <= 5.0 and _uncapped(aggs), 5.0 - ratio, _uncapped(aggs),
@@ -270,11 +269,11 @@ def criterion_5(seed, workers=1):
 
 
 @_gate("criterion 6", 1006)
-def criterion_6(seed, workers=1):
+def criterion_6(seed):
     """At n=30, r=512 the harmonic EA's mean is at most half the +-1 and the
     uniform means (margin: the smaller factor minus 2)."""
     aggs = execute_plan(_plan(((30, 512),), (UNIFORM, PM1, HARMONIC), 200, seed,
-                                 10_000_000), workers)
+                                 10_000_000))
     means = {agg.operator: agg.mean for agg in aggs}
     factor = min(means[PM1], means[UNIFORM]) / means[HARMONIC]
     ok = (means[HARMONIC] <= means[PM1] / 2 and means[HARMONIC] <= means[UNIFORM] / 2
@@ -284,22 +283,21 @@ def criterion_6(seed, workers=1):
 
 
 @_gate("uniform fit", 1)
-def uniform_fit(seed, workers=1):
+def uniform_fit(seed):
     """The uniform-step EA's run time scales like c (r-1) n ln n: the fitted c
     within 15% of e (margin in units of e)."""
     aggs = execute_plan(_plan(tuple((n, r) for n in (50, 100, 200) for r in (3, 5, 9)),
-                                 (UNIFORM,), 40, seed), workers)
+                                 (UNIFORM,), 40, seed))
     c = fit_scaling(aggs, "uniform_rnlogn").coefficients[0]
     return (math.e * 0.85 <= c <= math.e * 1.15, _inside(c / math.e, 0.85, 1.15), True,
             f"c/e={c / math.e:.4f}")
 
 
 @_gate("pm1 fit", 2)
-def pm1_fit(seed, workers=1):
+def pm1_fit(seed):
     """The +-1 law fitted over r in {32, ..., 256} (n=50) predicts a ratio in
     [1.8, 2.2] from r=128 to r=256."""
-    aggs = execute_plan(_plan(tuple((50, r) for r in (32, 64, 128, 256)), (PM1,), 50, seed),
-                        workers)
+    aggs = execute_plan(_plan(tuple((50, r) for r in (32, 64, 128, 256)), (PM1,), 50, seed))
     fit = fit_scaling(aggs, "pm1_r_plus_logn")
     ratio = fit.predict(50, 256) / fit.predict(50, 128)
     return 1.8 <= ratio <= 2.2, _inside(ratio, 1.8, 2.2), True, f"ratio={ratio:.4f}"
@@ -325,7 +323,7 @@ def _reference_raises_hamming(inst, rng):
 
 
 @_gate("hamming increase", 0)
-def hamming_increase(seed, workers=1):
+def hamming_increase(seed):
     """About 41% of uniform-step EA runs at n=8, r=6 make an accepted move
     that raises the Hamming distance: some run of 400 must make one (a false
     failure has probability about 0.59^400), and the per-run rate must match
@@ -334,7 +332,7 @@ def hamming_increase(seed, workers=1):
     inst, runs = _zeros(8, 6), 400
     cfg = RunConfig(EA, UNIFORM, inst, seed=seed, iteration_cap=20000,
                     trace_potentials=(Potential.fitness(), Potential.hamming()))
-    records = run_batch(cfg, runs, workers)
+    records = run_batch(cfg, runs)
     kernel = sum(_raises_hamming(rec.trace) for rec in records)
     rng = np.random.default_rng(8008 + seed)  # the plain loop's seed moves with the gate's
     reference = sum(_reference_raises_hamming(inst, rng) for _ in range(runs))
@@ -345,7 +343,7 @@ def hamming_increase(seed, workers=1):
 
 
 @_gate("transition oracle", 44)
-def transition_oracle(seed, workers=1):
+def transition_oracle(seed):
     """The law of the trace row (fitness, Hamming, exp_weight:2) at
     iterations 1 and 4 from a uniform start, for RLS and the EA with every
     operator on both metrics (n=3, r=4, target (0, 1, 2)), against the exact
@@ -363,7 +361,7 @@ def transition_oracle(seed, workers=1):
         for algorithm, operator in itertools.product((RLS, EA), (UNIFORM, PM1, HARMONIC)):
             matrix = exact_transition_matrix(algorithm, operator, inst)
             records = run_batch(RunConfig(algorithm, operator, inst, seed=seed, iteration_cap=4,
-                                          trace_potentials=pots), runs, workers)
+                                          trace_potentials=pots), runs)
             law = np.full(len(rows), 1.0 / len(rows))
             for t in range(1, 5):
                 law = law @ matrix
@@ -383,7 +381,7 @@ def transition_oracle(seed, workers=1):
 
 
 @_gate("rls exact mean", 47)
-def rls_exact_mean(seed, workers=1):
+def rls_exact_mean(seed):
     """The mean hitting time of 20,000 RLS runs from a uniform start, for
     every operator on both metrics (n=3, r=4, target (0, 1, 2)), against the
     exact E[T] of exact_transition_matrix: one two-sided z-test at 0.001/6
@@ -396,7 +394,7 @@ def rls_exact_mean(seed, workers=1):
         for operator in (UNIFORM, PM1, HARMONIC):
             exact = exact_expected_hitting_time(exact_transition_matrix(RLS, operator, inst))
             times = np.array([rec.hitting_time for rec in
-                              run_batch(RunConfig(RLS, operator, inst, seed=seed), runs, workers)],
+                              run_batch(RunConfig(RLS, operator, inst, seed=seed), runs)],
                              dtype=np.float64)
             z = (times.mean() - exact) / (times.std(ddof=1) / math.sqrt(runs))
             p = 2.0 * stats.norm.sf(abs(z))
@@ -408,7 +406,7 @@ def rls_exact_mean(seed, workers=1):
 
 
 @_gate("ea one step", 45)
-def ea_one_step(seed, workers=1):
+def ea_one_step(seed):
     """The fitness after one iteration of the uniform-step EA from (4, 2)
     (n=2, r=5, interval, target (0, 0)) against the exact law of
     exact_transition_matrix: a chi-square test at 0.001 on 40,000 runs
@@ -422,7 +420,7 @@ def ea_one_step(seed, workers=1):
     for x, prob in zip(points, matrix[points.index(x0)]):
         exact[fitness(inst, np.array(x))] += prob
     records = run_batch(RunConfig(EA, UNIFORM, inst, seed=seed, iteration_cap=1,
-                                  initial_point=x0), runs, workers)
+                                  initial_point=x0), runs)
     seen = Counter(rec.final_fitness for rec in records)  # 0 when the run hit
     p = goodness_of_fit_pvalue(seen, exact)
     return p > 0.001, p - 0.001, True, f"p={p:.3g}, fitness counts {dict(sorted(seen.items()))}"

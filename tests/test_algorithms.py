@@ -73,13 +73,6 @@ def test_run_batch_contracts():
         run_batch(cfg, 0)
 
 
-def test_run_batch_parallel_matches_sequential():
-    inst = make_instance(8, 3)
-    for algorithm in (EA, RLS):
-        cfg = RunConfig(algorithm, UNIFORM, inst, seed=17)
-        assert run_batch(cfg, 6, workers=2) == run_batch(cfg, 6, workers=1)
-
-
 def _lockstep_mix():
     """Configs the lockstep kernel runs, of every operator and metric, plain,
     traced, capped, capped and traced, at the optimum, and the EA at n = 1,
@@ -105,43 +98,55 @@ def _lockstep_mix():
     return configs
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_lockstep_record_is_the_same_in_any_batch(workers):
+def test_lockstep_record_is_the_same_in_any_batch():
     # a lockstep replicate depends only on its own seed: each config's record
     # in a mixed batch, in either order, is its record run alone
     configs = _lockstep_mix()
     alone = [run(c) for c in configs]
     assert any(rec.capped for rec in alone) and any(rec.trace for rec in alone)
     assert any(rec.capped and rec.trace for rec in alone)
-    assert _map_runs(run, configs, workers) == alone
-    assert _map_runs(run, configs[::-1], workers) == alone[::-1]
+    assert _map_runs(run, configs) == alone
+    assert _map_runs(run, configs[::-1]) == alone[::-1]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+def test_map_runs_sends_only_non_lockstep_configs_to_run_fn():
+    # a wrapper on run_fn sees each non-lockstep config once, in order, and
+    # no lockstep config, which the lockstep kernel runs in groups
+    configs = _lockstep_mix()
+    seen = []
+
+    def traced_run(config):
+        seen.append(config)
+        return run(config)
+
+    assert _map_runs(traced_run, configs) == [run(c) for c in configs]
+    assert seen == [c for c in configs if c.algorithm is EA and c.instance.params.n > 1]
+    assert seen
+
+
 @pytest.mark.parametrize("size", [1, 7, 300])
-def test_run_is_its_record_in_run_batch(size, workers):
+def test_run_is_its_record_in_run_batch(size):
     # 300 replicates at n=16 fill more than one group of LANES lanes
     inst = make_instance(16, 6, MetricKind.RING, target=np.arange(16) % 6)
     assert 300 * 16 > LANES
     for cfg in (RunConfig(RLS, HARMONIC, inst, seed=81),
                 RunConfig(RLS, PM1, inst, seed=82, iteration_cap=150,
                           trace_potentials=(Potential.fitness(),))):
-        batch = run_batch(cfg, size, workers)
+        batch = run_batch(cfg, size)
         for k in sorted({0, 1, size // 2, size - 1} & set(range(size))):
             assert batch[k] == run(replace(cfg, seed=subseed(cfg.seed, k)))
         if size == 300 and cfg.iteration_cap == 150:
             assert 0 < sum(rec.capped for rec in batch) < size
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("size", [1, 7, 300])
-def test_run_is_its_record_in_execute_plan(size, workers):
+def test_run_is_its_record_in_execute_plan(size):
     # every cell's aggregate is that of its replicates' configs run alone
     plan = ExperimentPlan(grid=((16, 6), (3, 4)), algorithms=(RLS, EA),
                           operators=(UNIFORM, HARMONIC), metric=MetricKind.RING,
                           target_policy=TargetPolicy.UNIFORM_RANDOM, replicates=size,
                           base_seed=5, iteration_cap=300)
-    aggs = execute_plan(plan, workers)
+    aggs = execute_plan(plan)
     assert len(aggs) == 8
     for agg in aggs:
         records = [run(reference_replicate_config(plan, agg.n, agg.r, agg.algorithm,
@@ -170,7 +175,7 @@ def test_lockstep_batch_memory_stays_within_a_few_mib():
 
 
 def test_import_leaves_multiprocessing_unloaded():
-    # the process pool is imported by the runs that use it (workers > 1)
+    # the library never imports a process pool: its runs are serial
     src = str(Path(rvonemax.__file__).resolve().parents[1])
     code = ("import sys; import rvonemax; "
             "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "

@@ -244,6 +244,16 @@ def test_drift_cli_smoke(capsys):
     assert all(row["samples"] == 500 for row in rows)
 
 
+@pytest.mark.parametrize("potential", ["expweight", "expweight:1.5"])
+def test_drift_cli_expweight_needs_a_distance_vector(capsys, potential):
+    # --levels carries integers only, and an exp_weight level is a distance vector
+    code, out, err = run_cli(capsys, ["drift", "--n", "10", "--r", "4", "--potential", potential,
+                                      "--levels", "1", "--seed", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: exp_weight conditioning requires an explicit distance vector\n"
+
+
 def test_fit_cli_reads_run_output(tmp_path, capsys):
     data = tmp_path / "agg.csv"
     code, _, _ = run_cli(capsys, ["run", "--n", "6", "--r", "3,4,5,6", "--algo", "rls",
@@ -266,6 +276,17 @@ def test_fit_cli_reads_run_output(tmp_path, capsys):
                                          "--input", str(data_json)])
     assert code == 0
     assert out_json == out
+
+
+@pytest.mark.parametrize("payload", ['{"n": 1}', "[1, 2, 3, 4]"], ids=["object", "numbers"])
+def test_fit_cli_wrong_json_shape_exits_usage(tmp_path, capsys, payload):
+    data = tmp_path / "agg.json"
+    data.write_text(payload)
+    code, out, err = run_cli(capsys, ["fit", "--model", "linear_r", "--input", str(data)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "n, r and mean" in err
+    assert "Traceback" not in err
 
 
 def test_fit_cli_missing_input_is_io_error(tmp_path, capsys):
@@ -316,6 +337,32 @@ def test_plan_file_syntax_error(tmp_path, capsys):
                                     "--r", "3", "--seed", "1"])
     assert code == 1
     assert "key = value" in err
+
+
+def test_plan_file_unknown_key(tmp_path, capsys):
+    typo = tmp_path / "typo.txt"
+    typo.write_text("n = 5\nr = 3\nseed = 1\nreplicate = 3\nalgorithm = ea\n")
+    code, out, err = run_cli(capsys, ["run", "--plan", str(typo)])
+    assert code == 1
+    assert out == ""
+    assert "algorithm, replicate" in err
+
+
+def test_plan_file_accepts_every_key_of_its_flag(tmp_path, capsys):
+    # each known plan key means what its inline flag means
+    plan = tmp_path / "all.txt"
+    plan.write_text("n = 5\nr = 4\nalgorithms = [rls, ea]\noperators = pm1\nmetric = ring\n"
+                    "target = random\nstart = hamming\nhamming_k = 3\nreplicates = 6\n"
+                    "seed = 9\ncap = 400\n")
+    code, from_file, _ = run_cli(capsys, ["run", "--plan", str(plan)])
+    assert code == 0
+    code, inline, _ = run_cli(capsys, ["run", "--n", "5", "--r", "4", "--algo", "rls,ea",
+                                       "--op", "pm1", "--metric", "ring", "--target", "random",
+                                       "--start", "hamming", "--hamming-k", "3", "--reps", "6",
+                                       "--seed", "9", "--cap", "400"])
+    assert code == 0
+    assert from_file == inline
+    assert len(from_file.strip().splitlines()) == 1 + 2
 
 
 def test_module_entry_point():

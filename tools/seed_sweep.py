@@ -27,8 +27,11 @@ The margin is how far the measured value lies inside the rule's bounds, in
 the rule's own units (negative when the gate fails). A gate that passes at
 its fixed seed but not at most seeds rests on a lucky seed. This is a
 report, not a test: it asserts nothing and is not part of the test suite.
-One seed takes about half a minute with two workers; criteria 4 and 6
-dominate.
+
+--workers N runs N seeds of a gate at once, one per process; the report
+is the same at any N, in seed order. On a 2-core x86 box one seed of every
+gate takes about a minute on one process (criteria 4 and 6 dominate), and
+two seeds take about 77 s with --workers 2.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,20 +48,33 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from gates import GATES  # noqa: E402
 
 
+def outcomes(gate, seeds, workers):
+    """The gate's outcome at each seed, in seed order; workers > 1 runs that
+    many seeds at once, one per process."""
+    if workers == 1:
+        yield from map(gate, seeds)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(gate, seeds)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", type=int, nargs="+", help="seeds to run each gate at")
-    parser.add_argument("--workers", type=int, default=1, help="processes per plan")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="seeds of a gate to run at once, one per process (default: 1)")
     parser.add_argument("--gate", action="append", choices=[name for name, _, _ in GATES],
                         help="run only this gate (repeatable); default: every gate")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
     summary = []
     for name, fixed_seed, gate in GATES:
         if args.gate and name not in args.gate:
             continue
         margins, passed = [], 0
-        for seed in args.seeds:
-            ok, margin, uncapped, detail = gate(seed, args.workers)
+        for seed, (ok, margin, uncapped, detail) in zip(
+                args.seeds, outcomes(gate, args.seeds, args.workers)):
             passed += ok
             margins.append(margin)
             print(f"{name}: seed {seed}: {'pass' if ok else 'FAIL'} margin={margin:.4g} "
