@@ -32,12 +32,16 @@ fitness, so x is unchanged. The waits between events come from a Poisson
 process of such steps, the positions that step not-worse are picked by
 their weight w_i and move by the conditioned law, and the other selected
 positions are drawn with their step conditioned on missing, until the
-offspring is sure to be rejected. A run costs about its number of events,
-not its number of iterations.
+offspring is sure to be rejected; their number, Bin(n, 1/n), comes from
+Generator.binomial. A run costs about its number of events, not its number
+of iterations.
 
 Neither kernel knows the step operator: the per-position law (_law for the
 EA, its vectorized closed forms _lane_law for RLS) owns the weights and the
-conditioned moves, and _law also the misses and the pick index.
+conditioned moves, and _law also the misses and the pick index. Both
+kernels start a run the same way (_setup: its generator, then its start
+point), and both build a trace after the run with one builder, _trace,
+which scores the points after the run's accepted changes a block at a time.
 
 Runs are deterministic functions of their seed, and run one after another
 in the calling process. Replicates of a batch use sub-seeds derived from
@@ -52,7 +56,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from itertools import chain
 from math import log1p
 
@@ -67,6 +70,7 @@ DEFAULT_ITERATION_CAP = 10**10
 LANES = 2048  # lanes (replicate x position) the lockstep RLS kernel advances at once
 
 _BLOCK = 4096
+_TRACE_BLOCK = 1024  # changes _trace scores at once
 _CHUNK_ROUNDS = 8  # the most rounds of uniforms a lockstep replicate draws at once
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -185,19 +189,18 @@ def run(config: RunConfig) -> RunRecord:
     """Execute one seeded run until the optimum is evaluated or the cap hits."""
     if _lockstep(config):
         return _run_lanes([config])[0]
-    rng = np.random.default_rng(subseed(config.seed, 0))
-    instance = config.instance
-    if config.initial_point is not None:
-        x0 = np.array(config.initial_point, dtype=np.int64)
-    else:
-        x0 = sample_uniform_point(instance.params, rng)
-    hit, final_fit, trace = _simulate_ea(instance, config.operator, rng, x0,
-                                         config.iteration_cap, config.trace_potentials)
+    rng, x0 = _setup(config)
+    changes = [] if config.trace_potentials else None
+    hit, final_fit = _simulate_ea(config.instance, config.operator, rng, x0,
+                                  config.iteration_cap, changes)
     capped = hit is None
     iterations = config.iteration_cap if capped else hit
+    trace = None
+    if changes is not None:
+        changes = np.array(changes, dtype=np.int64).reshape(-1, 3).T  # frees the list
+        trace = _trace(config, x0, changes, iterations)
     return RunRecord(hitting_time=hit, capped=capped, final_fitness=final_fit,
-                     evaluations=iterations + 1,
-                     trace=None if trace is None else tuple(trace))
+                     evaluations=iterations + 1, trace=trace)
 
 
 def run_batch(config: RunConfig, replicates: int) -> list[RunRecord]:
@@ -236,44 +239,47 @@ def _map_runs(run_fn, configs: list[RunConfig]) -> list[RunRecord]:
     return records
 
 
-def _start(instance, x0, trace_pots):
-    """Scalar state of a run: values, target, per-position distances, fitness,
-    and the trace (None when no potentials are traced) with its row 0."""
-    dist = component_distances(instance.metric, x0, instance.target, instance.params.r).tolist()
-    trace = None
-    if trace_pots:
-        trace = [(0, tuple(potential_value(p, instance, x0) for p in trace_pots))]
-    return x0.tolist(), instance.target.tolist(), dist, sum(dist), trace
+def _setup(config):
+    """(rng, x0): a run's generator default_rng(subseed(seed, 0)) and its
+    start point, the config's validated read-only point, else a uniform one,
+    the generator's first draw."""
+    rng = np.random.default_rng(subseed(config.seed, 0))
+    if config.initial_point is not None:
+        return rng, config.initial_point
+    return rng, sample_uniform_point(config.instance.params, rng)
+
+
+def _trace(config, x0, changes, last):
+    """The trace rows (t, values) for t = 0, ..., last of a run from x0:
+    row t holds config.trace_potentials at the point after every change of
+    an iteration <= t.
+
+    changes = (iteration, position, new value) are arrays in the order the
+    run made its changes. The point after each change is built by forward
+    fill per position and scored _TRACE_BLOCK changes at a time, so the
+    memory is O(_TRACE_BLOCK * n) beside the O(last) rows.
+    """
+    instance, pots = config.instance, config.trace_potentials
+    when, pos, new = changes
+    points = x0[None]
+    scores = [np.column_stack([potential_value(p, instance, points) for p in pots])]
+    for lo in range(0, when.size, _TRACE_BLOCK):
+        at, to = pos[lo:lo + _TRACE_BLOCK], new[lo:lo + _TRACE_BLOCK]
+        latest = np.full((at.size, x0.size), -1)  # per position, its latest change in the block
+        latest[np.arange(at.size), at] = np.arange(at.size)
+        np.maximum.accumulate(latest, axis=0, out=latest)
+        points = np.where(latest >= 0, to[latest], points[-1])
+        scores.append(np.column_stack([potential_value(p, instance, points) for p in pots]))
+    rows = list(map(tuple, np.concatenate(scores).tolist()))
+    steps = np.searchsorted(when, np.arange(last + 1), "right").tolist()
+    return tuple((t, rows[s]) for t, s in enumerate(steps))
 
 
 # ---------------------------------------------------------------------------
 # Rejection-free (1+1) EA
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
-def _selection_cdf(n):
-    """The array [P[K <= k] for k = 0, 1, ...] for K ~ Bin(n, 1/n), n >= 2,
-    the number of positions an EA iteration selects.
-
-    The pmf comes from the recurrence P[K = k + 1] / P[K = k] =
-    (n - k) / (k + 1) / (n - 1), started from an unnormalized first term,
-    and the list is cut where the next term no longer changes the sum; the
-    partial sums are divided by the total, so the last entry is exactly 1.0.
-    The pmf is unimodal with its mode at 0 or 1, so the dropped tail is
-    below 1e-15.
-    """
-    sums = [1.0]
-    term = total = 1.0
-    for k in range(n):
-        term *= (n - k) / (k + 1) / (n - 1)
-        if total + term == total:
-            break
-        total += term
-        sums.append(total)
-    return np.array(sums) / total
-
-
-def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
+def _simulate_ea(instance, operator, rng, x0, cap, changes):
     """Rejection-free (1+1) EA: one loop pass per iteration in which some
     selected position takes a not-worse step, a feasible step that does not
     raise that position's own distance d_i.
@@ -292,29 +298,29 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
     complete the set G of positions that step not-worse, and the hazard
     left over is a fresh Exp(1) for the next event. Every other position is
     selected with probability (1 - a_i) / (n - a_i), independently: of
-    K ~ Bin(n, 1/n) distinct uniform candidates, each outside G is kept
-    with probability (1 - a_i) / (1 - a_i / n) and takes the step
-    conditioned on missing (`miss`), and the drawing stops as soon as the
-    offspring is sure to be rejected.
+    K ~ Bin(n, 1/n) distinct uniform candidates (K from Generator.binomial),
+    each outside G is kept with probability (1 - a_i) / (1 - a_i / n) and
+    takes the step conditioned on missing (`miss`), and the drawing stops as
+    soon as the offspring is sure to be rejected.
 
-    Returns (hitting_time or None, final_fitness, trace or None); the trace
-    repeats the previous row for every iteration of a wait.
+    Returns (hitting_time or None, final_fitness). A list `changes` (None
+    when untraced) gets the (iteration, position, new value) of every
+    accepted change, from which _trace builds the trace after the run.
     """
-    params = instance.params
-    n, r = params.n, params.r
+    n, r = instance.params.n, instance.params.r
     ring = instance.metric is MetricKind.RING
-    x, z, dist, fit, trace = _start(instance, x0, trace_pots)
+    x, z = x0.tolist(), instance.target.tolist()
+    dist = component_distances(instance.metric, x0, instance.target, r).tolist()
+    fit = sum(dist)
     if fit == 0:
-        return 0, 0, trace
-    pots = trace_pots or ()
+        return 0, 0
 
     draw = _draws(rng.random)
     pick, settle, miss, w, total, per, bound = _law(operator, r, ring, x, z, dist, draw)
     norm = per * n  # position i takes a not-worse step with probability w_i / norm
     c = -log1p(-bound / norm) / bound  # q_i / w_i grows with w_i: its largest value
-    cdf = _selection_cdf(n)
     hazard = _draws(rng.standard_exponential)
-    selected = _draws(lambda size: np.searchsorted(cdf, rng.random(size), "right"))
+    selected = _draws(lambda size: rng.binomial(n, 1.0 / n, size))
     position = _draws(lambda size: rng.integers(0, n, size))
     e = hazard()  # to the next proposal, from the end of iteration t
     t = 0
@@ -331,11 +337,8 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
                 # a not-worse step at i
                 if h is None:
                     wait = 1 + int(e / rate)
-                    if trace is not None:
-                        row = trace[-1][1]
-                        trace.extend((j, row) for j in range(t + 1, min(t + wait, cap + 1)))
                     if wait > cap - t:
-                        return None, fit, trace
+                        return None, fit
                     t += wait
                     h = rate * wait - e
                 marked.append(i)
@@ -380,10 +383,10 @@ def _simulate_ea(instance, operator, rng, x0, cap, trace_pots):
             fit += delta
             for i, new, nd in pending:
                 total = settle(i, new, nd)
-        if trace is not None:
-            trace.append((t, tuple(potential_value(p, instance, np.asarray(x)) for p in pots)))
+            if changes is not None:
+                changes += [(t, i, new) for i, new, _ in pending]
         if fit == 0:
-            return t, 0, trace
+            return t, 0
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +709,8 @@ def _advance(configs, record=False):
     and LANES // n at a time), then the Poisson count; the chunks depend
     only on the replicate's own state, so its T does too, in any batch.
 
-    Returns (hits, rngs, starts, moves): moves is [] without record, and
-    with it the arrays (lane, clock, new value, old and new distance,
+    Returns (hits, rngs, starts, per, moves): moves is [] without record,
+    and with it the arrays (lane, clock, new value, old and new distance,
     change of w) of every move, lane k * n + i being position i of
     replicate k.
     """
@@ -715,18 +718,12 @@ def _advance(configs, record=False):
     n, r, ring = first.params.n, first.params.r, first.metric is MetricKind.RING
     per, move = _lane_law(configs[0].operator, r, ring)
     most = max(1, min(_CHUNK_ROUNDS, LANES // n))
-    rngs, starts = [], []
-    for config in configs:
-        rng = np.random.default_rng(subseed(config.seed, 0))
-        if config.initial_point is not None:
-            starts.append(config.initial_point)  # validated read-only int64
-        else:
-            starts.append(sample_uniform_point(config.instance.params, rng))
-        rngs.append(rng)
+    rngs, starts = zip(*map(_setup, configs))
+    x_all = np.concatenate(starts)
     z_all = np.concatenate([config.instance.target for config in configs])
-    d_all = component_distances(first.metric, np.concatenate(starts), z_all, r)
+    d_all = component_distances(first.metric, x_all, z_all, r)
     lane = np.flatnonzero(d_all)  # the unfinished lanes, in batch order
-    x, z, d = np.concatenate(starts)[lane], z_all[lane], d_all[lane]
+    x, z, d = x_all[lane], z_all[lane], d_all[lane]
     clock, spent = np.zeros(lane.size), np.zeros(lane.size)
     tau, spent_all = np.zeros(d_all.size), np.zeros(d_all.size)
     moves = np.zeros(d_all.size, dtype=np.int64)
@@ -767,7 +764,7 @@ def _advance(configs, record=False):
     if record:
         log = ([np.concatenate(column) for column in zip(*log)] if log
                else [np.zeros(0, dtype=np.int64)] * 6)
-    return hits, rngs, starts, log
+    return hits, rngs, starts, per, log
 
 
 def _run_lanes(configs):
@@ -777,7 +774,7 @@ def _run_lanes(configs):
 
     A traced run, or one with T above its cap, is replayed with its moves
     recorded (see _replay)."""
-    hits, _, _, _ = _advance(configs)
+    hits = _advance(configs)[0]
     records = [None if config.trace_potentials or hit > config.iteration_cap
                else RunRecord(hitting_time=hit, capped=False, final_fitness=0,
                               evaluations=hit + 1)
@@ -801,22 +798,21 @@ def _replay(configs):
     state at the cap and the capped-prefix property exactly. The
     multinomial is the replicate's last draw.
     """
-    hits, rngs, starts, (lane, clock, new, old, nd, change) = _advance(configs, record=True)
-    params = configs[0].instance.params
-    norm = params.n * (params.r - 1 if configs[0].operator is StepOperatorKind.UNIFORM else 2)
-    owner = lane // params.n
+    hits, rngs, starts, per, (lane, clock, new, old, nd, change) = _advance(configs, record=True)
+    n = configs[0].instance.params.n
+    owner = lane // n
     order = np.lexsort((clock, owner))  # stable: a lane's moves keep their order
     bounds = np.searchsorted(owner[order], np.arange(len(configs) + 1)).tolist()
-    return [_replayed_record(config, hits[k], rngs[k], starts[k], norm,
+    return [_replayed_record(config, hits[k], rngs[k], starts[k], per * n,
                              *(a[order[bounds[k]:bounds[k + 1]]]
-                               for a in (lane % params.n, clock, new, old, nd, change)))
+                               for a in (lane % n, clock, new, old, nd, change)))
             for k, config in enumerate(configs)]
 
 
 def _replayed_record(config, hit, rng, x0, norm, pos, clock, new, old, nd, change):
     """One replicate's record from its moves in clock order (see _replay);
     change is the change of sum(w) at each move."""
-    instance, cap, pots = config.instance, config.iteration_cap, config.trace_potentials
+    instance, cap = config.instance, config.iteration_cap
     m = pos.size
     # every lane ends at w = 0, so the total before move k is minus the
     # changes from move k on
@@ -833,18 +829,8 @@ def _replayed_record(config, hit, rng, x0, norm, pos, clock, new, old, nd, chang
                                   instance.params.r).sum())
     final = fit + int((nd[:done] - old[:done]).sum())
     trace = None
-    if pots:
-        # the point after each of the first `done` moves, by forward fill per position
-        n = x0.size
-        values = np.full((done + 1, n), -1, dtype=np.int64)
-        values[0] = x0
-        values[np.arange(1, done + 1), pos[:done]] = new[:done]
-        latest = np.where(values >= 0, np.arange(done + 1)[:, None], 0)
-        np.maximum.accumulate(latest, axis=0, out=latest)
-        points = values[latest, np.arange(n)]
-        rows = list(zip(*(potential_value(p, instance, points).tolist() for p in pots)))
-        steps = np.searchsorted(when[:done], np.arange(min(hit, cap) + 1), "right")
-        trace = tuple((t, rows[s]) for t, s in enumerate(steps.tolist()))
+    if config.trace_potentials:
+        trace = _trace(config, x0, (when[:done], pos[:done], new[:done]), min(hit, cap))
     if hit > cap:
         return RunRecord(hitting_time=None, capped=True, final_fitness=final,
                          evaluations=cap + 1, trace=trace)

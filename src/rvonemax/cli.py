@@ -207,6 +207,14 @@ def _build_experiment(ns) -> ExperimentPlan:
     unknown = sorted(set(values) - set(flags))
     if unknown:
         raise ValueError(f"unknown plan key(s): {', '.join(unknown)}")
+    # an integer key takes what its int-typed flag takes, so 2.7 or 1e3 is no integer
+    for key in ("n", "r", "hamming_k", "replicates", "seed", "cap"):
+        if key in values:
+            for item in _split(values[key]) if key in ("n", "r") else [values[key]]:
+                try:
+                    int(str(item))
+                except ValueError:
+                    raise ValueError(f"plan key {key} needs an integer, got {item!r}") from None
     values.update((key, flag) for key, flag in flags.items() if flag is not None)
     if "n" not in values or "r" not in values:
         raise ValueError("run needs --n and --r (flags or plan file)")

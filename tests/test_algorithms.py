@@ -18,9 +18,9 @@ from helpers import (assert_chi_square, assert_same_categorical, assert_same_dis
 import rvonemax
 from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, ProblemInstance,
                       RunConfig, SpaceParams, StepOperatorKind, TargetPolicy, execute_plan,
-                      fitness, hamming_distance, metric_distance, mutate, run, run_batch,
-                      subseed)
-from rvonemax.algorithms import LANES, _lane_law, _law, _map_runs, _selection_cdf
+                      fitness, hamming_distance, metric_distance, mutate, potential_value,
+                      run, run_batch, subseed)
+from rvonemax.algorithms import _TRACE_BLOCK, LANES, _lane_law, _law, _map_runs, _trace
 from rvonemax.experiments import hitting_time_summary
 
 RLS = AlgorithmKind.RLS
@@ -174,6 +174,62 @@ def test_lockstep_batch_memory_stays_within_a_few_mib():
         assert peak < 2 * 2**20, (reps, peak)  # measured 1.15 and 0.48 MiB
 
 
+def _stepped_trace(config, x0, changes, last):
+    """The trace rows of a plain stepper: apply the changes one at a time and
+    score every potential at every iteration."""
+    x = np.array(x0)
+    when, pos, new = changes
+    rows, k = [], 0
+    for t in range(last + 1):
+        while k < when.size and when[k] <= t:
+            x[pos[k]] = new[k]
+            k += 1
+        rows.append((t, tuple(potential_value(p, config.instance, x)
+                              for p in config.trace_potentials)))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_trace_matches_a_plain_stepper(metric):
+    # exact rows of every potential: changes across block seams, several
+    # changes in one iteration (as the EA makes them), no changes, and rows
+    # past the final change
+    n, r = 7, 9
+    inst = make_instance(n, r, metric, target=np.arange(n) % r)
+    config = RunConfig(EA, UNIFORM, inst, seed=0,
+                       trace_potentials=("fitness", "hamming", "expweight:1.25"))
+    rng = np.random.default_rng(5)
+    x0 = rng.integers(0, r, n)
+
+    def changes(m, gaps):
+        when = 1 + np.cumsum(rng.choice(gaps, m)) if m else np.zeros(0, dtype=np.int64)
+        return when, rng.integers(0, n, m), rng.integers(0, r, m)
+
+    seams = changes(2 * _TRACE_BLOCK + 37, [0, 1, 2, 3])
+    crowded = changes(40, [0, 0, 0, 1, 5])
+    assert np.diff(seams[0]).min() == 0 and (np.diff(crowded[0]) == 0).sum() > 10
+    for case, last in ((seams, int(seams[0][-1])), (seams, 100),
+                       (crowded, int(crowded[0][-1]) + 9), (changes(0, [1]), 6)):
+        assert _trace(config, x0, case, last) == _stepped_trace(config, x0, case, last)
+
+
+def test_traced_run_memory_is_not_moves_by_n():
+    # tracemalloc peak of a traced RLS run with about 10^5 moves at n=200:
+    # the trace builder scores a block of changes at a time, so the peak is
+    # the O(T) rows, not a (moves, n) array of points
+    inst = make_instance(200, 256)
+    cfg = RunConfig(RLS, PM1, inst, seed=1, trace_potentials=(Potential.fitness(),))
+    run(replace(cfg, seed=2, initial_point=np.ones(200)))  # lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        rec = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.hitting_time > 10**5
+    assert peak <= 40 * 2**20, peak  # measured 23 MiB
+
+
 def test_import_leaves_multiprocessing_unloaded():
     # the library never imports a process pool: its runs are serial
     src = str(Path(rvonemax.__file__).resolve().parents[1])
@@ -313,19 +369,6 @@ def test_ea_one_step_matches_exact_transition_law():
     # the same oracle from one start where the kernel's rate of selecting
     # the other positions beside a not-worse step shows clearly
     assert_passes("ea one step")
-
-
-@pytest.mark.parametrize("n", [2, 50, 2000])
-def test_ea_selection_cdf_matches_scipy_binomial(n):
-    # exact, no sampling: the CDF of the number of positions an EA iteration
-    # selects agrees with scipy.stats.binom, and is cut where it reaches 1:
-    # the last entry is exactly 1 and the dropped tail holds no real mass
-    cdf = _selection_cdf(n)
-    k = np.arange(len(cdf))
-    np.testing.assert_allclose(cdf, stats.binom.cdf(k, n, 1.0 / n), rtol=1e-12)
-    assert cdf[-1] == 1.0 and len(cdf) <= n + 1
-    assert stats.binom.sf(len(cdf) - 1, n, 1.0 / n) < 1e-15
-    assert (np.diff(cdf) >= 0).all()
 
 
 @pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])

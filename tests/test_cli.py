@@ -348,6 +348,21 @@ def test_plan_file_unknown_key(tmp_path, capsys):
     assert "algorithm, replicate" in err
 
 
+@pytest.mark.parametrize("line", ["replicates = 2.7", "seed = 1.9", "hamming_k = 2.5",
+                                  "cap = 1e3", "n = 5.0", "r = [4, 3.5]", "seed = [1]"])
+def test_plan_file_integer_key_rejects_what_its_flag_rejects(tmp_path, capsys, line):
+    # an integer key is not truncated: 2.7 replicates is an error, as --reps 2.7 is
+    plan = tmp_path / "plan.txt"
+    key, _, value = line.partition(" = ")
+    values = {"n": "5", "r": "4", "seed": "1", "replicates": "2", "start": "hamming",
+              "hamming_k": "2", "cap": "1000", key: value}
+    plan.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    code, out, err = run_cli(capsys, ["run", "--plan", str(plan)])
+    assert code == 1
+    assert out == ""
+    assert f"plan key {key} needs an integer" in err
+
+
 def test_plan_file_accepts_every_key_of_its_flag(tmp_path, capsys):
     # each known plan key means what its inline flag means
     plan = tmp_path / "all.txt"

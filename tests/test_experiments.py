@@ -30,7 +30,7 @@ def test_execute_plan_matches_closed_form_mean():
     assert_passes("plan closed form")
 
 
-def test_execute_plan_deterministic_and_worker_independent():
+def test_execute_plan_is_deterministic():
     plan = single_cell_plan(8, 4, EA, PM1, StartPolicy.uniform_random(), 12, seed=77)
     first = execute_plan(plan)
     assert first == execute_plan(plan)
