@@ -39,9 +39,10 @@ of iterations.
 Neither kernel knows the step operator: the per-position law (_law for the
 EA, its vectorized closed forms _lane_law for RLS) owns the weights and the
 conditioned moves, and _law also the misses and the pick index. Both
-kernels start a run the same way (_setup: its generator, then its start
-point), and both build a trace after the run with one builder, _trace,
-which scores the points after the run's accepted changes a block at a time.
+kernels start their runs the same way (_setup: the runs' generators,
+built in one pass, then their start points), and both build a trace after
+the run with one builder, _trace, which scores the points after the run's
+accepted changes a block at a time.
 
 Runs are deterministic functions of their seed, and run one after another
 in the calling process. Replicates of a batch use sub-seeds derived from
@@ -74,6 +75,7 @@ _TRACE_BLOCK = 1024  # changes _trace scores at once
 _CHUNK_ROUNDS = 8  # the most rounds of uniforms a lockstep replicate draws at once
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK32 = 0xFFFFFFFF
 
 
 class AlgorithmKind(Enum):
@@ -97,6 +99,71 @@ def subseed(seed: int, index: int) -> int:
     bit-identical to a plain run with the batch seed.
     """
     return (seed ^ ((index * _GOLDEN) & _MASK64)) & _MASK64
+
+
+def _hash_constants(init, mult, count):
+    """A column of SeedSequence's hash constant after k steps, init * mult**k
+    mod 2**32, for k = 0..count: it depends only on the step index."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(count + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence: 16 hash steps fill and mix its 4-word pool, and 8
+# more draw generate_state(4, np.uint64) out of it
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(value, constants):
+    """SeedSequence's hash of each row of value, row j at the step of
+    constants[j] (mod 2**32)."""
+    value = (value ^ constants[:-1]) * constants[1:]
+    return value ^ value >> 16
+
+
+def _generators(seeds):
+    """The generators np.random.default_rng(seed) returns for 64-bit seeds,
+    with the same streams, built in one pass.
+
+    numpy's SeedSequence hash of every seed runs at once on uint32 rows: the
+    entropy pool is [lo32, hi32, 0, 0] (an absent word hashes as 0, so a
+    one-word seed hashes as its two-word form), mixed word by word, then
+    drawn out as the 4 uint64 words PCG64 asks for. PCG64 seeds itself from
+    those words through _Pooled, so no generator state is written by hand.
+    One seed goes to default_rng itself, since the pass has a fixed cost of
+    several default_rng calls.
+    """
+    if not all(0 <= seed <= _MASK64 for seed in seeds):
+        raise ValueError("generator seeds must lie in [0, 2**64)")
+    if len(seeds) == 1:
+        return [np.random.default_rng(seeds[0])]
+    # imported here: numpy.random would add about 15 ms to `import rvonemax`
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Pooled(ISeedSequence):
+        """The precomputed generate_state(4, np.uint64) of one seed."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    wide = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, wide.size), dtype=np.uint32)
+    pool[0], pool[1] = wide & _MASK32, wide >> 32
+    pool = _hash(pool, _MIX_HASH[:5])
+    for src in range(4):
+        # mix every other word with the hash of word src; these three steps
+        # read only word src, so they run as one
+        dst = [k for k in range(4) if k != src]
+        mixed = (np.uint32(0xCA01F9DD) * pool[dst]
+                 - np.uint32(0x4973F715) * _hash(pool[src], _MIX_HASH[4 + 3 * src:8 + 3 * src]))
+        pool[dst] = mixed ^ mixed >> 16
+    state = _hash(np.concatenate([pool, pool]), _STATE_HASH).astype(np.uint64)
+    words = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+    return [Generator(PCG64(_Pooled(row))) for row in words]
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +256,7 @@ def run(config: RunConfig) -> RunRecord:
     """Execute one seeded run until the optimum is evaluated or the cap hits."""
     if _lockstep(config):
         return _run_lanes([config])[0]
-    rng, x0 = _setup(config)
+    (rng,), (x0,) = _setup([config])
     changes = [] if config.trace_potentials else None
     hit, final_fit = _simulate_ea(config.instance, config.operator, rng, x0,
                                   config.iteration_cap, changes)
@@ -239,14 +306,15 @@ def _map_runs(run_fn, configs: list[RunConfig]) -> list[RunRecord]:
     return records
 
 
-def _setup(config):
-    """(rng, x0): a run's generator default_rng(subseed(seed, 0)) and its
-    start point, the config's validated read-only point, else a uniform one,
-    the generator's first draw."""
-    rng = np.random.default_rng(subseed(config.seed, 0))
-    if config.initial_point is not None:
-        return rng, config.initial_point
-    return rng, sample_uniform_point(config.instance.params, rng)
+def _setup(configs):
+    """(rngs, starts): each run's generator default_rng(subseed(seed, 0)),
+    built in one pass by _generators, and its start point, the config's
+    validated read-only point, else a uniform one, the generator's first
+    draw."""
+    rngs = _generators([subseed(config.seed, 0) for config in configs])
+    return rngs, [sample_uniform_point(config.instance.params, rng)
+                  if config.initial_point is None else config.initial_point
+                  for config, rng in zip(configs, rngs)]
 
 
 def _trace(config, x0, changes, last):
@@ -718,7 +786,7 @@ def _advance(configs, record=False):
     n, r, ring = first.params.n, first.params.r, first.metric is MetricKind.RING
     per, move = _lane_law(configs[0].operator, r, ring)
     most = max(1, min(_CHUNK_ROUNDS, LANES // n))
-    rngs, starts = zip(*map(_setup, configs))
+    rngs, starts = _setup(configs)
     x_all = np.concatenate(starts)
     z_all = np.concatenate([config.instance.target for config in configs])
     d_all = component_distances(first.metric, x_all, z_all, r)

@@ -16,10 +16,12 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .algorithms import DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, _map_runs, run
+from .algorithms import (DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, _generators, _map_runs,
+                         run)
 from .drift import _place_at_hamming, plant_state_at_hamming
 from .operators import StepOperatorKind
 from .space import MetricKind, ProblemInstance, SpaceParams
@@ -27,11 +29,18 @@ from .space import MetricKind, ProblemInstance, SpaceParams
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+@lru_cache(maxsize=64)
+def _keyed_hash(base: int):
+    """The blake2b hasher keyed by a masked base seed; stable_seed copies it
+    per key, since keying one costs more than copying it."""
+    return hashlib.blake2b(digest_size=8, key=base.to_bytes(8, "little"))
+
+
 def stable_seed(base_seed: int, key: str) -> int:
     """Platform-stable 64-bit seed for a named unit of work."""
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8,
-                             key=(base_seed & _MASK64).to_bytes(8, "little")).digest()
-    return int.from_bytes(digest, "little")
+    hasher = _keyed_hash(base_seed & _MASK64).copy()
+    hasher.update(key.encode("utf-8"))
+    return int.from_bytes(hasher.digest(), "little")
 
 
 class TargetPolicy(Enum):
@@ -162,8 +171,9 @@ def _replicate_configs(plan: ExperimentPlan, n: int, r: int, algorithm: Algorith
                        operator: StepOperatorKind, reps: range) -> list[RunConfig]:
     """The RunConfigs of replicates `reps` of one cell.
 
-    A replicate's set-up generator, seeded by its key, is built only for a
-    random target or a planted start, which draw from it in that order (the
+    The replicates' set-up generators, each seeded by its key, are built in
+    one pass by _generators, and only for a random target or a planted
+    start, which draw from a replicate's generator in that order (the
     target, then the n keys and k wrong values of plant_rows_at_hamming).
     The zero and center targets are one instance shared by the cell, and
     the planted starts are placed as one block.
@@ -174,8 +184,7 @@ def _replicate_configs(plan: ExperimentPlan, n: int, r: int, algorithm: Algorith
     policy, kind = plan.target_policy, plan.start_policy.kind
     setups = []  # only a random target and a planted start draw from them
     if policy is TargetPolicy.UNIFORM_RANDOM or kind is StartKind.FIXED_HAMMING:
-        setups = [np.random.default_rng(stable_seed(plan.base_seed, key + "|setup"))
-                  for key in keys]
+        setups = _generators([stable_seed(plan.base_seed, key + "|setup") for key in keys])
     if policy is TargetPolicy.UNIFORM_RANDOM:
         instances = [ProblemInstance(params=params, metric=plan.metric,
                                      target=build_target(policy, params, rng))

@@ -20,7 +20,8 @@ from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, Prob
                       RunConfig, SpaceParams, StepOperatorKind, TargetPolicy, execute_plan,
                       fitness, hamming_distance, metric_distance, mutate, potential_value,
                       run, run_batch, subseed)
-from rvonemax.algorithms import _TRACE_BLOCK, LANES, _lane_law, _law, _map_runs, _trace
+from rvonemax.algorithms import (_TRACE_BLOCK, LANES, _generators, _lane_law, _law, _map_runs,
+                                 _trace)
 from rvonemax.experiments import hitting_time_summary
 
 RLS = AlgorithmKind.RLS
@@ -231,15 +232,36 @@ def test_traced_run_memory_is_not_moves_by_n():
 
 
 def test_import_leaves_multiprocessing_unloaded():
-    # the library never imports a process pool: its runs are serial
+    # the library never imports a process pool: its runs are serial; and it
+    # loads numpy.random only when it first builds a generator, which keeps
+    # it off the import's time
     src = str(Path(rvonemax.__file__).resolve().parents[1])
     code = ("import sys; import rvonemax; "
             "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "
-            "'concurrent.futures.process'))))")
+            "'concurrent.futures.process', 'numpy.random'))))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_generators_are_default_rng_of_each_seed():
+    # pins the batched SeedSequence hash to numpy's, also across numpy upgrades
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    seeds += np.random.default_rng(77).integers(0, 2**64, 1000, dtype=np.uint64).tolist()
+    for size in (1, 2, 1000):
+        for lo in range(0, len(seeds), size):
+            batch = seeds[lo:lo + size]
+            generators = _generators(batch)
+            assert len(generators) == len(batch)
+            for seed, rng in zip(batch, generators):
+                expected = np.random.default_rng(seed)
+                assert rng.bit_generator.state == expected.bit_generator.state
+                assert (rng.random(8) == expected.random(8)).all()
+    for size in (1, 2, 1000):
+        for bad in (-1, 2**64, -2**64, 2**65 + 1):
+            with pytest.raises(ValueError):
+                _generators([5] * (size - 1) + [bad])
 
 
 def test_rls_mean_matches_closed_form_from_fixed_hamming_start():

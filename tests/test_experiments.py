@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -114,13 +115,14 @@ def test_replicate_setup_generator_only_where_drawn_from(monkeypatch):
     # start, one per replicate of the cell, in replicate order, with the seed
     # it always had, so targets and starts are unchanged
     real = np.random.default_rng
+    batch = experiments._generators
     built = []
 
-    def counting(seed=None):
-        built.append(seed)
-        return real(seed)
+    def counting(seeds):
+        built.extend(seeds)
+        return batch(seeds)
 
-    monkeypatch.setattr(experiments.np.random, "default_rng", counting)
+    monkeypatch.setattr(experiments, "_generators", counting)
     n, r, replicates = 6, 5, 5
 
     def key(rep):
@@ -230,6 +232,14 @@ def test_stable_seed_is_stable_and_spread():
     assert stable_seed(42, "a|b|c") != stable_seed(43, "a|b|c")
     seeds = {stable_seed(1, f"cell{i}") for i in range(1000)}
     assert len(seeds) == 1000
+
+
+@pytest.mark.parametrize("base", [0, 1, 42, 2**63, 2**64 - 1, -1, -42, 2**64, 2**64 + 42, 2**80 + 7])
+def test_stable_seed_is_the_keyed_blake2b_of_the_masked_base(base):
+    key = (base & (2**64 - 1)).to_bytes(8, "little")
+    for name in ("", "a|b|c", "20|8|rls|uniform|ring|7|setup", "ü"):
+        digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8, key=key).digest()
+        assert stable_seed(base, name) == int.from_bytes(digest, "little")
 
 
 # ---------------------------------------------------------------------------
