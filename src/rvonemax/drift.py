@@ -31,7 +31,7 @@ import numpy as np
 
 from .algorithms import RunConfig, one_iteration, subseed
 from .potentials import Potential, potential_value
-from .space import MetricKind, ProblemInstance
+from .space import MetricKind, ProblemInstance, _scaled
 
 
 @dataclass(frozen=True)
@@ -111,23 +111,30 @@ def plant_state_at_hamming(instance: ProblemInstance, k: int,
 def plant_rows_at_hamming(instance: ProblemInstance, k: int, rows: int,
                           rng: np.random.Generator) -> np.ndarray:
     """(rows, n) points, each the target with k uniformly chosen positions set
-    to uniform wrong values."""
-    n, r = instance.params.n, instance.params.r
+    to uniform wrong values, from n + k uniforms per row (see
+    _place_at_hamming)."""
+    n = instance.params.n
     if not (0 <= k <= n):
         raise ValueError(f"hamming level must lie in [0, {n}], got {k}")
-    keys = rng.random((rows, n))
-    wrong = rng.integers(0, r - 1, (rows, k))
-    return _place_at_hamming(np.broadcast_to(instance.target, (rows, n)), keys, wrong)
+    return _place_at_hamming(np.broadcast_to(instance.target, (rows, n)),
+                             rng.random((rows, n + k)), instance.params.r)
 
 
-def _place_at_hamming(targets: np.ndarray, keys: np.ndarray, wrong: np.ndarray) -> np.ndarray:
-    """A copy of the (rows, n) target rows with, per row, the positions of
-    its k smallest keys set to its k wrong values; wrong holds (rows, k)
-    draws from [0, r-2], and w stands for w + (w >= x), so uniform keys and
-    draws give a uniform k-subset set to uniform wrong values."""
+def _place_at_hamming(targets: np.ndarray, u: np.ndarray, r: int) -> np.ndarray:
+    """A copy of the (rows, n) target rows, each with k positions set to
+    wrong values drawn from its row of n + k uniforms u: the positions of
+    its k smallest keys u[:n], in position order, take its k draws
+    w = floor(u[n:] * (r-1)) from [0, r-2], w standing for w + (w >= x).
+    So uniform u give a uniform k-subset set to uniform wrong values."""
     x = np.array(targets, dtype=np.int64)
-    rows, k = wrong.shape
-    picked = np.arange(rows)[:, None], np.argsort(keys, axis=1)[:, :k]
+    rows, n = x.shape
+    k = u.shape[1] - n
+    if 0 < k < n:
+        cols = np.sort(np.argpartition(u[:, :n], k - 1, axis=1)[:, :k], axis=1)
+    else:  # no position, or all of them
+        cols = np.arange(k)
+    picked = np.arange(rows)[:, None], cols
+    wrong = _scaled(u[:, n:], r - 1)
     x[picked] = wrong + (wrong >= x[picked])
     return x
 

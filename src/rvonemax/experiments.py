@@ -24,7 +24,8 @@ from .algorithms import (DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, _gener
                          run)
 from .drift import _place_at_hamming, plant_state_at_hamming
 from .operators import StepOperatorKind
-from .space import MetricKind, ProblemInstance, SpaceParams
+from .space import (MetricKind, ProblemInstance, SpaceParams, _copies, _read_only_points,
+                    _scaled)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -140,12 +141,13 @@ class AggregateResult:
 
 def build_target(policy: TargetPolicy, params: SpaceParams,
                  rng: np.random.Generator | None) -> np.ndarray:
-    """Target vector of a replicate; only the random policy draws from rng."""
+    """Target vector of a replicate; only the random policy draws from rng,
+    n uniforms mapped to floor(u * r)."""
     if policy is TargetPolicy.ALL_ZERO:
         return np.zeros(params.n, dtype=np.int64)
     if policy is TargetPolicy.CENTER:
         return np.full(params.n, params.r // 2, dtype=np.int64)
-    return rng.integers(0, params.r, size=params.n, dtype=np.int64)
+    return _scaled(rng.random(params.n), params.r)
 
 
 def _farthest(metric: MetricKind, r: int, targets: np.ndarray) -> np.ndarray:
@@ -171,44 +173,47 @@ def _replicate_configs(plan: ExperimentPlan, n: int, r: int, algorithm: Algorith
                        operator: StepOperatorKind, reps: range) -> list[RunConfig]:
     """The RunConfigs of replicates `reps` of one cell.
 
-    The replicates' set-up generators, each seeded by its key, are built in
-    one pass by _generators, and only for a random target or a planted
-    start, which draw from a replicate's generator in that order (the
-    target, then the n keys and k wrong values of plant_rows_at_hamming).
-    The zero and center targets are one instance shared by the cell, and
-    the planted starts are placed as one block.
+    Only a random target and a planted start draw, from the replicate's
+    set-up generator (seeded by its key; a cell's are built in one pass by
+    _generators): one `random` row per replicate, in the order build_target
+    and build_start draw (the target's n uniforms, then the n + k of
+    plant_rows_at_hamming). The zero and center targets are one instance
+    shared by the cell. The targets and the starts are each range-checked
+    once, as a block, and the cell's instances and configs are copies of
+    one validated template.
     """
     cell = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}|"
     keys = [cell + str(rep) for rep in reps]
     params = SpaceParams(n=n, r=r)
     policy, kind = plan.target_policy, plan.start_policy.kind
-    setups = []  # only a random target and a planted start draw from them
-    if policy is TargetPolicy.UNIFORM_RANDOM or kind is StartKind.FIXED_HAMMING:
-        setups = _generators([stable_seed(plan.base_seed, key + "|setup") for key in keys])
-    if policy is TargetPolicy.UNIFORM_RANDOM:
-        instances = [ProblemInstance(params=params, metric=plan.metric,
-                                     target=build_target(policy, params, rng))
-                     for rng in setups]
-        targets = np.array([instance.target for instance in instances])
+    lead = n if policy is TargetPolicy.UNIFORM_RANDOM else 0  # the target's uniforms
+    k = plan.start_policy.hamming_k if kind is StartKind.FIXED_HAMMING else None
+    draws = np.empty((len(keys), lead + (0 if k is None else n + k)))
+    if draws.shape[1]:
+        seeds = [stable_seed(plan.base_seed, key + "|setup") for key in keys]
+        for row, rng in zip(draws, _generators(seeds)):
+            rng.random(out=row)
+    if lead:
+        targets = _read_only_points(_scaled(draws[:, :n], r), params)
+        instances = _copies(ProblemInstance(params=params, metric=plan.metric,
+                                            target=targets[0]), target=targets)
     else:
         shared = ProblemInstance(params=params, metric=plan.metric,
                                  target=build_target(policy, params, None))
         instances = [shared] * len(keys)
         targets = shared.target[None, :]
     starts = [None] * len(keys)
-    if kind is StartKind.FIXED_HAMMING:
-        k = plan.start_policy.hamming_k
-        draws, wrong = np.empty((len(keys), n)), np.empty((len(keys), k), dtype=np.int64)
-        for row, rng in enumerate(setups):
-            rng.random(out=draws[row])
-            wrong[row] = rng.integers(0, r - 1, k)
-        starts = _place_at_hamming(np.broadcast_to(targets, draws.shape), draws, wrong)
+    if k is not None:
+        starts = _place_at_hamming(np.broadcast_to(targets, (len(keys), n)), draws[:, lead:], r)
     elif kind is StartKind.ALL_MAX_DISTANCE:
         starts = np.broadcast_to(_farthest(plan.metric, r, targets), (len(keys), n))
-    return [RunConfig(algorithm=algorithm, operator=operator, instance=instance,
-                      seed=stable_seed(plan.base_seed, key),
-                      iteration_cap=plan.iteration_cap, initial_point=start)
-            for key, instance, start in zip(keys, instances, starts)]
+    if kind is not StartKind.UNIFORM_RANDOM:
+        starts = _read_only_points(starts, params)
+    template = RunConfig(algorithm=algorithm, operator=operator, instance=instances[0],
+                         seed=0, iteration_cap=plan.iteration_cap)
+    return _copies(template, instance=instances,
+                   seed=[stable_seed(plan.base_seed, key) for key in keys],
+                   initial_point=starts)
 
 
 def _replicate_config(plan: ExperimentPlan, n: int, r: int, algorithm: AlgorithmKind,

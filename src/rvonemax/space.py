@@ -47,10 +47,43 @@ def as_point(values, params: SpaceParams) -> np.ndarray:
     x = np.asarray(values, dtype=np.int64).copy()
     if x.ndim != 1 or x.shape[0] != params.n:
         raise ValueError(f"point must have shape ({params.n},), got {x.shape}")
-    if np.minimum.reduce(x) < 0 or np.maximum.reduce(x) >= params.r:
+    return _read_only_points(x, params)
+
+
+def _read_only_points(x: np.ndarray, params: SpaceParams) -> np.ndarray:
+    """The int64 array x of points, range-checked once as a whole and made
+    read-only; its rows are then valid points without a check each."""
+    if np.minimum.reduce(x, axis=None) < 0 or np.maximum.reduce(x, axis=None) >= params.r:
         raise ValueError(f"point entries must lie in [0, {params.r - 1}]")
     x.setflags(write=False)
     return x
+
+
+def _scaled(u: np.ndarray, m: int) -> np.ndarray:
+    """floor(u * m) of uniforms u in [0, 1): uniform integers in [0, m).
+
+    Every set-up draw of the library maps uniforms to integers this way;
+    u * m rounds below m for every double u < 1 and m < 2**53."""
+    return (u * m).astype(np.int64)
+
+
+def _copies(template, **columns) -> list:
+    """Copies of the frozen dataclass instance template, copy j with each
+    named field set to columns[field][j], built without __post_init__.
+
+    For values the library has already checked (a validated instance,
+    rows of a block passed through _read_only_points): a config or
+    instance built by its constructor still copies and checks every field.
+    """
+    cls, base, names = type(template), vars(template), tuple(columns)
+    out = []
+    for values in zip(*columns.values()):
+        fields = base.copy()
+        fields.update(zip(names, values))
+        copy = object.__new__(cls)
+        object.__setattr__(copy, "__dict__", fields)
+        out.append(copy)
+    return out
 
 
 def metric_distance(kind: MetricKind, a: int, b: int, r: int) -> int:
@@ -122,5 +155,6 @@ def hamming_distance(x, y):
 
 
 def sample_uniform_point(params: SpaceParams, rng: np.random.Generator) -> np.ndarray:
-    """Draw each component independently and uniformly from [0, r-1]."""
-    return rng.integers(0, params.r, size=params.n, dtype=np.int64)
+    """Draw each component independently and uniformly from [0, r-1], as
+    floor(u * r) of one uniform each."""
+    return _scaled(rng.random(params.n), params.r)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -113,29 +114,31 @@ def reference_plant_state_at_hamming(instance, k, rng):
 
 def reference_replicate_config(plan, n, r, algorithm, operator, rep):
     """The RunConfig of one replicate of a plan, built alone: its set-up
-    generator draws the random target, then n uniform keys whose k smallest
-    pick the planted positions, then their wrong values; an exact oracle
-    for the cell builder."""
+    generator draws, one uniform at a time, the random target (floor(u r)
+    each), then n keys whose k smallest, in position order, take the
+    planted wrong values floor(u (r-1)) drawn next; an exact oracle for the
+    cell builder."""
     key = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}|{rep}"
     rng = np.random.default_rng(stable_seed(plan.base_seed, key + "|setup"))
     if plan.target_policy is TargetPolicy.ALL_ZERO:
-        target = np.zeros(n, dtype=np.int64)
+        target = [0] * n
     elif plan.target_policy is TargetPolicy.CENTER:
-        target = np.full(n, r // 2, dtype=np.int64)
+        target = [r // 2] * n
     else:
-        target = rng.integers(0, r, size=n, dtype=np.int64)
+        target = [math.floor(rng.random() * r) for _ in range(n)]
     start = None
     if plan.start_policy.kind is StartKind.FIXED_HAMMING:
         k = plan.start_policy.hamming_k
-        start = target.copy()
-        where = np.argsort(rng.random(n))[:k]
-        wrong = rng.integers(0, r - 1, k)
-        start[where] = wrong + (wrong >= start[where])
+        keys = [rng.random() for _ in range(n)]
+        start = list(target)
+        for i in sorted(sorted(range(n), key=keys.__getitem__)[:k]):
+            wrong = math.floor(rng.random() * (r - 1))
+            start[i] = wrong + (wrong >= start[i])
     elif plan.start_policy.kind is StartKind.ALL_MAX_DISTANCE:
         if plan.metric is MetricKind.RING:
-            start = (target + r // 2) % r
+            start = [(z + r // 2) % r for z in target]
         else:  # farthest interval value; ties broken toward r-1
-            start = np.array([0 if z > r - 1 - z else r - 1 for z in target.tolist()])
+            start = [0 if z > r - 1 - z else r - 1 for z in target]
     instance = ProblemInstance(SpaceParams(n, r), plan.metric, target)
     return RunConfig(algorithm, operator, instance, seed=stable_seed(plan.base_seed, key),
                      iteration_cap=plan.iteration_cap, initial_point=start)

@@ -16,6 +16,7 @@ from helpers import (assert_chi_square, assert_same_categorical, assert_same_dis
                      reference_hitting_time, reference_replicate_config, reference_state_after,
                      step_outcomes)
 import rvonemax
+from rvonemax import algorithms
 from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, ProblemInstance,
                       RunConfig, SpaceParams, StepOperatorKind, TargetPolicy, execute_plan,
                       fitness, hamming_distance, metric_distance, mutate, potential_value,
@@ -72,6 +73,42 @@ def test_run_batch_contracts():
     assert len({subseed(55, k) for k in range(100)}) == 100
     with pytest.raises(ValueError):
         run_batch(cfg, 0)
+
+
+def test_user_built_points_are_checked_and_copied():
+    # a ProblemInstance or RunConfig built by its constructor still rejects
+    # an out-of-range point and keeps a read-only copy of a writable one
+    params = SpaceParams(3, 5)
+    for bad in ([0, 5, 1], [-1, 0, 0], [0, 1], [[0, 1, 2]]):
+        with pytest.raises(ValueError):
+            ProblemInstance(params, MetricKind.INTERVAL, np.array(bad))
+        with pytest.raises(ValueError):
+            RunConfig(RLS, UNIFORM, make_instance(3, 5), seed=1, initial_point=np.array(bad))
+    target, start = np.array([4, 0, 2]), np.array([1, 3, 0], dtype=np.int32)
+    inst = ProblemInstance(params, MetricKind.INTERVAL, target)
+    cfg = RunConfig(EA, PM1, inst, seed=2, initial_point=start)
+    target[0], start[0] = 0, 4
+    assert inst.target.tolist() == [4, 0, 2] and cfg.initial_point.tolist() == [1, 3, 0]
+    for point in (inst.target, cfg.initial_point):
+        assert point.dtype == np.int64 and not point.flags.writeable
+
+
+def test_run_batch_replicates_differ_from_the_config_in_seed_only(monkeypatch):
+    # run_batch copies the config without checking its fields again: replicate
+    # k holds subseed(seed, k) and the config's own field objects
+    inst = make_instance(4, 6)
+    cfg = RunConfig(EA, HARMONIC, inst, seed=5, iteration_cap=40, initial_point=(5, 4, 3, 2),
+                    trace_potentials=("fitness",))
+    passed = []
+    monkeypatch.setattr(algorithms, "_map_runs", lambda run_fn, configs: passed.extend(configs))
+    run_batch(cfg, 3)
+    assert len(passed) == 3
+    for k, copy in enumerate(passed):
+        assert type(copy) is RunConfig and copy.seed == subseed(5, k)
+        for name in ("algorithm", "operator", "instance", "iteration_cap", "initial_point",
+                     "trace_potentials"):
+            assert getattr(copy, name) is getattr(cfg, name)
+    assert vars(passed[0]) == vars(cfg)
 
 
 def _lockstep_mix():

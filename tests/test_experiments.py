@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -6,12 +7,14 @@ import numpy as np
 import pytest
 
 from gates import assert_passes
-from helpers import reference_replicate_config
+from helpers import assert_chi_square, reference_replicate_config
 from rvonemax import (AggregateResult, AlgorithmKind, DegenerateModelError, ExperimentPlan,
                       MetricKind, ProblemInstance, SpaceParams, StartKind, StartPolicy,
                       StepOperatorKind, TargetPolicy, build_start, build_target,
-                      execute_plan, fit_scaling, fitness, hamming_distance, stable_seed)
+                      execute_plan, fit_scaling, fitness, hamming_distance,
+                      plant_rows_at_hamming, sample_uniform_point, stable_seed)
 from rvonemax import experiments
+from rvonemax.algorithms import _setup
 from rvonemax.experiments import _replicate_config, hitting_time_summary
 
 RLS = AlgorithmKind.RLS
@@ -204,10 +207,78 @@ def test_fixed_targets_share_one_instance_per_cell():
                 shared.target[0] = 1
             assert all(not cfg.initial_point.flags.writeable for cfg in cell)
             assert len({cfg.initial_point.tobytes() for cfg in cell}) > 1
-    plan = single_cell_plan(5, 4, RLS, UNIFORM, StartPolicy.uniform_random(), 4, seed=2,
+    plan = single_cell_plan(5, 4, RLS, UNIFORM, StartPolicy.all_max_distance(), 4, seed=2,
                             target=TargetPolicy.UNIFORM_RANDOM)
     cell = experiments._replicate_configs(plan, 5, 4, RLS, UNIFORM, range(4))
     assert len({id(cfg.instance) for cfg in cell}) == 4
+    assert all(not point.flags.writeable for cfg in cell
+               for point in (cfg.instance.target, cfg.initial_point))
+
+
+# r = 7 is not a power of two, so floor(u * m) maps to no bit pattern
+SET_UP_N, SET_UP_R, SET_UP_K, SET_UP_ROWS = 5, 7, 2, 14_000
+
+
+def _planted(source):
+    """(targets, starts) of SET_UP_ROWS planted starts at Hamming level
+    SET_UP_K: a cell's random targets and starts, or rows planted on the
+    target (3, ..., 3), whose wrong values skip an interior value."""
+    n, r, k, rows = SET_UP_N, SET_UP_R, SET_UP_K, SET_UP_ROWS
+    if source == "cell":
+        plan = single_cell_plan(n, r, RLS, UNIFORM, StartPolicy.fixed_hamming(k), rows, seed=19,
+                                target=TargetPolicy.UNIFORM_RANDOM)
+        cell = experiments._replicate_configs(plan, n, r, RLS, UNIFORM, range(rows))
+        return (np.array([cfg.instance.target for cfg in cell]),
+                np.array([cfg.initial_point for cfg in cell]))
+    inst = ProblemInstance(SpaceParams(n, r), MetricKind.INTERVAL, np.full(n, 3))
+    starts = plant_rows_at_hamming(inst, k, rows, np.random.default_rng(19))
+    return np.broadcast_to(inst.target, starts.shape), starts
+
+
+@pytest.mark.parametrize("source", ["cell", "rows"])
+def test_planted_positions_are_a_uniform_k_subset(source):
+    # chi-square at 0.001 over the C(5, 2) = 10 position pairs
+    targets, starts = _planted(source)
+    wrong = starts != targets
+    assert (wrong.sum(axis=1) == SET_UP_K).all()
+    subsets = list(itertools.combinations(range(SET_UP_N), SET_UP_K))
+    seen = collections.Counter(map(tuple, np.nonzero(wrong)[1].reshape(-1, SET_UP_K).tolist()))
+    assert set(seen) <= set(subsets)
+    assert_chi_square([seen[s] for s in subsets], np.full(len(subsets), 1 / len(subsets)))
+
+
+@pytest.mark.parametrize("source", ["cell", "rows"])
+def test_planted_values_are_uniform_over_the_wrong_values(source):
+    # chi-square at 0.001 over the (target value, planted value) pairs with
+    # the two apart: uniform over the r-1 wrong values of each target value,
+    # and for random targets over all r (r-1) pairs
+    r = SET_UP_R
+    targets, starts = _planted(source)
+    wrong = starts != targets
+    pairs = targets[wrong] * r + starts[wrong]
+    counts = np.bincount(pairs, minlength=r * r).reshape(r, r)
+    assert (np.diagonal(counts) == 0).all()
+    held = np.unique(targets)  # the rows' target is 3 only
+    observed = counts[held][np.arange(r)[None, :] != held[:, None]]
+    assert observed.sum() == SET_UP_ROWS * SET_UP_K
+    assert_chi_square(observed, np.full(observed.size, 1 / observed.size))
+
+
+def test_random_targets_and_uniform_starts_are_uniform():
+    # chi-square at 0.001 over the r values: a cell's random targets, and
+    # the uniform starts its runs draw (algorithms._setup) and that
+    # sample_uniform_point draws
+    n, r, rows = SET_UP_N, SET_UP_R, SET_UP_ROWS
+    plan = single_cell_plan(n, r, RLS, UNIFORM, StartPolicy.uniform_random(), rows, seed=23,
+                            target=TargetPolicy.UNIFORM_RANDOM)
+    cell = experiments._replicate_configs(plan, n, r, RLS, UNIFORM, range(rows))
+    assert all(cfg.initial_point is None for cfg in cell)
+    rng = np.random.default_rng(29)
+    for values in (np.array([cfg.instance.target for cfg in cell]),
+                   np.array(_setup(cell)[1]),
+                   np.array([sample_uniform_point(SpaceParams(n, r), rng) for _ in range(rows)])):
+        assert values.dtype == np.int64 and values.shape == (rows, n)
+        assert_chi_square(np.bincount(values.ravel(), minlength=r), np.full(r, 1 / r))
 
 
 class _Record:
