@@ -57,7 +57,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import chain
 from math import log1p
 
@@ -138,7 +137,19 @@ def _generators(seeds):
         raise ValueError("generator seeds must lie in [0, 2**64)")
     if len(seeds) == 1:
         return [np.random.default_rng(seeds[0])]
-    seeded = _pooled_generator()
+    # imported here: numpy.random would add about 15 ms to `import rvonemax`
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Pooled(ISeedSequence):
+        """The precomputed generate_state(4, np.uint64) of one seed."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
     wide = np.array(seeds, dtype=np.uint64)
     pool = np.zeros((4, wide.size), dtype=np.uint32)
     pool[0], pool[1] = wide & _MASK32, wide >> 32
@@ -152,28 +163,7 @@ def _generators(seeds):
         pool[dst] = mixed ^ mixed >> 16
     state = _hash(np.concatenate([pool, pool]), _STATE_HASH).astype(np.uint64)
     words = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
-    return [seeded(row) for row in words]
-
-
-@lru_cache(maxsize=None)
-def _pooled_generator():
-    """The function that makes the Generator whose PCG64 seeds itself from a
-    precomputed generate_state(4, np.uint64) row. It is built on the first
-    call, not at import: numpy.random would add about 15 ms to `import
-    rvonemax`."""
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _Pooled(ISeedSequence):
-        """The precomputed generate_state(4, np.uint64) of one seed."""
-
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return lambda words: Generator(PCG64(_Pooled(words)))
+    return [Generator(PCG64(_Pooled(row))) for row in words]
 
 
 @dataclass(frozen=True, eq=False)

@@ -129,11 +129,7 @@ def _place_at_hamming(targets: np.ndarray, u: np.ndarray, r: int) -> np.ndarray:
     x = np.array(targets, dtype=np.int64)
     rows, n = x.shape
     k = u.shape[1] - n
-    if 0 < k < n:
-        cols = np.sort(np.argpartition(u[:, :n], k - 1, axis=1)[:, :k], axis=1)
-    else:  # no position, or all of them
-        cols = np.arange(k)
-    picked = np.arange(rows)[:, None], cols
+    picked = np.arange(rows)[:, None], np.sort(np.argsort(u[:, :n], axis=1)[:, :k], axis=1)
     wrong = _scaled(u[:, n:], r - 1)
     x[picked] = wrong + (wrong >= x[picked])
     return x

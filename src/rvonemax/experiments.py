@@ -114,7 +114,7 @@ class ExperimentPlan:
             raise ValueError(f"iteration_cap must be >= 1, got {self.iteration_cap}")
         k = self.start_policy.hamming_k
         for n, r in self.grid:
-            SpaceParams(n=n, r=r)  # rejects n < 1 and r < 2
+            SpaceParams(n=n, r=r)  # rejects n < 1, r < 2 and r >= 2**53
             if k is not None and k > n:
                 raise ValueError(f"fixed-hamming k={k} exceeds n={n}")
 

@@ -40,6 +40,8 @@ class SpaceParams:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.r < 2:
             raise ValueError(f"r must be >= 2, got {self.r}")
+        if self.r >= 2**53:  # where floor(u * r) of a double u stops being uniform
+            raise ValueError(f"r must be < 2**53, got {self.r}")
 
 
 def as_point(values, params: SpaceParams) -> np.ndarray:
@@ -63,7 +65,8 @@ def _scaled(u: np.ndarray, m: int) -> np.ndarray:
     """floor(u * m) of uniforms u in [0, 1): uniform integers in [0, m).
 
     Every set-up draw of the library maps uniforms to integers this way;
-    u * m rounds below m for every double u < 1 and m < 2**53."""
+    u * m rounds below m for every double u < 1 and m < 2**53, and
+    SpaceParams keeps r below 2**53."""
     return (u * m).astype(np.int64)
 
 

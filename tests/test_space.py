@@ -110,6 +110,10 @@ def test_space_params_invariants():
     with pytest.raises(ValueError):
         SpaceParams(0, 4)
     SpaceParams(1, 2)  # minimal valid corner
+    # set-up draws are floor(u * r) of a double u, uniform only for r < 2**53
+    with pytest.raises(ValueError, match="r must be < 2"):
+        SpaceParams(1, 2**53)
+    SpaceParams(1, 2**53 - 1)
 
 
 def test_as_point_validation_and_immutability():
