@@ -280,37 +280,27 @@ def run_batch(config: RunConfig, replicates: int) -> list[RunRecord]:
 
 
 def _map_runs(run_fn, configs: list[RunConfig]) -> list[RunRecord]:
-    """The record of each config, in order.
+    """The record of each config, in order, for configs that share the
+    algorithm, operator, params and metric (a run_batch, or a plan cell).
 
     Lockstep configs (RLS, and the EA at n = 1) go to the lockstep kernel in
-    groups of at most LANES lanes that share the operator, n, r and metric;
-    every other config goes to run_fn. Callers pass the `run` of their own
-    module, so a wrapper installed on that module-level name sees every
-    call that is not a lockstep group. A config's record is the same in any
-    group, so the grouping does not change any result.
+    groups of at most LANES lanes; other configs go to run_fn one by one.
+    Callers pass the `run` of their own module, so a wrapper installed on
+    that module-level name sees every call that is not a lockstep group. A
+    config's record is the same in any group, so the grouping does not
+    change any result.
     """
-    records = [None] * len(configs)
-    laws = {}  # (operator, params, metric) -> indices of the lockstep configs
-    for k, config in enumerate(configs):
-        if _lockstep(config):
-            key = (config.operator, config.instance.params, config.instance.metric)
-            laws.setdefault(key, []).append(k)
-        else:
-            records[k] = run_fn(config)
-    for (_, params, _), where in laws.items():
-        size = max(1, LANES // params.n)
-        for lo in range(0, len(where), size):
-            group = where[lo:lo + size]
-            for k, record in zip(group, _run_lanes([configs[k] for k in group])):
-                records[k] = record
-    return records
+    if not _lockstep(configs[0]):
+        return [run_fn(config) for config in configs]
+    size = max(1, LANES // configs[0].instance.params.n)
+    return [record for lo in range(0, len(configs), size)
+            for record in _run_lanes(configs[lo:lo + size])]
 
 
 def _setup(configs):
     """(rngs, starts): each run's generator default_rng(subseed(seed, 0)),
-    built in one pass by _generators, and its start point, the config's
-    validated read-only point, else a uniform one, the generator's first
-    draw."""
+    all built in one pass, and its start point, the config's validated
+    read-only point, else a uniform one, the generator's first draw."""
     rngs = _generators([subseed(config.seed, 0) for config in configs])
     return rngs, [sample_uniform_point(config.instance.params, rng)
                   if config.initial_point is None else config.initial_point

@@ -2,9 +2,12 @@
 
 A plan sweeps a grid of problem sizes over chosen algorithms and step
 operators, with declarative policies for the hidden target and the start
-point. Every replicate derives its own seed from the plan's base seed via a
-keyed hash of the cell identity, so results do not depend on execution
-order.
+point. A cell (one n, r, algorithm and operator) is the unit of seeding,
+set-up and dispatch: its seed is a keyed hash of the cell identity under
+the plan's base seed, its replicates are run_batch's sub-seeds of it, its
+random targets and planted starts come from one set-up stream, and its
+runs go to the engine together. So a cell's results do not depend on the
+grid or on execution order.
 
 Aggregates can be fed to a least-squares fitter with a small catalog of
 named scaling models (all linear in their coefficients).
@@ -16,12 +19,11 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
-from .algorithms import (DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, _generators, _map_runs,
-                         run)
+from .algorithms import DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, _map_runs, run, subseed
 from .drift import _place_at_hamming, plant_state_at_hamming
 from .operators import StepOperatorKind
 from .space import (MetricKind, ProblemInstance, SpaceParams, _copies, _read_only_points,
@@ -30,18 +32,11 @@ from .space import (MetricKind, ProblemInstance, SpaceParams, _copies, _read_onl
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-@lru_cache(maxsize=64)
-def _keyed_hash(base: int):
-    """The blake2b hasher keyed by a masked base seed; stable_seed copies it
-    per key, since keying one costs more than copying it."""
-    return hashlib.blake2b(digest_size=8, key=base.to_bytes(8, "little"))
-
-
 def stable_seed(base_seed: int, key: str) -> int:
     """Platform-stable 64-bit seed for a named unit of work."""
-    hasher = _keyed_hash(base_seed & _MASK64).copy()
-    hasher.update(key.encode("utf-8"))
-    return int.from_bytes(hasher.digest(), "little")
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8,
+                             key=(base_seed & _MASK64).to_bytes(8, "little")).digest()
+    return int.from_bytes(digest, "little")
 
 
 class TargetPolicy(Enum):
@@ -173,26 +168,28 @@ def _replicate_configs(plan: ExperimentPlan, n: int, r: int, algorithm: Algorith
                        operator: StepOperatorKind, reps: range) -> list[RunConfig]:
     """The RunConfigs of replicates `reps` of one cell.
 
-    Only a random target and a planted start draw, from the replicate's
-    set-up generator (seeded by its key; a cell's are built in one pass by
-    _generators): one `random` row per replicate, in the order build_target
-    and build_start draw (the target's n uniforms, then the n + k of
-    plant_rows_at_hamming). The zero and center targets are one instance
-    shared by the cell. The targets and the starts are each range-checked
-    once, as a block, and the cell's instances and configs are copies of
-    one validated template.
+    The cell's seed is stable_seed(base_seed, "n|r|algo|op|metric"), and
+    replicate k runs with subseed(cell seed, k), as in run_batch. Only a
+    random target and a planted start draw, from the cell's set-up stream
+    default_rng(stable_seed(base_seed, cell + "|setup")): replicate k's
+    draws are row k of it, one row of uniforms per replicate in the order
+    build_target and build_start draw (the target's n, then the n + k of
+    plant_rows_at_hamming), reached by advancing the stream past the rows
+    before reps. The zero and center targets are one instance shared by the
+    cell. The targets and the starts are each range-checked once, as a
+    block, and the cell's instances and configs are copies of one validated
+    template.
     """
-    cell = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}|"
-    keys = [cell + str(rep) for rep in reps]
+    cell = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}"
     params = SpaceParams(n=n, r=r)
     policy, kind = plan.target_policy, plan.start_policy.kind
     lead = n if policy is TargetPolicy.UNIFORM_RANDOM else 0  # the target's uniforms
     k = plan.start_policy.hamming_k if kind is StartKind.FIXED_HAMMING else None
-    draws = np.empty((len(keys), lead + (0 if k is None else n + k)))
+    draws = np.empty((len(reps), lead + (0 if k is None else n + k)))
     if draws.shape[1]:
-        seeds = [stable_seed(plan.base_seed, key + "|setup") for key in keys]
-        for row, rng in zip(draws, _generators(seeds)):
-            rng.random(out=row)
+        rng = np.random.default_rng(stable_seed(plan.base_seed, cell + "|setup"))
+        rng.bit_generator.advance(reps.start * draws.shape[1])  # one 64-bit output per uniform
+        rng.random(out=draws)
     if lead:
         targets = _read_only_points(_scaled(draws[:, :n], r), params)
         instances = _copies(ProblemInstance(params=params, metric=plan.metric,
@@ -200,19 +197,19 @@ def _replicate_configs(plan: ExperimentPlan, n: int, r: int, algorithm: Algorith
     else:
         shared = ProblemInstance(params=params, metric=plan.metric,
                                  target=build_target(policy, params, None))
-        instances = [shared] * len(keys)
+        instances = [shared] * len(reps)
         targets = shared.target[None, :]
-    starts = [None] * len(keys)
+    starts = [None] * len(reps)
     if k is not None:
-        starts = _place_at_hamming(np.broadcast_to(targets, (len(keys), n)), draws[:, lead:], r)
+        starts = _place_at_hamming(np.broadcast_to(targets, (len(reps), n)), draws[:, lead:], r)
     elif kind is StartKind.ALL_MAX_DISTANCE:
-        starts = np.broadcast_to(_farthest(plan.metric, r, targets), (len(keys), n))
+        starts = np.broadcast_to(_farthest(plan.metric, r, targets), (len(reps), n))
     if kind is not StartKind.UNIFORM_RANDOM:
         starts = _read_only_points(starts, params)
+    seed = stable_seed(plan.base_seed, cell)
     template = RunConfig(algorithm=algorithm, operator=operator, instance=instances[0],
-                         seed=0, iteration_cap=plan.iteration_cap)
-    return _copies(template, instance=instances,
-                   seed=[stable_seed(plan.base_seed, key) for key in keys],
+                         seed=seed, iteration_cap=plan.iteration_cap)
+    return _copies(template, instance=instances, seed=[subseed(seed, rep) for rep in reps],
                    initial_point=starts)
 
 
@@ -236,21 +233,14 @@ def hitting_time_summary(records) -> tuple[float, float, float, int]:
 
 
 def execute_plan(plan: ExperimentPlan) -> list[AggregateResult]:
-    """Run the whole plan; one aggregate per grid cell x algorithm x operator."""
-    cells = [(n, r, algorithm, operator, plan.metric)
-             for n, r in plan.grid
-             for algorithm in plan.algorithms
-             for operator in plan.operators]
-    configs = [config for n, r, algorithm, operator, _ in cells
-               for config in _replicate_configs(plan, n, r, algorithm, operator,
-                                                range(plan.replicates))]
-    records = _map_runs(run, configs)
+    """Run the whole plan, one cell at a time; one aggregate per grid cell x
+    algorithm x operator."""
     out = []
-    for index, (n, r, algorithm, operator, metric) in enumerate(cells):
-        mean, std_error, median, capped = hitting_time_summary(
-            records[index * plan.replicates:(index + 1) * plan.replicates])
+    for (n, r), algorithm, operator in product(plan.grid, plan.algorithms, plan.operators):
+        configs = _replicate_configs(plan, n, r, algorithm, operator, range(plan.replicates))
+        mean, std_error, median, capped = hitting_time_summary(_map_runs(run, configs))
         out.append(AggregateResult(n=n, r=r, algorithm=algorithm, operator=operator,
-                                   metric=metric, mean=mean, std_error=std_error,
+                                   metric=plan.metric, mean=mean, std_error=std_error,
                                    median=median, replicates=plan.replicates,
                                    capped_count=capped))
     return out

@@ -13,7 +13,7 @@ from scipy import stats
 from rvonemax import (AlgorithmKind, MetricKind, ProblemInstance, RunConfig, SpaceParams,
                       StartKind, StepOperatorKind, TargetPolicy, fitness, harmonic_pmf,
                       harmonic_table, mutate, sample_uniform_point, stable_seed, step,
-                      token_step_pmf)
+                      subseed, token_step_pmf)
 
 
 def assert_chi_square(counts, expected_probs, significance=0.001):
@@ -113,13 +113,19 @@ def reference_plant_state_at_hamming(instance, k, rng):
 
 
 def reference_replicate_config(plan, n, r, algorithm, operator, rep):
-    """The RunConfig of one replicate of a plan, built alone: its set-up
-    generator draws, one uniform at a time, the random target (floor(u r)
-    each), then n keys whose k smallest, in position order, take the
-    planted wrong values floor(u (r-1)) drawn next; an exact oracle for the
-    cell builder."""
-    key = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}|{rep}"
-    rng = np.random.default_rng(stable_seed(plan.base_seed, key + "|setup"))
+    """The RunConfig of one replicate of a plan, built alone: its seed is
+    subseed(cell seed, rep), and its set-up draws are row rep of the cell's
+    set-up stream, reached by drawing and discarding the rows before it.
+    The row's uniforms, drawn one at a time, give the random target
+    (floor(u r) each), then n keys whose k smallest, in position order,
+    take the planted wrong values floor(u (r-1)) drawn next; an exact
+    oracle for the cell builder."""
+    cell = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}"
+    rng = np.random.default_rng(stable_seed(plan.base_seed, cell + "|setup"))
+    width = n if plan.target_policy is TargetPolicy.UNIFORM_RANDOM else 0
+    if plan.start_policy.kind is StartKind.FIXED_HAMMING:
+        width += n + plan.start_policy.hamming_k
+    rng.random(rep * width)
     if plan.target_policy is TargetPolicy.ALL_ZERO:
         target = [0] * n
     elif plan.target_policy is TargetPolicy.CENTER:
@@ -140,7 +146,8 @@ def reference_replicate_config(plan, n, r, algorithm, operator, rep):
         else:  # farthest interval value; ties broken toward r-1
             start = [0 if z > r - 1 - z else r - 1 for z in target]
     instance = ProblemInstance(SpaceParams(n, r), plan.metric, target)
-    return RunConfig(algorithm, operator, instance, seed=stable_seed(plan.base_seed, key),
+    return RunConfig(algorithm, operator, instance,
+                     seed=subseed(stable_seed(plan.base_seed, cell), rep),
                      iteration_cap=plan.iteration_cap, initial_point=start)
 
 

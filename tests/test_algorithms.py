@@ -114,7 +114,9 @@ def test_run_batch_replicates_differ_from_the_config_in_seed_only(monkeypatch):
 def _lockstep_mix():
     """Configs the lockstep kernel runs, of every operator and metric, plain,
     traced, capped, capped and traced, at the optimum, and the EA at n = 1,
-    at two sizes per law, with EA configs between them."""
+    at two sizes per law, with EA configs beside them, grouped by what
+    _map_runs needs its configs to share: algorithm, operator, params and
+    metric."""
     pots = (Potential.fitness(), Potential.exp_weight(1.5))
     configs = []
     for k, (operator, metric) in enumerate([(o, m) for o in (UNIFORM, PM1, HARMONIC)
@@ -127,39 +129,53 @@ def _lockstep_mix():
                         RunConfig(RLS, operator, inst, seed=seed + 2, iteration_cap=12),
                         RunConfig(RLS, operator, inst, seed=seed + 3, iteration_cap=12,
                                   trace_potentials=pots),
-                        RunConfig(EA, operator, inst, seed=seed + 4)]
+                        RunConfig(EA, operator, inst, seed=seed + 4),
+                        RunConfig(EA, operator, inst, seed=seed + 5, trace_potentials=pots)]
     optimum = make_instance(4, 5, target=(1, 2, 3, 4))
     configs += [RunConfig(RLS, PM1, optimum, seed=1, initial_point=optimum.target,
                           trace_potentials=pots),
                 RunConfig(EA, HARMONIC, make_instance(1, 7), seed=2),
-                RunConfig(EA, UNIFORM, make_instance(1, 7), seed=3, trace_potentials=pots)]
-    return configs
+                RunConfig(EA, HARMONIC, make_instance(1, 7), seed=4, trace_potentials=pots),
+                RunConfig(EA, UNIFORM, make_instance(1, 7), seed=3, trace_potentials=pots),
+                RunConfig(EA, UNIFORM, make_instance(1, 7), seed=5)]
+    groups = {}
+    for c in configs:
+        groups.setdefault((c.algorithm, c.operator, c.instance.params, c.instance.metric),
+                          []).append(c)
+    return list(groups.values())
 
 
 def test_lockstep_record_is_the_same_in_any_batch():
     # a lockstep replicate depends only on its own seed: each config's record
-    # in a mixed batch, in either order, is its record run alone
-    configs = _lockstep_mix()
-    alone = [run(c) for c in configs]
-    assert any(rec.capped for rec in alone) and any(rec.trace for rec in alone)
-    assert any(rec.capped and rec.trace for rec in alone)
-    assert _map_runs(run, configs) == alone
-    assert _map_runs(run, configs[::-1]) == alone[::-1]
+    # in a batch of its law, in either order, is its record run alone
+    groups = _lockstep_mix()
+    alone = [[run(c) for c in group] for group in groups]
+    records = [rec for group in alone for rec in group]
+    assert any(rec.capped for rec in records) and any(rec.trace for rec in records)
+    assert any(rec.capped and rec.trace for rec in records)
+    for group, expected in zip(groups, alone):
+        assert _map_runs(run, group) == expected
+        assert _map_runs(run, group[::-1]) == expected[::-1]
 
 
 def test_map_runs_sends_only_non_lockstep_configs_to_run_fn():
     # a wrapper on run_fn sees each non-lockstep config once, in order, and
     # no lockstep config, which the lockstep kernel runs in groups
-    configs = _lockstep_mix()
     seen = []
 
     def traced_run(config):
         seen.append(config)
         return run(config)
 
-    assert _map_runs(traced_run, configs) == [run(c) for c in configs]
-    assert seen == [c for c in configs if c.algorithm is EA and c.instance.params.n > 1]
-    assert seen
+    others = 0
+    for group in _lockstep_mix():
+        lockstep = group[0].algorithm is RLS or group[0].instance.params.n == 1
+        others += not lockstep
+        for configs in (group, group[::-1]):
+            del seen[:]
+            assert _map_runs(traced_run, configs) == [run(c) for c in configs]
+            assert seen == ([] if lockstep else configs)
+    assert others
 
 
 @pytest.mark.parametrize("size", [1, 7, 300])

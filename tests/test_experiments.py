@@ -9,10 +9,11 @@ import pytest
 from gates import assert_passes
 from helpers import assert_chi_square, reference_replicate_config
 from rvonemax import (AggregateResult, AlgorithmKind, DegenerateModelError, ExperimentPlan,
-                      MetricKind, ProblemInstance, SpaceParams, StartKind, StartPolicy,
-                      StepOperatorKind, TargetPolicy, build_start, build_target,
+                      MetricKind, ProblemInstance, RunConfig, SpaceParams, StartKind,
+                      StartPolicy, StepOperatorKind, TargetPolicy, build_start, build_target,
                       execute_plan, fit_scaling, fitness, hamming_distance,
-                      plant_rows_at_hamming, sample_uniform_point, stable_seed)
+                      plant_rows_at_hamming, run_batch, sample_uniform_point, stable_seed,
+                      subseed)
 from rvonemax import experiments
 from rvonemax.algorithms import _setup
 from rvonemax.experiments import _replicate_config, hitting_time_summary
@@ -38,6 +39,25 @@ def test_execute_plan_is_deterministic():
     plan = single_cell_plan(8, 4, EA, PM1, StartPolicy.uniform_random(), 12, seed=77)
     first = execute_plan(plan)
     assert first == execute_plan(plan)
+
+
+@pytest.mark.parametrize("operator", list(StepOperatorKind))
+def test_plan_cell_is_a_run_batch(operator):
+    # a cell with a fixed target and a uniform start is run_batch of a
+    # template seeded with the cell's seed; 300 RLS replicates at n=12 fill
+    # more than one lockstep group
+    for algorithm in (RLS, EA):
+        for n, r in ((12, 6), (1, 5)):
+            plan = single_cell_plan(n, r, algorithm, operator, StartPolicy.uniform_random(),
+                                    300, seed=41, cap=400)
+            agg, = execute_plan(plan)
+            cell = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}"
+            template = RunConfig(algorithm, operator,
+                                 ProblemInstance(SpaceParams(n, r), plan.metric, np.zeros(n)),
+                                 seed=stable_seed(41, cell), iteration_cap=400)
+            records = run_batch(template, plan.replicates)
+            np.testing.assert_equal((agg.mean, agg.std_error, agg.median, agg.capped_count),
+                                    hitting_time_summary(records))
 
 
 def test_execute_plan_cell_ordering():
@@ -114,24 +134,21 @@ def test_plan_validation():
 
 
 def test_replicate_setup_generator_only_where_drawn_from(monkeypatch):
-    # a set-up Generator is built only for a random target or a planted
-    # start, one per replicate of the cell, in replicate order, with the seed
-    # it always had, so targets and starts are unchanged
+    # a set-up stream is built only for a random target or a planted start,
+    # once per _replicate_configs call, seeded from the cell key plus
+    # "|setup"; replicate k runs with subseed(cell seed, k) and draws row k
+    # of that stream
     real = np.random.default_rng
-    batch = experiments._generators
     built = []
 
-    def counting(seeds):
-        built.extend(seeds)
-        return batch(seeds)
+    def counting(seed):
+        built.append(seed)
+        return real(seed)
 
-    monkeypatch.setattr(experiments, "_generators", counting)
+    monkeypatch.setattr(np.random, "default_rng", counting)
     n, r, replicates = 6, 5, 5
-
-    def key(rep):
-        return f"{n}|{r}|{EA.value}|{PM1.value}|{MetricKind.RING.value}|{rep}"
-
-    setup_seeds = [stable_seed(11, key(rep) + "|setup") for rep in range(replicates)]
+    cell = f"{n}|{r}|{EA.value}|{PM1.value}|{MetricKind.RING.value}"
+    seed, setup_seed = stable_seed(11, cell), stable_seed(11, cell + "|setup")
     for target in TargetPolicy:
         for start in (StartPolicy.uniform_random(), StartPolicy.fixed_hamming(4),
                       StartPolicy.all_max_distance()):
@@ -139,19 +156,19 @@ def test_replicate_setup_generator_only_where_drawn_from(monkeypatch):
                                     metric=MetricKind.RING, target=target)
             draws = target is TargetPolicy.UNIFORM_RANDOM or start.kind is StartKind.FIXED_HAMMING
             del built[:]
-            cell = experiments._replicate_configs(plan, n, r, EA, PM1, range(replicates))
-            assert built == (setup_seeds if draws else [])
+            configs = experiments._replicate_configs(plan, n, r, EA, PM1, range(replicates))
+            assert built == ([setup_seed] if draws else [])
             del built[:]
             alone = _replicate_config(plan, n, r, EA, PM1, 3)
-            assert built == (setup_seeds[3:4] if draws else [])
-            assert alone.seed == cell[3].seed
-            assert (alone.instance.target == cell[3].instance.target).all()
-            assert (alone.initial_point is None) is (cell[3].initial_point is None)
+            assert built == ([setup_seed] if draws else [])
+            assert alone.seed == configs[3].seed
+            assert (alone.instance.target == configs[3].instance.target).all()
+            assert (alone.initial_point is None) is (configs[3].initial_point is None)
             if alone.initial_point is not None:
-                assert (alone.initial_point == cell[3].initial_point).all()
-            for rep, cfg in enumerate(cell):
-                assert cfg.seed == stable_seed(11, key(rep))
-                setup_rng = real(setup_seeds[rep])
+                assert (alone.initial_point == configs[3].initial_point).all()
+            setup_rng = real(setup_seed)
+            for rep, cfg in enumerate(configs):
+                assert cfg.seed == subseed(seed, rep)
                 expected_target = build_target(target, SpaceParams(n, r), setup_rng)
                 assert (cfg.instance.target == expected_target).all()
                 expected_start = build_start(start, cfg.instance, setup_rng)
