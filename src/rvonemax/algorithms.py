@@ -179,6 +179,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.iteration_cap < 1:
             raise ValueError(f"iteration_cap must be >= 1, got {self.iteration_cap}")
+        object.__setattr__(self, "seed", self.seed & _MASK64)  # its generator seed, mod 2**64
         if self.initial_point is not None:
             object.__setattr__(self, "initial_point", as_point(self.initial_point, self.instance.params))
         if self.trace_potentials is not None:
@@ -298,10 +299,10 @@ def _map_runs(run_fn, configs: list[RunConfig]) -> list[RunRecord]:
 
 
 def _setup(configs):
-    """(rngs, starts): each run's generator default_rng(subseed(seed, 0)),
-    all built in one pass, and its start point, the config's validated
-    read-only point, else a uniform one, the generator's first draw."""
-    rngs = _generators([subseed(config.seed, 0) for config in configs])
+    """(rngs, starts): each run's generator default_rng(seed), all built in
+    one pass, and its start point, the config's validated read-only point,
+    else a uniform one, the generator's first draw."""
+    rngs = _generators([config.seed for config in configs])
     return rngs, [sample_uniform_point(config.instance.params, rng)
                   if config.initial_point is None else config.initial_point
                   for config, rng in zip(configs, rngs)]
@@ -833,9 +834,10 @@ def _run_lanes(configs):
     A traced run, or one with T above its cap, is replayed with its moves
     recorded (see _replay)."""
     hits = _advance(configs)[0]
-    records = [None if config.trace_potentials or hit > config.iteration_cap
-               else RunRecord(hitting_time=hit, capped=False, final_fitness=0,
-                              evaluations=hit + 1)
+    # records are frozen, so runs with equal hitting times share one
+    shared = {hit: RunRecord(hitting_time=hit, capped=False, final_fitness=0,
+                             evaluations=hit + 1) for hit in set(hits)}
+    records = [None if config.trace_potentials or hit > config.iteration_cap else shared[hit]
                for config, hit in zip(configs, hits)]
     again = [k for k, record in enumerate(records) if record is None]
     if again:

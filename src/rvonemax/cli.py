@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -52,6 +53,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="rvonemax",
                      description="Run-time and drift experiments for randomized search "

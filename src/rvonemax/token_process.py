@@ -10,7 +10,10 @@ Kalos and Lebowitz; Gillespie's SSA): a round that does not move only adds
 one to the clock, so from x it draws the wait to the next move as
 Geometric(P[d <= x]) and the move from the step law restricted to [1, x].
 Its cost is the number of moves, not of rounds, and all replicates of a
-batch advance together as numpy arrays. Alongside it there is an exact
+batch advance together as numpy arrays. A law with a single step size d0
+(the unit law, for one) has no random round at all: every wait is 1 and
+every jump d0, so its records follow from the starts in closed form, with
+no loop and no draw after the starts. Alongside it there is an exact
 expectation solver that exploits the triangular structure of the chain
 (position never increases), so no general linear solve is needed.
 """
@@ -104,11 +107,12 @@ def token_run_batch(config: TokenConfig, replicates: int) -> list[TokenRunRecord
     """Independent replicates, all drawn from one generator seeded with
     subseed(config.seed, 0); replicate k therefore depends on the batch size.
 
-    The replicates advance in lockstep, one move per live replicate per event:
-    the wait to the next move is Geometric(P[d <= x]) and the jump is drawn
-    from the step law restricted to [1, x]. A run is capped when its next
-    move would land after round iteration_cap, or at once when no step size
-    fits under its position.
+    The starts are the generator's first draw. A law with a single step size
+    d0 draws nothing more: every wait is 1 and every jump d0, so from x a run
+    makes min(x // d0, iteration_cap) moves and hits 0 iff they cover x. Any
+    other law advances the replicates in lockstep (see _walk). A run is
+    capped when its next move would land after round iteration_cap, or at
+    once when no step size fits under its position.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -116,8 +120,38 @@ def token_run_batch(config: TokenConfig, replicates: int) -> list[TokenRunRecord
     cap = min(config.iteration_cap, np.iinfo(np.int64).max)
     rng = np.random.default_rng(subseed(config.seed, 0))
     position = rng.integers(0, config.r + 1, size=replicates)
-    rounds = np.zeros(replicates, dtype=np.int64)
-    capped = np.zeros(replicates, dtype=bool)
+    if ((cdf == 0.0) | (cdf == 1.0)).all():  # the cdf the walk uses steps once, at d0
+        d0 = int(np.count_nonzero(cdf == 0.0)) + 1
+        rounds = np.minimum(position // d0, cap)
+        position -= rounds * d0
+        capped = position > 0
+    else:
+        rounds, capped = _walk(cdf, cap, rng, position)
+    # records are frozen, so equal runs share one instance: building a record
+    # per replicate would cost more than the simulation
+    shared: dict[tuple[int, int, bool], TokenRunRecord] = {}
+    records = []
+    for key in zip(rounds.tolist(), position.tolist(), capped.tolist()):
+        record = shared.get(key)
+        if record is None:
+            t, x, stop = key
+            record = shared[key] = (
+                TokenRunRecord(hitting_time=None, capped=True, final_position=x) if stop
+                else TokenRunRecord(hitting_time=t, capped=False, final_position=0))
+        records.append(record)
+    return records
+
+
+def _walk(cdf, cap, rng, position):
+    """(rounds, capped) of the runs from the starts in position, which it
+    moves to their final positions.
+
+    The runs advance in lockstep, one move per live run per event: the wait
+    to the next move is Geometric(P[d <= x]) and the jump is drawn from the
+    step law restricted to [1, x].
+    """
+    rounds = np.zeros(position.size, dtype=np.int64)
+    capped = np.zeros(position.size, dtype=bool)
     live = np.flatnonzero(position)
     while live.size:
         x = position[live]
@@ -137,19 +171,7 @@ def token_run_batch(config: TokenConfig, replicates: int) -> list[TokenRunRecord
         x -= np.searchsorted(cdf, rng.random(live.size) * q, side="right") + 1
         position[live] = x
         live = live[x > 0]
-    # records are frozen, so equal runs share one instance: building a record
-    # per replicate would cost more than the simulation
-    shared: dict[tuple[int, int, bool], TokenRunRecord] = {}
-    records = []
-    for key in zip(rounds.tolist(), position.tolist(), capped.tolist()):
-        record = shared.get(key)
-        if record is None:
-            t, x, stop = key
-            record = shared[key] = (
-                TokenRunRecord(hitting_time=None, capped=True, final_position=x) if stop
-                else TokenRunRecord(hitting_time=t, capped=False, final_position=0))
-        records.append(record)
-    return records
+    return rounds, capped
 
 
 def token_hitting_times_by_state(r: int, distribution) -> np.ndarray:

@@ -178,6 +178,22 @@ def test_map_runs_sends_only_non_lockstep_configs_to_run_fn():
     assert others
 
 
+def test_run_seed_is_taken_mod_two_to_the_64():
+    inst = make_instance(6, 5)
+    for algorithm in (RLS, EA):
+        low, high = (RunConfig(algorithm, PM1, inst, seed=seed) for seed in (-3, 2**64 - 3))
+        assert low.seed == high.seed == 2**64 - 3
+        assert run(low) == run(high) == run_batch(low, 1)[0]
+
+
+def test_lockstep_runs_with_equal_hitting_times_share_a_record():
+    records = run_batch(RunConfig(RLS, UNIFORM, make_instance(2, 3), seed=6), 300)
+    first = {}
+    for record in records:
+        assert first.setdefault(record.hitting_time, record) is record
+    assert len(first) < len(records)
+
+
 @pytest.mark.parametrize("size", [1, 7, 300])
 def test_run_is_its_record_in_run_batch(size):
     # 300 replicates at n=16 fill more than one group of LANES lanes

@@ -1,13 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rvonemax
 from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, RunConfig,
                       StepOperatorKind, TokenConfig)
-from rvonemax.cli import (AGGREGATE_COLUMNS, aggregate_rows, main, parse_args,
+from rvonemax.cli import (AGGREGATE_COLUMNS, aggregate_rows, build_parser, main, parse_args,
                           render_rows, load_plan_file)
 from rvonemax.experiments import AggregateResult
 
@@ -55,6 +58,23 @@ def test_parse_args_builds_token_config():
     assert config.iteration_cap == 50
     default_cap = parse_args(["token", "--r", "15", "--seed", "4"]).config
     assert default_cap.iteration_cap == TokenConfig(r=15).iteration_cap
+
+
+def test_one_parser_serves_every_parse_and_keeps_nothing_from_the_last(capsys):
+    assert build_parser() is build_parser()
+    ns = parse_args(["token", "--r", "7", "--dist", "unit", "--reps", "3", "--seed", "1",
+                     "--cap", "9", "--format", "json", "--out", "token.json"])
+    assert (ns.dist, ns.reps, ns.cap, ns.format, ns.out) == ("unit", 3, 9, "json", "token.json")
+    ns = parse_args(["token", "--r", "7", "--seed", "1"])
+    assert (ns.dist, ns.reps, ns.cap, ns.format, ns.out) == ("harmonic", 10000, None, "csv", None)
+    parse_args(["run", "--n", "5", "--r", "3", "--seed", "1", "--metric", "ring",
+                "--target", "center", "--reps", "4"])
+    ns = parse_args(["run", "--n", "5", "--r", "3", "--seed", "1"])
+    assert (ns.metric, ns.target, ns.reps) == (None, None, None)
+    assert ns.experiment.replicates == 100
+    # a usage error after a successful parse still exits 1
+    code, out, err = run_cli(capsys, ["token", "--r", "7"])
+    assert code == 1 and out == "" and "seed" in err
 
 
 def test_parse_args_rejects_r_below_two(capsys):
@@ -381,7 +401,10 @@ def test_plan_file_accepts_every_key_of_its_flag(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child imports rvonemax from the same tree as this process
+    src = str(Path(rvonemax.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-m", "rvonemax", "pmf", "--r", "3"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "j,probability"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_distribution, reference_token_hitting_time
-from rvonemax import (CapacityError, DivergenceError, TokenConfig, fit_scaling,
+from rvonemax import (CapacityError, DivergenceError, TokenConfig, fit_scaling, subseed,
                       token_expected_hitting_time_exact, token_hitting_times_by_state,
-                      token_run, token_run_batch, token_step_pmf)
+                      token_process, token_run, token_run_batch, token_step_pmf)
 
 
 def linear_solve_oracle(r, distribution):
@@ -150,6 +150,66 @@ def test_token_unit_law_cap_boundary():
     # a cap beyond the int64 round counter acts as no cap
     huge = TokenConfig(r=r, distribution="unit", seed=8, iteration_cap=10**30)
     assert not any(rec.capped for rec in token_run_batch(huge, 50))
+
+
+def one_size_reference(r, d0, seed, replicates, cap):
+    """(hitting time, capped, final position) of each replicate by the
+    round-by-round rule under the law that always draws d0, from the batch's
+    starts."""
+    starts = np.random.default_rng(subseed(seed, 0)).integers(0, r + 1, replicates)
+    out = []
+    for x in starts.tolist():
+        t = 0
+        # a round moves the token by d0 when d0 <= x; once x < d0 no round moves it
+        while x >= d0 and t < cap:
+            t += 1
+            x -= d0
+        out.append((t, False, 0) if x == 0 else (None, True, x))
+    return out
+
+
+@pytest.mark.parametrize("r, d0", [(1, 1), (20, 1), (20, 2), (20, 20), (255, 2)])
+def test_one_size_law_matches_round_by_round_rule(r, d0):
+    seed, replicates = 31, 400
+    laws = [np.eye(r)[d0 - 1]] + (["unit"] if d0 == 1 else [])
+    top = r // d0  # the largest x // d0 a start can give
+    for distribution in laws:
+        for cap in sorted({max(1, top - 1), top, top + 1, 10**30}):
+            config = TokenConfig(r=r, distribution=distribution, seed=seed, iteration_cap=cap)
+            records = token_run_batch(config, replicates)
+            got = [(rec.hitting_time, rec.capped, rec.final_position) for rec in records]
+            assert got == one_size_reference(r, d0, seed, replicates, cap), (distribution, cap)
+
+
+class CountingGenerator:
+    """A Generator whose method calls are recorded by name."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("distribution, one_size", [
+    ("unit", True), ([0, 0, 1, 0, 0, 0, 0, 0], True),
+    ("uniform", False), ([0.5, 0, 0, 0.25, 0, 0, 0, 0.25], False),
+])
+def test_one_size_batch_draws_only_its_starts(monkeypatch, distribution, one_size):
+    calls = []
+    default_rng = token_process.np.random.default_rng
+    monkeypatch.setattr(token_process.np.random, "default_rng",
+                        lambda seed: CountingGenerator(default_rng(seed), calls))
+    token_run_batch(TokenConfig(r=8, distribution=distribution, seed=3), 200)
+    if one_size:
+        assert calls == ["integers"]
+    else:
+        assert calls[0] == "integers" and "geometric" in calls
 
 
 def test_monte_carlo_matches_exact_smoke():
