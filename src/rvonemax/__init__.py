@@ -9,7 +9,7 @@ from .algorithms import (AlgorithmKind, DEFAULT_ITERATION_CAP, RunConfig, RunRec
                          mutate, one_iteration, run, run_batch, subseed)
 from .drift import (DriftEstimate, estimate_drift, harmonic_number, plant_rows_at_fitness,
                     plant_rows_at_hamming, plant_state_at_fitness, plant_state_at_hamming,
-                    realize_distance_rows, realize_distances)
+                    realize_distance_rows)
 from .experiments import (AggregateResult, DegenerateModelError, ExperimentPlan, MODELS,
                           ScalingFit, StartKind, StartPolicy, TargetPolicy, build_start,
                           build_target, execute_plan, fit_scaling, stable_seed)

@@ -55,7 +55,7 @@ any lockstep batch.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
 from math import log1p
@@ -64,8 +64,8 @@ import numpy as np
 
 from .operators import StepOperatorKind, harmonic_table, step
 from .potentials import Potential, potential_value
-from .space import (MetricKind, ProblemInstance, _copies, as_point, component_distances,
-                    fitness, sample_uniform_point)
+from .space import (MetricKind, ProblemInstance, as_point, component_distances, fitness,
+                    sample_uniform_point)
 
 DEFAULT_ITERATION_CAP = 10**10
 LANES = 2048  # lanes (replicate x position) the lockstep RLS kernel advances at once
@@ -256,8 +256,8 @@ def one_iteration(algorithm: AlgorithmKind, operator: StepOperatorKind,
 def run(config: RunConfig) -> RunRecord:
     """Execute one seeded run until the optimum is evaluated or the cap hits."""
     if _lockstep(config):
-        return _run_lanes([config])[0]
-    (rng,), (x0,) = _setup([config])
+        return _run_lanes(config, [config.seed])[0]
+    (rng,), (x0,) = _setup(config, [config.seed])
     changes = [] if config.trace_potentials else None
     hit, final_fit = _simulate_ea(config.instance, config.operator, rng, x0,
                                   config.iteration_cap, changes)
@@ -266,7 +266,7 @@ def run(config: RunConfig) -> RunRecord:
     trace = None
     if changes is not None:
         changes = np.array(changes, dtype=np.int64).reshape(-1, 3).T  # frees the list
-        trace = _trace(config, x0, changes, iterations)
+        trace = _trace(config.instance, config.trace_potentials, x0, changes, iterations)
     return RunRecord(hitting_time=hit, capped=capped, final_fitness=final_fit,
                      evaluations=iterations + 1, trace=trace)
 
@@ -276,59 +276,78 @@ def run_batch(config: RunConfig, replicates: int) -> list[RunRecord]:
     ordered by replicate index."""
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    return _map_runs(run, _copies(config, seed=[subseed(config.seed, k)
-                                               for k in range(replicates)]))
+    return _map_runs(run, config, [subseed(config.seed, k) for k in range(replicates)])
 
 
-def _map_runs(run_fn, configs: list[RunConfig]) -> list[RunRecord]:
-    """The record of each config, in order, for configs that share the
-    algorithm, operator, params and metric (a run_batch, or a plan cell).
+def _map_runs(run_fn, config: RunConfig, seeds, targets=None, starts=None) -> list[RunRecord]:
+    """The record of each replicate of a batch, in order (a run_batch, or a
+    plan cell).
 
-    Lockstep configs (RLS, and the EA at n = 1) go to the lockstep kernel in
-    groups of at most LANES lanes; other configs go to run_fn one by one.
-    Callers pass the `run` of their own module, so a wrapper installed on
-    that module-level name sees every call that is not a lockstep group. A
-    config's record is the same in any group, so the grouping does not
-    change any result.
+    Replicate k is the template config with seed seeds[k], target
+    targets[k] and start starts[k]; targets and starts are read-only
+    (replicates, n) blocks, range-checked once as a whole, and None means
+    the config's own target or start serves every replicate. Lockstep
+    batches (RLS, and the EA at n = 1) go to the lockstep kernel in groups
+    of at most LANES lanes. Other replicates are built one at a time as
+    configs (_replicate) and go to run_fn: callers pass the `run` of their
+    own module, so a wrapper installed on that module-level name sees every
+    call that is not a lockstep group. A replicate's record is the same in
+    any group, so the grouping does not change any result.
     """
-    if not _lockstep(configs[0]):
-        return [run_fn(config) for config in configs]
-    size = max(1, LANES // configs[0].instance.params.n)
-    return [record for lo in range(0, len(configs), size)
-            for record in _run_lanes(configs[lo:lo + size])]
+    if not _lockstep(config):
+        return [run_fn(_replicate(k, config, seeds, targets, starts)) for k in range(len(seeds))]
+    size = max(1, LANES // config.instance.params.n)
+    return [record for lo in range(0, len(seeds), size)
+            for record in _run_lanes(config, *(None if column is None else column[lo:lo + size]
+                                               for column in (seeds, targets, starts)))]
 
 
-def _setup(configs):
-    """(rngs, starts): each run's generator default_rng(seed), all built in
-    one pass, and its start point, the config's validated read-only point,
+def _replicate(k, config, seeds, targets=None, starts=None):
+    """Replicate k of a batch (see _map_runs) as its own config, built by
+    the RunConfig and ProblemInstance constructors."""
+    instance = config.instance
+    if targets is not None:
+        instance = ProblemInstance(instance.params, instance.metric, targets[k])
+    return replace(config, instance=instance, seed=seeds[k],
+                   initial_point=config.initial_point if starts is None else starts[k])
+
+
+def _setup(config, seeds, starts=None):
+    """(rngs, starts): each replicate's generator default_rng(seed), all
+    built in one pass, and its start point as row k of a (replicates, n)
+    array: row k of starts, else the config's validated read-only point,
     else a uniform one, the generator's first draw."""
-    rngs = _generators([config.seed for config in configs])
-    return rngs, [sample_uniform_point(config.instance.params, rng)
-                  if config.initial_point is None else config.initial_point
-                  for config, rng in zip(configs, rngs)]
+    rngs = _generators(seeds)
+    if starts is None:
+        if config.initial_point is None:
+            starts = np.array([sample_uniform_point(config.instance.params, rng)
+                               for rng in rngs])
+        else:
+            starts = np.broadcast_to(config.initial_point, (len(seeds), config.initial_point.size))
+    return rngs, starts
 
 
-def _trace(config, x0, changes, last):
+def _trace(instance, potentials, x0, changes, last):
     """The trace rows (t, values) for t = 0, ..., last of a run from x0:
-    row t holds config.trace_potentials at the point after every change of
-    an iteration <= t.
+    row t holds the potentials at the point after every change of an
+    iteration <= t.
 
     changes = (iteration, position, new value) are arrays in the order the
     run made its changes. The point after each change is built by forward
     fill per position and scored _TRACE_BLOCK changes at a time, so the
     memory is O(_TRACE_BLOCK * n) beside the O(last) rows.
     """
-    instance, pots = config.instance, config.trace_potentials
     when, pos, new = changes
     points = x0[None]
-    scores = [np.column_stack([potential_value(p, instance, points) for p in pots])]
+    scores = [np.column_stack([potential_value(p, instance, points) for p in potentials])]
     for lo in range(0, when.size, _TRACE_BLOCK):
         at, to = pos[lo:lo + _TRACE_BLOCK], new[lo:lo + _TRACE_BLOCK]
         latest = np.full((at.size, x0.size), -1)  # per position, its latest change in the block
         latest[np.arange(at.size), at] = np.arange(at.size)
         np.maximum.accumulate(latest, axis=0, out=latest)
         points = np.where(latest >= 0, to[latest], points[-1])
-        scores.append(np.column_stack([potential_value(p, instance, points) for p in pots]))
+        scores.append(np.column_stack([potential_value(p, instance, points)
+                                       for p in potentials]))
     rows = list(map(tuple, np.concatenate(scores).tolist()))
     steps = np.searchsorted(when, np.arange(last + 1), "right").tolist()
     return tuple((t, rows[s]) for t, s in enumerate(steps))
@@ -749,10 +768,9 @@ def _lane_law(operator, r, ring):
     return 2, move
 
 
-def _advance(configs, record=False):
-    """Advance every (replicate, unfinished position) lane of a batch of
-    lockstep configs, which share the operator, n, r and metric, to its
-    target.
+def _advance(config, seeds, targets=None, starts=None, record=False):
+    """Advance every (replicate, unfinished position) lane of a lockstep
+    batch (see _map_runs) to its target.
 
     Position i of a replicate moves at the points of a Poisson clock of
     rate w_i, independently of the others (RLS accepts a step at i on the
@@ -768,19 +786,20 @@ def _advance(configs, record=False):
     and LANES // n at a time), then the Poisson count; the chunks depend
     only on the replicate's own state, so its T does too, in any batch.
 
-    Returns (hits, rngs, starts, per, moves): moves is [] without record,
-    and with it the arrays (lane, clock, new value, old and new distance,
-    change of w) of every move, lane k * n + i being position i of
-    replicate k.
+    Returns (hits, rngs, starts, per, moves): starts is the (replicates, n)
+    array of start points, and moves is [] without record, and with it the
+    arrays (lane, clock, new value, old and new distance, change of w) of
+    every move, lane k * n + i being position i of replicate k.
     """
-    first = configs[0].instance
-    n, r, ring = first.params.n, first.params.r, first.metric is MetricKind.RING
-    per, move = _lane_law(configs[0].operator, r, ring)
+    instance = config.instance
+    n, r, ring = instance.params.n, instance.params.r, instance.metric is MetricKind.RING
+    per, move = _lane_law(config.operator, r, ring)
     most = max(1, min(_CHUNK_ROUNDS, LANES // n))
-    rngs, starts = _setup(configs)
-    x_all = np.concatenate(starts)
-    z_all = np.concatenate([config.instance.target for config in configs])
-    d_all = component_distances(first.metric, x_all, z_all, r)
+    rngs, starts = _setup(config, seeds, starts)
+    x_all = starts.reshape(-1)
+    z_all = (np.tile(instance.target, len(seeds)) if targets is None
+             else targets.reshape(-1))
+    d_all = component_distances(instance.metric, x_all, z_all, r)
     lane = np.flatnonzero(d_all)  # the unfinished lanes, in batch order
     x, z, d = x_all[lane], z_all[lane], d_all[lane]
     clock, spent = np.zeros(lane.size), np.zeros(lane.size)
@@ -792,7 +811,7 @@ def _advance(configs, record=False):
         if t == start + size:
             start, size = t, min(2 * size or 2, most)
             chunk, row, end = np.empty((lane.size, size, 2)), np.arange(lane.size), 0
-            for k, c in enumerate(np.bincount(lane // n, minlength=len(configs)).tolist()):
+            for k, c in enumerate(np.bincount(lane // n, minlength=len(seeds)).tolist()):
                 if c:
                     rngs[k].random(out=chunk[end:end + c])  # replicate k's (c, size, 2) draw
                     end += c
@@ -801,7 +820,7 @@ def _advance(configs, record=False):
         w, x = move(x, z, d, u[:, 1])
         clock += e / w
         spent += e
-        nd = component_distances(first.metric, x, z, r)
+        nd = component_distances(instance.metric, x, z, r)
         if record:
             log.append((lane, clock.copy(), x, d, nd, move(x, z, nd, u[:, 1])[0] - w))
         d = nd
@@ -826,28 +845,28 @@ def _advance(configs, record=False):
     return hits, rngs, starts, per, log
 
 
-def _run_lanes(configs):
-    """The RunRecords of lockstep configs that share the operator, n, r and
-    metric, advanced together by _advance; each equals its config's record
-    in any batch.
+def _run_lanes(config, seeds, targets=None, starts=None):
+    """The RunRecords of a lockstep batch (see _map_runs), advanced together
+    by _advance; each replicate's record is the same in any batch.
 
-    A traced run, or one with T above its cap, is replayed with its moves
-    recorded (see _replay)."""
-    hits = _advance(configs)[0]
+    A traced batch, and each replicate with T above the cap, is replayed
+    with its moves recorded (see _replay)."""
+    hits = _advance(config, seeds, targets, starts)[0]
     # records are frozen, so runs with equal hitting times share one
     shared = {hit: RunRecord(hitting_time=hit, capped=False, final_fitness=0,
                              evaluations=hit + 1) for hit in set(hits)}
-    records = [None if config.trace_potentials or hit > config.iteration_cap else shared[hit]
-               for config, hit in zip(configs, hits)]
-    again = [k for k, record in enumerate(records) if record is None]
+    records = [shared[hit] for hit in hits]
+    again = [k for k, hit in enumerate(hits)
+             if config.trace_potentials or hit > config.iteration_cap]
     if again:
-        for k, record in zip(again, _replay([configs[k] for k in again])):
+        rows = [None if column is None else column[again] for column in (targets, starts)]
+        for k, record in zip(again, _replay(config, [seeds[k] for k in again], *rows)):
             records[k] = record
     return records
 
 
-def _replay(configs):
-    """Records of lockstep configs from their recorded moves.
+def _replay(config, seeds, targets=None, starts=None):
+    """Records of a lockstep batch from its recorded moves.
 
     The moves of a replicate's lanes, merged by clock, are its accepted
     moves in order; between moves k - 1 and k the rejected iterations come
@@ -856,23 +875,29 @@ def _replay(configs):
     the intervals multinomially in proportion to (norm - total_(k-1))
     (t_k - t_(k-1)), which gives each move's iteration, the trace rows, the
     state at the cap and the capped-prefix property exactly. The
-    multinomial is the replicate's last draw.
+    multinomial is the replicate's last draw. A replicate with a target of
+    its own gets an instance built by the ProblemInstance constructor.
     """
-    hits, rngs, starts, per, (lane, clock, new, old, nd, change) = _advance(configs, record=True)
-    n = configs[0].instance.params.n
+    hits, rngs, starts, per, (lane, clock, new, old, nd, change) = _advance(
+        config, seeds, targets, starts, record=True)
+    instance = config.instance
+    n = instance.params.n
     owner = lane // n
     order = np.lexsort((clock, owner))  # stable: a lane's moves keep their order
-    bounds = np.searchsorted(owner[order], np.arange(len(configs) + 1)).tolist()
-    return [_replayed_record(config, hits[k], rngs[k], starts[k], per * n,
-                             *(a[order[bounds[k]:bounds[k + 1]]]
-                               for a in (lane % n, clock, new, old, nd, change)))
-            for k, config in enumerate(configs)]
+    bounds = np.searchsorted(owner[order], np.arange(len(seeds) + 1)).tolist()
+    return [_replayed_record(
+                config, instance if targets is None else
+                ProblemInstance(instance.params, instance.metric, targets[k]),
+                hits[k], rngs[k], starts[k], per * n,
+                *(a[order[bounds[k]:bounds[k + 1]]] for a in (lane % n, clock, new, old, nd,
+                                                              change)))
+            for k in range(len(seeds))]
 
 
-def _replayed_record(config, hit, rng, x0, norm, pos, clock, new, old, nd, change):
+def _replayed_record(config, instance, hit, rng, x0, norm, pos, clock, new, old, nd, change):
     """One replicate's record from its moves in clock order (see _replay);
     change is the change of sum(w) at each move."""
-    instance, cap = config.instance, config.iteration_cap
+    cap = config.iteration_cap
     m = pos.size
     # every lane ends at w = 0, so the total before move k is minus the
     # changes from move k on
@@ -890,7 +915,8 @@ def _replayed_record(config, hit, rng, x0, norm, pos, clock, new, old, nd, chang
     final = fit + int((nd[:done] - old[:done]).sum())
     trace = None
     if config.trace_potentials:
-        trace = _trace(config, x0, (when[:done], pos[:done], new[:done]), min(hit, cap))
+        trace = _trace(instance, config.trace_potentials, x0,
+                       (when[:done], pos[:done], new[:done]), min(hit, cap))
     if hit > cap:
         return RunRecord(hitting_time=None, capped=True, final_fitness=final,
                          evaluations=cap + 1, trace=trace)

@@ -94,13 +94,6 @@ def realize_distance_rows(instance: ProblemInstance, distances: Sequence[int], r
     return _realize(instance, np.broadcast_to(dist, (rows, n)), rng)
 
 
-def realize_distances(instance: ProblemInstance, distances: Sequence[int],
-                      rng: np.random.Generator) -> np.ndarray:
-    """Construct a point whose per-component distances to the target are as
-    given, choosing uniformly among the feasible sides."""
-    return realize_distance_rows(instance, distances, 1, rng)[0]
-
-
 def plant_state_at_hamming(instance: ProblemInstance, k: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Corrupt k uniformly chosen positions of the target to wrong values;

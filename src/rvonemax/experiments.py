@@ -23,11 +23,11 @@ from itertools import product
 
 import numpy as np
 
-from .algorithms import DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, _map_runs, run, subseed
+from .algorithms import (DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, _map_runs, _replicate,
+                         run, subseed)
 from .drift import _place_at_hamming, plant_state_at_hamming
 from .operators import StepOperatorKind
-from .space import (MetricKind, ProblemInstance, SpaceParams, _copies, _read_only_points,
-                    _scaled)
+from .space import MetricKind, ProblemInstance, SpaceParams, _read_only_points, _scaled
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -164,9 +164,10 @@ def build_start(policy: StartPolicy, instance: ProblemInstance,
     return _farthest(instance.metric, instance.params.r, instance.target)
 
 
-def _replicate_configs(plan: ExperimentPlan, n: int, r: int, algorithm: AlgorithmKind,
-                       operator: StepOperatorKind, reps: range) -> list[RunConfig]:
-    """The RunConfigs of replicates `reps` of one cell.
+def _cell(plan: ExperimentPlan, n: int, r: int, algorithm: AlgorithmKind,
+          operator: StepOperatorKind, reps: range):
+    """(config, seeds, targets, starts): replicates `reps` of one cell as a
+    batch of _map_runs, a template config and the replicates' columns.
 
     The cell's seed is stable_seed(base_seed, "n|r|algo|op|metric"), and
     replicate k runs with subseed(cell seed, k), as in run_batch. Only a
@@ -175,10 +176,10 @@ def _replicate_configs(plan: ExperimentPlan, n: int, r: int, algorithm: Algorith
     draws are row k of it, one row of uniforms per replicate in the order
     build_target and build_start draw (the target's n, then the n + k of
     plant_rows_at_hamming), reached by advancing the stream past the rows
-    before reps. The zero and center targets are one instance shared by the
-    cell. The targets and the starts are each range-checked once, as a
-    block, and the cell's instances and configs are copies of one validated
-    template.
+    before reps. A zero or center target is the template's own, shared by
+    the cell (targets is None), and so is a uniform start (starts is None:
+    each run draws its own); the random targets and the other starts are
+    read-only (len(reps), n) blocks, each range-checked once.
     """
     cell = f"{n}|{r}|{algorithm.value}|{operator.value}|{plan.metric.value}"
     params = SpaceParams(n=n, r=r)
@@ -190,34 +191,28 @@ def _replicate_configs(plan: ExperimentPlan, n: int, r: int, algorithm: Algorith
         rng = np.random.default_rng(stable_seed(plan.base_seed, cell + "|setup"))
         rng.bit_generator.advance(reps.start * draws.shape[1])  # one 64-bit output per uniform
         rng.random(out=draws)
-    if lead:
-        targets = _read_only_points(_scaled(draws[:, :n], r), params)
-        instances = _copies(ProblemInstance(params=params, metric=plan.metric,
-                                            target=targets[0]), target=targets)
-    else:
-        shared = ProblemInstance(params=params, metric=plan.metric,
-                                 target=build_target(policy, params, None))
-        instances = [shared] * len(reps)
-        targets = shared.target[None, :]
-    starts = [None] * len(reps)
+    targets = _read_only_points(_scaled(draws[:, :n], r), params) if lead else None
+    instance = ProblemInstance(params=params, metric=plan.metric,
+                               target=targets[0] if lead else build_target(policy, params, None))
+    rows = targets if lead else instance.target[None, :]
+    starts = None
     if k is not None:
-        starts = _place_at_hamming(np.broadcast_to(targets, (len(reps), n)), draws[:, lead:], r)
+        starts = _place_at_hamming(np.broadcast_to(rows, (len(reps), n)), draws[:, lead:], r)
     elif kind is StartKind.ALL_MAX_DISTANCE:
-        starts = np.broadcast_to(_farthest(plan.metric, r, targets), (len(reps), n))
-    if kind is not StartKind.UNIFORM_RANDOM:
+        starts = np.broadcast_to(_farthest(plan.metric, r, rows), (len(reps), n))
+    if starts is not None:
         starts = _read_only_points(starts, params)
     seed = stable_seed(plan.base_seed, cell)
-    template = RunConfig(algorithm=algorithm, operator=operator, instance=instances[0],
-                         seed=seed, iteration_cap=plan.iteration_cap)
-    return _copies(template, instance=instances, seed=[subseed(seed, rep) for rep in reps],
-                   initial_point=starts)
+    config = RunConfig(algorithm=algorithm, operator=operator, instance=instance, seed=seed,
+                       iteration_cap=plan.iteration_cap)
+    return config, [subseed(seed, rep) for rep in reps], targets, starts
 
 
 def _replicate_config(plan: ExperimentPlan, n: int, r: int, algorithm: AlgorithmKind,
                       operator: StepOperatorKind, rep: int) -> RunConfig:
-    """The RunConfig of one replicate: the one-replicate call of
-    _replicate_configs."""
-    return _replicate_configs(plan, n, r, algorithm, operator, range(rep, rep + 1))[0]
+    """The RunConfig of one replicate, built by the constructors from the
+    one-replicate _cell."""
+    return _replicate(0, *_cell(plan, n, r, algorithm, operator, range(rep, rep + 1)))
 
 
 def hitting_time_summary(records) -> tuple[float, float, float, int]:
@@ -237,8 +232,8 @@ def execute_plan(plan: ExperimentPlan) -> list[AggregateResult]:
     algorithm x operator."""
     out = []
     for (n, r), algorithm, operator in product(plan.grid, plan.algorithms, plan.operators):
-        configs = _replicate_configs(plan, n, r, algorithm, operator, range(plan.replicates))
-        mean, std_error, median, capped = hitting_time_summary(_map_runs(run, configs))
+        cell = _cell(plan, n, r, algorithm, operator, range(plan.replicates))
+        mean, std_error, median, capped = hitting_time_summary(_map_runs(run, *cell))
         out.append(AggregateResult(n=n, r=r, algorithm=algorithm, operator=operator,
                                    metric=plan.metric, mean=mean, std_error=std_error,
                                    median=median, replicates=plan.replicates,

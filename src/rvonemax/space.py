@@ -70,25 +70,6 @@ def _scaled(u: np.ndarray, m: int) -> np.ndarray:
     return (u * m).astype(np.int64)
 
 
-def _copies(template, **columns) -> list:
-    """Copies of the frozen dataclass instance template, copy j with each
-    named field set to columns[field][j], built without __post_init__.
-
-    For values the library has already checked (a validated instance,
-    rows of a block passed through _read_only_points): a config or
-    instance built by its constructor still copies and checks every field.
-    """
-    cls, base, names = type(template), vars(template), tuple(columns)
-    out = []
-    for values in zip(*columns.values()):
-        fields = base.copy()
-        fields.update(zip(names, values))
-        copy = object.__new__(cls)
-        object.__setattr__(copy, "__dict__", fields)
-        out.append(copy)
-    return out
-
-
 def metric_distance(kind: MetricKind, a: int, b: int, r: int) -> int:
     """Distance between two alphabet values under the chosen metric."""
     if not (0 <= a < r and 0 <= b < r):

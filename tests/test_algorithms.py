@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ from helpers import (assert_chi_square, assert_same_categorical, assert_same_dis
                      reference_hitting_time, reference_replicate_config, reference_state_after,
                      step_outcomes)
 import rvonemax
-from rvonemax import algorithms
+from rvonemax import algorithms, experiments
 from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, ProblemInstance,
-                      RunConfig, SpaceParams, StepOperatorKind, TargetPolicy, execute_plan,
+                      RunConfig, SpaceParams, StartPolicy, StepOperatorKind, TargetPolicy,
+                      execute_plan,
                       fitness, hamming_distance, metric_distance, mutate, potential_value,
                       run, run_batch, subseed)
 from rvonemax.algorithms import (_TRACE_BLOCK, LANES, _generators, _lane_law, _law, _map_runs,
@@ -93,89 +95,115 @@ def test_user_built_points_are_checked_and_copied():
         assert point.dtype == np.int64 and not point.flags.writeable
 
 
-def test_run_batch_replicates_differ_from_the_config_in_seed_only(monkeypatch):
-    # run_batch copies the config without checking its fields again: replicate
-    # k holds subseed(seed, k) and the config's own field objects
-    inst = make_instance(4, 6)
-    cfg = RunConfig(EA, HARMONIC, inst, seed=5, iteration_cap=40, initial_point=(5, 4, 3, 2),
-                    trace_potentials=("fitness",))
-    passed = []
-    monkeypatch.setattr(algorithms, "_map_runs", lambda run_fn, configs: passed.extend(configs))
-    run_batch(cfg, 3)
-    assert len(passed) == 3
-    for k, copy in enumerate(passed):
-        assert type(copy) is RunConfig and copy.seed == subseed(5, k)
-        for name in ("algorithm", "operator", "instance", "iteration_cap", "initial_point",
-                     "trace_potentials"):
-            assert getattr(copy, name) is getattr(cfg, name)
-    assert vars(passed[0]) == vars(cfg)
-
-
-def _lockstep_mix():
-    """Configs the lockstep kernel runs, of every operator and metric, plain,
-    traced, capped, capped and traced, at the optimum, and the EA at n = 1,
-    at two sizes per law, with EA configs beside them, grouped by what
-    _map_runs needs its configs to share: algorithm, operator, params and
-    metric."""
+def _lockstep_templates():
+    """Templates of the batches the lockstep kernel runs, of every operator
+    and metric, plain, traced, capped, capped and traced, at the optimum,
+    and the EA at n = 1, at two sizes per law, with EA templates beside
+    them, whose replicates go to run one at a time."""
     pots = (Potential.fitness(), Potential.exp_weight(1.5))
-    configs = []
-    for k, (operator, metric) in enumerate([(o, m) for o in (UNIFORM, PM1, HARMONIC)
-                                            for m in MetricKind]):
+    templates = []
+    for k, (operator, metric) in enumerate(product((UNIFORM, PM1, HARMONIC), MetricKind)):
         for n in (2, 5 + k):
             inst = make_instance(n, 6, metric, target=np.arange(n) % 6)
             seed = 100 * k + 10 * n
-            configs += [RunConfig(RLS, operator, inst, seed=seed),
-                        RunConfig(RLS, operator, inst, seed=seed + 1, trace_potentials=pots),
-                        RunConfig(RLS, operator, inst, seed=seed + 2, iteration_cap=12),
-                        RunConfig(RLS, operator, inst, seed=seed + 3, iteration_cap=12,
-                                  trace_potentials=pots),
-                        RunConfig(EA, operator, inst, seed=seed + 4),
-                        RunConfig(EA, operator, inst, seed=seed + 5, trace_potentials=pots)]
+            templates += [RunConfig(RLS, operator, inst, seed=seed),
+                          RunConfig(RLS, operator, inst, seed=seed + 1, trace_potentials=pots),
+                          RunConfig(RLS, operator, inst, seed=seed + 2, iteration_cap=12),
+                          RunConfig(RLS, operator, inst, seed=seed + 3, iteration_cap=12,
+                                    trace_potentials=pots),
+                          RunConfig(EA, operator, inst, seed=seed + 4),
+                          RunConfig(EA, operator, inst, seed=seed + 5, trace_potentials=pots)]
     optimum = make_instance(4, 5, target=(1, 2, 3, 4))
-    configs += [RunConfig(RLS, PM1, optimum, seed=1, initial_point=optimum.target,
-                          trace_potentials=pots),
-                RunConfig(EA, HARMONIC, make_instance(1, 7), seed=2),
-                RunConfig(EA, HARMONIC, make_instance(1, 7), seed=4, trace_potentials=pots),
-                RunConfig(EA, UNIFORM, make_instance(1, 7), seed=3, trace_potentials=pots),
-                RunConfig(EA, UNIFORM, make_instance(1, 7), seed=5)]
-    groups = {}
-    for c in configs:
-        groups.setdefault((c.algorithm, c.operator, c.instance.params, c.instance.metric),
-                          []).append(c)
-    return list(groups.values())
+    templates += [RunConfig(RLS, PM1, optimum, seed=1, initial_point=optimum.target,
+                            trace_potentials=pots),
+                  RunConfig(EA, HARMONIC, make_instance(1, 7), seed=2),
+                  RunConfig(EA, HARMONIC, make_instance(1, 7), seed=4, trace_potentials=pots),
+                  RunConfig(EA, UNIFORM, make_instance(1, 7), seed=3, trace_potentials=pots),
+                  RunConfig(EA, UNIFORM, make_instance(1, 7), seed=5, iteration_cap=2)]
+    return templates
 
 
-def test_lockstep_record_is_the_same_in_any_batch():
-    # a lockstep replicate depends only on its own seed: each config's record
-    # in a batch of its law, in either order, is its record run alone
-    groups = _lockstep_mix()
-    alone = [[run(c) for c in group] for group in groups]
-    records = [rec for group in alone for rec in group]
-    assert any(rec.capped for rec in records) and any(rec.trace for rec in records)
-    assert any(rec.capped and rec.trace for rec in records)
-    for group, expected in zip(groups, alone):
-        assert _map_runs(run, group) == expected
-        assert _map_runs(run, group[::-1]) == expected[::-1]
+def test_run_batch_records_are_the_same_in_any_grouping(monkeypatch):
+    # a replicate depends only on its own seed: with LANES at n (one
+    # replicate per group), 3n and the default, record k of run_batch is
+    # run() of replicate k's config built by the constructor (LANES // n
+    # also bounds the rounds a replicate draws at once, so both run under
+    # the same LANES); the run that run_batch hands _map_runs sees each EA
+    # replicate once, in order, as such a config, and no lockstep replicate
+    reps, lockstep = 5, []
+    for template in _lockstep_templates():
+        n = template.instance.params.n
+        configs = [replace(template, seed=subseed(template.seed, k)) for k in range(reps)]
+        in_lockstep = template.algorithm is RLS or n == 1
+        for lanes in (n, 3 * n, LANES):
+            seen = []
+            monkeypatch.setattr(algorithms, "LANES", lanes)
+            alone = [run(config) for config in configs]
+            monkeypatch.setattr(algorithms, "run",
+                                lambda config: seen.append(config) or run(config))
+            assert run_batch(template, reps) == alone
+            assert len(seen) == (0 if in_lockstep else reps)
+            for config, passed in zip(configs, seen):
+                assert passed.seed == config.seed and passed.instance is template.instance
+                assert passed.trace_potentials == template.trace_potentials
+                assert passed.iteration_cap == template.iteration_cap
+        lockstep += alone if in_lockstep else []
+    assert any(rec.capped for rec in lockstep) and any(rec.trace for rec in lockstep)
+    assert any(rec.capped and rec.trace for rec in lockstep)
 
 
-def test_map_runs_sends_only_non_lockstep_configs_to_run_fn():
-    # a wrapper on run_fn sees each non-lockstep config once, in order, and
-    # no lockstep config, which the lockstep kernel runs in groups
-    seen = []
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_cell_records_are_their_replicates_run_alone(monkeypatch, metric):
+    # a cell with random targets, planted starts and a cap that some runs
+    # reach: each record, final_fitness included, is that of its
+    # replicate's config built alone by the oracle and run under the same
+    # LANES, at the default and split into groups of 3 replicates
+    n, r, reps = 6, 5, 40
+    plan = ExperimentPlan(grid=((n, r),), algorithms=(RLS, EA),
+                          operators=(UNIFORM, PM1, HARMONIC), metric=metric,
+                          target_policy=TargetPolicy.UNIFORM_RANDOM,
+                          start_policy=StartPolicy.fixed_hamming(4), replicates=reps,
+                          base_seed=17, iteration_cap=45)
+    capped = []
+    for algorithm, operator in product(plan.algorithms, plan.operators):
+        for lanes in (3 * n, LANES):
+            monkeypatch.setattr(algorithms, "LANES", lanes)
+            expected = [run(reference_replicate_config(plan, n, r, algorithm, operator, rep))
+                        for rep in range(reps)]
+            cell = experiments._cell(plan, n, r, algorithm, operator, range(reps))
+            assert _map_runs(run, *cell) == expected
+        capped += [rec.capped for rec in expected]
+    assert 0 < sum(capped) < len(capped)
 
-    def traced_run(config):
-        seen.append(config)
-        return run(config)
 
-    others = 0
-    for group in _lockstep_mix():
-        lockstep = group[0].algorithm is RLS or group[0].instance.params.n == 1
-        others += not lockstep
-        for configs in (group, group[::-1]):
-            del seen[:]
-            assert _map_runs(traced_run, configs) == [run(c) for c in configs]
-            assert seen == ([] if lockstep else configs)
-    assert others
+def test_lockstep_cells_build_no_replicate_config(monkeypatch):
+    # RunConfig.__post_init__ runs once for a 1,000-replicate RLS cell, for
+    # its template, and 1 + R times for an EA cell of R replicates; every
+    # config handed to run has a read-only target and start equal to the
+    # oracle's
+    built, passed = [], []
+    post_init = RunConfig.__post_init__
+    monkeypatch.setattr(RunConfig, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(experiments, "run", lambda config: passed.append(config) or run(config))
+    for algorithm, reps in ((RLS, 1000), (EA, 30)):
+        plan = ExperimentPlan(grid=((8, 5),), algorithms=(algorithm,), operators=(UNIFORM,),
+                              metric=MetricKind.INTERVAL,
+                              target_policy=TargetPolicy.UNIFORM_RANDOM,
+                              start_policy=StartPolicy.fixed_hamming(3), replicates=reps,
+                              base_seed=3, iteration_cap=200)
+        del built[:], passed[:]
+        (agg,) = execute_plan(plan)
+        assert len(built) == (1 if algorithm is RLS else 1 + reps)
+        assert len(passed) == (0 if algorithm is RLS else reps)
+        assert algorithm is EA or 0 < agg.capped_count < reps  # replays build no config
+        for rep, config in enumerate(passed):
+            expected = reference_replicate_config(plan, 8, 5, algorithm, UNIFORM, rep)
+            assert config.seed == expected.seed
+            for point, want in ((config.instance.target, expected.instance.target),
+                                (config.initial_point, expected.initial_point)):
+                assert not point.flags.writeable
+                np.testing.assert_array_equal(point, want)
 
 
 def test_run_seed_is_taken_mod_two_to_the_64():
@@ -280,7 +308,8 @@ def test_trace_matches_a_plain_stepper(metric):
     assert np.diff(seams[0]).min() == 0 and (np.diff(crowded[0]) == 0).sum() > 10
     for case, last in ((seams, int(seams[0][-1])), (seams, 100),
                        (crowded, int(crowded[0][-1]) + 9), (changes(0, [1]), 6)):
-        assert _trace(config, x0, case, last) == _stepped_trace(config, x0, case, last)
+        assert (_trace(inst, config.trace_potentials, x0, case, last)
+                == _stepped_trace(config, x0, case, last))
 
 
 def test_traced_run_memory_is_not_moves_by_n():

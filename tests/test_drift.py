@@ -13,7 +13,7 @@ from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, Run
                       SpaceParams, StepOperatorKind, estimate_drift, fitness, hamming_distance,
                       harmonic_number, one_iteration, plant_rows_at_fitness,
                       plant_rows_at_hamming, plant_state_at_fitness, plant_state_at_hamming,
-                      potential_value, realize_distance_rows, realize_distances)
+                      potential_value, realize_distance_rows)
 from rvonemax.drift import BLOCK_ROWS, SLOTS
 
 RLS = AlgorithmKind.RLS
@@ -138,10 +138,10 @@ def test_plant_state_at_fitness_exact_level():
 def test_realize_distances_exact_and_infeasible():
     inst = make_instance(4, 7, MetricKind.RING, target=(0, 3, 6, 1))
     rng = np.random.default_rng(13)
-    x = realize_distances(inst, (3, 0, 2, 1), rng)
+    x = realize_distance_rows(inst, (3, 0, 2, 1), 1, rng)[0]
     assert fitness(inst, x) == 6
     with pytest.raises(ValueError):
-        realize_distances(inst, (4, 0, 0, 0), rng)  # ring caps distance at r//2
+        realize_distance_rows(inst, (4, 0, 0, 0), 1, rng)[0]  # ring caps distance at r//2
 
 
 @pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])

@@ -14,9 +14,8 @@ from rvonemax import (AggregateResult, AlgorithmKind, DegenerateModelError, Expe
                       execute_plan, fit_scaling, fitness, hamming_distance,
                       plant_rows_at_hamming, run_batch, sample_uniform_point, stable_seed,
                       subseed)
-from rvonemax import experiments
-from rvonemax.algorithms import _setup
-from rvonemax.experiments import _replicate_config, hitting_time_summary
+from rvonemax.algorithms import _replicate, _setup
+from rvonemax.experiments import _cell, _replicate_config, hitting_time_summary
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -29,6 +28,13 @@ def single_cell_plan(n, r, algorithm, operator, start, replicates, seed,
     return ExperimentPlan(grid=((n, r),), algorithms=(algorithm,), operators=(operator,),
                           metric=metric, target_policy=target, start_policy=start,
                           replicates=replicates, base_seed=seed, iteration_cap=cap)
+
+
+def cell_configs(plan, n, r, algorithm, operator, reps):
+    """The configs of replicates reps of a cell, each built by _replicate
+    from the cell's columns, as _map_runs hands them to run."""
+    cell = _cell(plan, n, r, algorithm, operator, reps)
+    return [_replicate(k, *cell) for k in range(len(reps))]
 
 
 def test_execute_plan_matches_closed_form_mean():
@@ -135,7 +141,7 @@ def test_plan_validation():
 
 def test_replicate_setup_generator_only_where_drawn_from(monkeypatch):
     # a set-up stream is built only for a random target or a planted start,
-    # once per _replicate_configs call, seeded from the cell key plus
+    # once per _cell call, seeded from the cell key plus
     # "|setup"; replicate k runs with subseed(cell seed, k) and draws row k
     # of that stream
     real = np.random.default_rng
@@ -156,7 +162,7 @@ def test_replicate_setup_generator_only_where_drawn_from(monkeypatch):
                                     metric=MetricKind.RING, target=target)
             draws = target is TargetPolicy.UNIFORM_RANDOM or start.kind is StartKind.FIXED_HAMMING
             del built[:]
-            configs = experiments._replicate_configs(plan, n, r, EA, PM1, range(replicates))
+            configs = cell_configs(plan, n, r, EA, PM1, range(replicates))
             assert built == ([setup_seed] if draws else [])
             del built[:]
             alone = _replicate_config(plan, n, r, EA, PM1, 3)
@@ -191,7 +197,7 @@ def test_replicate_configs_match_scalar_reference(target, metric):
                                                  (range(0, 6), range(4, 9), range(13, 14))):
         plan = single_cell_plan(n, r, RLS, PM1, start, 20, seed=31, metric=metric,
                                 target=target, cap=999)
-        cell = experiments._replicate_configs(plan, n, r, RLS, PM1, reps)
+        cell = cell_configs(plan, n, r, RLS, PM1, reps)
         assert len(cell) == len(reps)
         for rep, cfg in zip(reps, cell):
             expected = reference_replicate_config(plan, n, r, RLS, PM1, rep)
@@ -209,27 +215,29 @@ def test_replicate_configs_match_scalar_reference(target, metric):
 
 
 def test_fixed_targets_share_one_instance_per_cell():
-    # a zero or center target is one read-only instance for the whole cell
+    # a zero or center target is the template's read-only instance, shared
+    # by the whole cell; random targets and the starts are read-only blocks
     for target in (TargetPolicy.ALL_ZERO, TargetPolicy.CENTER):
         plan = ExperimentPlan(grid=((12, 6), (5, 9)), algorithms=(RLS, EA),
                               operators=(UNIFORM, PM1), metric=MetricKind.INTERVAL,
                               target_policy=target, start_policy=StartPolicy.fixed_hamming(4),
                               replicates=9, base_seed=23)
         for n, r in plan.grid:
-            cell = experiments._replicate_configs(plan, n, r, EA, PM1, range(9))
-            shared = cell[0].instance
-            assert all(cfg.instance is shared for cfg in cell)
-            assert not shared.target.flags.writeable
+            config, seeds, targets, starts = _cell(plan, n, r, EA, PM1, range(9))
+            assert targets is None and len(seeds) == 9
+            assert not config.instance.target.flags.writeable
             with pytest.raises(ValueError):
-                shared.target[0] = 1
-            assert all(not cfg.initial_point.flags.writeable for cfg in cell)
-            assert len({cfg.initial_point.tobytes() for cfg in cell}) > 1
+                config.instance.target[0] = 1
+            assert starts.shape == (9, n) and not starts.flags.writeable
+            assert len({row.tobytes() for row in starts}) > 1
+            configs = cell_configs(plan, n, r, EA, PM1, range(9))
+            assert all(cfg.instance is configs[0].instance for cfg in configs)
     plan = single_cell_plan(5, 4, RLS, UNIFORM, StartPolicy.all_max_distance(), 4, seed=2,
                             target=TargetPolicy.UNIFORM_RANDOM)
-    cell = experiments._replicate_configs(plan, 5, 4, RLS, UNIFORM, range(4))
-    assert len({id(cfg.instance) for cfg in cell}) == 4
-    assert all(not point.flags.writeable for cfg in cell
-               for point in (cfg.instance.target, cfg.initial_point))
+    _, _, targets, starts = _cell(plan, 5, 4, RLS, UNIFORM, range(4))
+    assert targets.shape == starts.shape == (4, 5)
+    assert len({row.tobytes() for row in targets}) == 4
+    assert not targets.flags.writeable and not starts.flags.writeable
 
 
 # r = 7 is not a power of two, so floor(u * m) maps to no bit pattern
@@ -244,9 +252,8 @@ def _planted(source):
     if source == "cell":
         plan = single_cell_plan(n, r, RLS, UNIFORM, StartPolicy.fixed_hamming(k), rows, seed=19,
                                 target=TargetPolicy.UNIFORM_RANDOM)
-        cell = experiments._replicate_configs(plan, n, r, RLS, UNIFORM, range(rows))
-        return (np.array([cfg.instance.target for cfg in cell]),
-                np.array([cfg.initial_point for cfg in cell]))
+        _, _, targets, starts = _cell(plan, n, r, RLS, UNIFORM, range(rows))
+        return targets, starts
     inst = ProblemInstance(SpaceParams(n, r), MetricKind.INTERVAL, np.full(n, 3))
     starts = plant_rows_at_hamming(inst, k, rows, np.random.default_rng(19))
     return np.broadcast_to(inst.target, starts.shape), starts
@@ -288,11 +295,10 @@ def test_random_targets_and_uniform_starts_are_uniform():
     n, r, rows = SET_UP_N, SET_UP_R, SET_UP_ROWS
     plan = single_cell_plan(n, r, RLS, UNIFORM, StartPolicy.uniform_random(), rows, seed=23,
                             target=TargetPolicy.UNIFORM_RANDOM)
-    cell = experiments._replicate_configs(plan, n, r, RLS, UNIFORM, range(rows))
-    assert all(cfg.initial_point is None for cfg in cell)
+    config, seeds, targets, starts = _cell(plan, n, r, RLS, UNIFORM, range(rows))
+    assert starts is None
     rng = np.random.default_rng(29)
-    for values in (np.array([cfg.instance.target for cfg in cell]),
-                   np.array(_setup(cell)[1]),
+    for values in (targets, _setup(config, seeds)[1],
                    np.array([sample_uniform_point(SpaceParams(n, r), rng) for _ in range(rows)])):
         assert values.dtype == np.int64 and values.shape == (rows, n)
         assert_chi_square(np.bincount(values.ravel(), minlength=r), np.full(r, 1 / r))
