@@ -39,17 +39,18 @@ of iterations.
 Neither kernel knows the step operator: the per-position law (_law for the
 EA, its vectorized closed forms _lane_law for RLS) owns the weights and the
 conditioned moves, and _law also the misses and the pick index. Both
-kernels start their runs the same way (_setup: the runs' generators,
-built in one pass, then their start points), and both build a trace after
-the run with one builder, _trace, which scores the points after the run's
-accepted changes a block at a time.
+kernels take a start point the config lacks as the first n draws of the
+run's stream, and both build a trace after the run with one builder,
+_trace, which scores the points after the run's accepted changes a block
+at a time.
 
 Runs are deterministic functions of their seed, and run one after another
 in the calling process. Replicates of a batch use sub-seeds derived from
 (seed, index) via subseed(), so batches reproduce exactly regardless of
-execution order. Each RLS run draws from its own generator in chunks
-shaped by its own state only, so its record is the same alone (run) and in
-any lockstep batch.
+execution order. An EA run draws from default_rng(seed). An RLS run draws
+from counter-based streams keyed by _mix(seed) (_uniforms, _poisson): each
+value is a function of the seed, the position and the round, so its record
+is the same alone (run) and in any lockstep batch, whatever LANES is.
 """
 
 from __future__ import annotations
@@ -58,24 +59,25 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
-from math import log1p
+from math import lgamma, log1p, sqrt
 
 import numpy as np
 
 from .operators import StepOperatorKind, harmonic_table, step
 from .potentials import Potential, potential_value
-from .space import (MetricKind, ProblemInstance, as_point, component_distances, fitness,
-                    sample_uniform_point)
+from .space import (MetricKind, ProblemInstance, _scaled, as_point, component_distances,
+                    fitness, sample_uniform_point)
 
 DEFAULT_ITERATION_CAP = 10**10
-LANES = 2048  # lanes (replicate x position) the lockstep RLS kernel advances at once
+LANES = 8192  # lanes (replicate x position) the lockstep RLS kernel holds at once
 
 _BLOCK = 4096
 _TRACE_BLOCK = 1024  # changes _trace scores at once
-_CHUNK_ROUNDS = 8  # the most rounds of uniforms a lockstep replicate draws at once
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK32 = 0xFFFFFFFF
+_PAIR = np.arange(2, dtype=np.uint64)
+_SECOND = np.uint64(1 << 63)  # key ^ _SECOND: the stream 2**63 counters on, for Poisson counts
+_POISSON_MAX = 2**63 - 1 - 10 * sqrt(2**63 - 1)  # Generator.poisson's bound
 
 
 class AlgorithmKind(Enum):
@@ -101,69 +103,68 @@ def subseed(seed: int, index: int) -> int:
     return (seed ^ ((index * _GOLDEN) & _MASK64)) & _MASK64
 
 
-def _hash_constants(init, mult, count):
-    """A column of SeedSequence's hash constant after k steps, init * mult**k
-    mod 2**32, for k = 0..count: it depends only on the step index."""
-    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(count + 1)],
-                    dtype=np.uint32)[:, None]
+def _mix(z):
+    """The SplitMix64 finalizer of each word of the uint64 array z."""
+    z = (z ^ z >> 30) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> 27) * np.uint64(0x94D049BB133111EB)
+    return z ^ z >> 31
 
 
-# numpy's SeedSequence: 16 hash steps fill and mix its 4-word pool, and 8
-# more draw generate_state(4, np.uint64) out of it
-_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+def _uniforms(keys, counters):
+    """Uniform doubles in [0, 1): the value at each counter of the stream
+    of each key (uint64 arrays, broadcast), each computed on its own, so in
+    any order or batch (a counter-based generator, Salmon et al., SC'11).
+
+    The stream of a key, _mix(seed), is SplitMix64 started at the key: at
+    counter c, the top 53 bits of _mix(key + (c + 1) * golden), mod 2**64.
+    Only arrays are used, since numpy warns on uint64 scalar overflow."""
+    return (_mix(keys + (counters + np.uint64(1)) * np.uint64(_GOLDEN)) >> 11) * 2.0**-53
 
 
-def _hash(value, constants):
-    """SeedSequence's hash of each row of value, row j at the step of
-    constants[j] (mod 2**32)."""
-    value = (value ^ constants[:-1]) * constants[1:]
-    return value ^ value >> 16
+def _poisson(keys, means):
+    """One Poisson(mean) count per key, exactly, from the key's stream.
 
-
-def _generators(seeds):
-    """The generators np.random.default_rng(seed) returns for 64-bit seeds,
-    with the same streams, built in one pass.
-
-    numpy's SeedSequence hash of every seed runs at once on uint32 rows: the
-    entropy pool is [lo32, hi32, 0, 0] (an absent word hashes as 0, so a
-    one-word seed hashes as its two-word form), mixed word by word, then
-    drawn out as the 4 uint64 words PCG64 asks for. PCG64 seeds itself from
-    those words through _Pooled, so no generator state is written by hand.
-    One seed goes to default_rng itself, since the pass has a fixed cost of
-    several default_rng calls.
-    """
-    if not all(0 <= seed <= _MASK64 for seed in seeds):
-        raise ValueError("generator seeds must lie in [0, 2**64)")
-    if len(seeds) == 1:
-        return [np.random.default_rng(seeds[0])]
-    # imported here: numpy.random would add about 15 ms to `import rvonemax`
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _Pooled(ISeedSequence):
-        """The precomputed generate_state(4, np.uint64) of one seed."""
-
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    wide = np.array(seeds, dtype=np.uint64)
-    pool = np.zeros((4, wide.size), dtype=np.uint32)
-    pool[0], pool[1] = wide & _MASK32, wide >> 32
-    pool = _hash(pool, _MIX_HASH[:5])
-    for src in range(4):
-        # mix every other word with the hash of word src; these three steps
-        # read only word src, so they run as one
-        dst = [k for k in range(4) if k != src]
-        mixed = (np.uint32(0xCA01F9DD) * pool[dst]
-                 - np.uint32(0x4973F715) * _hash(pool[src], _MIX_HASH[4 + 3 * src:8 + 3 * src]))
-        pool[dst] = mixed ^ mixed >> 16
-    state = _hash(np.concatenate([pool, pool]), _STATE_HASH).astype(np.uint64)
-    words = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
-    return [Generator(PCG64(_Pooled(row))) for row in words]
+    Below 10, inversion of the uniform u at counter 0: the least k with
+    P[X <= k] > u. From 10 on, PTRS (Hoermann, "The transformed rejection
+    method for generating Poisson random variables", 1993), as numpy's
+    Generator.poisson draws it, try a from counters 2a and 2a + 1. A mean
+    above numpy's bound, _POISSON_MAX, is a ValueError there and here."""
+    means = np.asarray(means, dtype=np.float64)
+    if not (means <= _POISSON_MAX).all():
+        raise ValueError(f"Poisson means must lie in [0, {_POISSON_MAX:.6g}]")
+    counts = np.zeros(means.size, dtype=np.int64)
+    ids, k = np.flatnonzero(means < 10), 0
+    lam, u = means[ids], _uniforms(keys[ids], _PAIR[:1])
+    cdf = p = np.exp(-lam)  # P[X <= k] and P[X = k]
+    while ids.size:
+        going = (u >= cdf) & (p > 0)  # a cdf that stops growing ends at its last k
+        counts[ids[~going]] = k
+        ids, lam, u, p, cdf = (a[going] for a in (ids, lam, u, p, cdf))
+        k += 1
+        p = p * lam / k
+        cdf = cdf + p
+    ids, tries = np.flatnonzero(means >= 10), 0
+    while ids.size:
+        # tries tries..tries+3 of every key at once; its first accepted one counts
+        lam = means[ids, None]
+        b = 0.931 + 2.53 * np.sqrt(lam)
+        a, vr = -0.059 + 0.02483 * b, 0.9277 - 3.6224 / (b - 2)
+        invalpha = 1.1239 + 1.1328 / (b - 3.4)
+        uv = _uniforms(keys[ids, None, None],
+                       (2 * np.arange(tries, tries + 4)).astype(np.uint64)[:, None] + _PAIR)
+        U, V = uv[..., 0] - 0.5, uv[..., 1]
+        us = np.maximum(0.5 - np.abs(U), 1e-300)  # 0 only at U = -0.5, which k < 0 rejects
+        k = np.floor((2 * a / us + b) * U + lam + 0.43)
+        take = (us >= 0.07) & (V <= vr)
+        before = np.cumsum(take, axis=1) == 0  # the tries before a key's first quick accept
+        i, j = np.nonzero(before & (k >= 0) & ((us >= 0.013) | (V <= us)))
+        kt = k[i, j]
+        take[i, j] = (np.log(V[i, j] * invalpha[i, 0] / (a[i, 0] / us[i, j] ** 2 + b[i, 0]))
+                      <= kt * np.log(lam[i, 0]) - lam[i, 0] - [lgamma(v) for v in kt + 1])
+        hit = take.any(axis=1)
+        counts[ids[hit]] = k[hit, take[hit].argmax(axis=1)]
+        ids, tries = ids[~hit], tries + 4
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +258,7 @@ def run(config: RunConfig) -> RunRecord:
     """Execute one seeded run until the optimum is evaluated or the cap hits."""
     if _lockstep(config):
         return _run_lanes(config, [config.seed])[0]
-    (rng,), (x0,) = _setup(config, [config.seed])
+    rng, x0 = _setup(config)
     changes = [] if config.trace_potentials else None
     hit, final_fit = _simulate_ea(config.instance, config.operator, rng, x0,
                                   config.iteration_cap, changes)
@@ -312,19 +313,12 @@ def _replicate(k, config, seeds, targets=None, starts=None):
                    initial_point=config.initial_point if starts is None else starts[k])
 
 
-def _setup(config, seeds, starts=None):
-    """(rngs, starts): each replicate's generator default_rng(seed), all
-    built in one pass, and its start point as row k of a (replicates, n)
-    array: row k of starts, else the config's validated read-only point,
-    else a uniform one, the generator's first draw."""
-    rngs = _generators(seeds)
-    if starts is None:
-        if config.initial_point is None:
-            starts = np.array([sample_uniform_point(config.instance.params, rng)
-                               for rng in rngs])
-        else:
-            starts = np.broadcast_to(config.initial_point, (len(seeds), config.initial_point.size))
-    return rngs, starts
+def _setup(config):
+    """(rng, x0): an EA run's generator default_rng(seed) and its start
+    point, the config's, else a uniform one, the generator's first draw."""
+    rng = np.random.default_rng(config.seed)
+    return rng, (config.initial_point if config.initial_point is not None
+                 else sample_uniform_point(config.instance.params, rng))
 
 
 def _trace(instance, potentials, x0, changes, last):
@@ -779,50 +773,53 @@ def _advance(config, seeds, targets=None, starts=None, record=False):
     So each round a lane draws e ~ Exp(1), adds e / w_i to its clock and
     moves, and a replicate's hitting time is T = M + Poisson(norm tau -
     sum(e)), with M its moves, tau its last lane's clock and sum(e) all its
-    lanes' draws: the rejected iterations up to its last move. Every
-    replicate draws from its own generator: its start point when it has
-    none, then its lanes' uniforms in chunks of (its unfinished lanes,
-    rounds, 2) for the rounds 0-1, 2-5, 6-13, 14-21, ... (at most _CHUNK_ROUNDS
-    and LANES // n at a time), then the Poisson count; the chunks depend
-    only on the replicate's own state, so its T does too, in any batch.
+    lanes' draws: the rejected iterations up to its last move. A replicate
+    draws from the counter streams of its key _mix(seed) (_uniforms): its
+    start point, when it has none, at counters 0 to n - 1, lane i's pair
+    (e's uniform, the move's) in round t at n + 2(t n + i) and the next,
+    and its Poisson count from key ^ _SECOND (_poisson); so its T depends
+    on its seed alone, not on the batch, its group or LANES.
 
-    Returns (hits, rngs, starts, per, moves): starts is the (replicates, n)
-    array of start points, and moves is [] without record, and with it the
-    arrays (lane, clock, new value, old and new distance, change of w) of
-    every move, lane k * n + i being position i of replicate k.
+    Returns (hits, starts, per, moves): starts is the (replicates, n) array
+    of start points, and moves is [] without record, and with it the arrays
+    (lane, clock, new value, old and new distance, change of w) of every
+    move, lane k * n + i being position i of replicate k.
     """
     instance = config.instance
     n, r, ring = instance.params.n, instance.params.r, instance.metric is MetricKind.RING
     per, move = _lane_law(config.operator, r, ring)
-    most = max(1, min(_CHUNK_ROUNDS, LANES // n))
-    rngs, starts = _setup(config, seeds, starts)
-    x_all = starts.reshape(-1)
-    z_all = (np.tile(instance.target, len(seeds)) if targets is None
-             else targets.reshape(-1))
-    d_all = component_distances(instance.metric, x_all, z_all, r)
-    lane = np.flatnonzero(d_all)  # the unfinished lanes, in batch order
-    x, z, d = x_all[lane], z_all[lane], d_all[lane]
+    keys = _mix(np.array(seeds, dtype=np.uint64))
+    if starts is None:
+        starts = (_scaled(_uniforms(keys[:, None], np.arange(n, dtype=np.uint64)), r)
+                  if config.initial_point is None
+                  else np.broadcast_to(config.initial_point, (len(seeds), n)))
+    x = starts.reshape(-1)
+    z = np.tile(instance.target, len(seeds)) if targets is None else targets.reshape(-1)
+    d = component_distances(instance.metric, x, z, r)
+    lane = np.flatnonzero(d)  # the unfinished lanes, in batch order
     clock, spent = np.zeros(lane.size), np.zeros(lane.size)
-    tau, spent_all = np.zeros(d_all.size), np.zeros(d_all.size)
-    moves = np.zeros(d_all.size, dtype=np.int64)
+    tau, spent_all = np.zeros((2, x.size))  # per lane: its final clock and sum(e)
+    moves = np.zeros(x.size, dtype=np.int64)
+    x, z, d = x[lane], z[lane], d[lane]
     log = []
     t = start = size = 0
     while lane.size:
         if t == start + size:
-            start, size = t, min(2 * size or 2, most)
-            chunk, row, end = np.empty((lane.size, size, 2)), np.arange(lane.size), 0
-            for k, c in enumerate(np.bincount(lane // n, minlength=len(seeds)).tolist()):
-                if c:
-                    rngs[k].random(out=chunk[end:end + c])  # replicate k's (c, size, 2) draw
-                    end += c
-        u = chunk[row, t - start]
-        e = -np.log1p(-u[:, 0])
-        w, x = move(x, z, d, u[:, 1])
+            # the next 1, 2, 4, ... rounds' pairs, at most LANES: lane j's in round t is
+            # chunk[t - start, :, row[j]]; key + c * golden is the stream of key from c on
+            start, size = t, min(2 * size or 1, max(1, LANES // lane.size))
+            row = np.arange(lane.size)
+            first = keys[lane // n] + (n + 2 * (lane % n)).astype(np.uint64) * np.uint64(_GOLDEN)
+            chunk = _uniforms(first, (2 * n * np.arange(start, start + size))
+                              .astype(np.uint64)[:, None, None] + _PAIR[:, None])
+        e, u = chunk[t - start][:, row]
+        e = -np.log1p(-e)
+        w, x = move(x, z, d, u)
         clock += e / w
         spent += e
         nd = component_distances(instance.metric, x, z, r)
         if record:
-            log.append((lane, clock.copy(), x, d, nd, move(x, z, nd, u[:, 1])[0] - w))
+            log.append((lane, clock.copy(), x, d, nd, move(x, z, nd, u)[0] - w))
         d = nd
         t += 1
         done = d == 0
@@ -834,30 +831,31 @@ def _advance(config, seeds, targets=None, starts=None, record=False):
                                                                   row))
 
     # per replicate; each reduction runs over the replicate's own lanes only
-    offsets = np.arange(0, d_all.size, n)
-    mean = np.maximum(per * n * np.maximum.reduceat(tau, offsets)
-                      - np.add.reduceat(spent_all, offsets), 0.0).tolist()
-    hits = [m and m + int(rng.poisson(v)) for m, v, rng in
-            zip(np.add.reduceat(moves, offsets).tolist(), mean, rngs)]
+    offsets = np.arange(0, moves.size, n)
+    counts = _poisson(keys ^ _SECOND, np.maximum(per * n * np.maximum.reduceat(tau, offsets)
+                                                 - np.add.reduceat(spent_all, offsets), 0.0))
+    hits = [m and m + c for m, c in zip(np.add.reduceat(moves, offsets).tolist(),
+                                        counts.tolist())]
     if record:
         log = ([np.concatenate(column) for column in zip(*log)] if log
                else [np.zeros(0, dtype=np.int64)] * 6)
-    return hits, rngs, starts, per, log
+    return hits, starts, per, log
 
 
 def _run_lanes(config, seeds, targets=None, starts=None):
     """The RunRecords of a lockstep batch (see _map_runs), advanced together
     by _advance; each replicate's record is the same in any batch.
 
-    A traced batch, and each replicate with T above the cap, is replayed
-    with its moves recorded (see _replay)."""
+    A traced batch is replayed with its moves recorded (see _replay), and
+    so is each replicate of an untraced one with T above the cap."""
+    if config.trace_potentials:
+        return _replay(config, seeds, targets, starts)
     hits = _advance(config, seeds, targets, starts)[0]
     # records are frozen, so runs with equal hitting times share one
     shared = {hit: RunRecord(hitting_time=hit, capped=False, final_fitness=0,
                              evaluations=hit + 1) for hit in set(hits)}
     records = [shared[hit] for hit in hits]
-    again = [k for k, hit in enumerate(hits)
-             if config.trace_potentials or hit > config.iteration_cap]
+    again = [k for k, hit in enumerate(hits) if hit > config.iteration_cap]
     if again:
         rows = [None if column is None else column[again] for column in (targets, starts)]
         for k, record in zip(again, _replay(config, [seeds[k] for k in again], *rows)):
@@ -875,10 +873,12 @@ def _replay(config, seeds, targets=None, starts=None):
     the intervals multinomially in proportion to (norm - total_(k-1))
     (t_k - t_(k-1)), which gives each move's iteration, the trace rows, the
     state at the cap and the capped-prefix property exactly. The
-    multinomial is the replicate's last draw. A replicate with a target of
-    its own gets an instance built by the ProblemInstance constructor.
+    multinomial comes from default_rng(seed), built for that replicate
+    alone, so a replayed record is the same in any batch too. A replicate
+    with a target of its own gets an instance built by the ProblemInstance
+    constructor.
     """
-    hits, rngs, starts, per, (lane, clock, new, old, nd, change) = _advance(
+    hits, starts, per, (lane, clock, new, old, nd, change) = _advance(
         config, seeds, targets, starts, record=True)
     instance = config.instance
     n = instance.params.n
@@ -888,13 +888,13 @@ def _replay(config, seeds, targets=None, starts=None):
     return [_replayed_record(
                 config, instance if targets is None else
                 ProblemInstance(instance.params, instance.metric, targets[k]),
-                hits[k], rngs[k], starts[k], per * n,
+                hits[k], seeds[k], starts[k], per * n,
                 *(a[order[bounds[k]:bounds[k + 1]]] for a in (lane % n, clock, new, old, nd,
                                                               change)))
             for k in range(len(seeds))]
 
 
-def _replayed_record(config, instance, hit, rng, x0, norm, pos, clock, new, old, nd, change):
+def _replayed_record(config, instance, hit, seed, x0, norm, pos, clock, new, old, nd, change):
     """One replicate's record from its moves in clock order (see _replay);
     change is the change of sum(w) at each move."""
     cap = config.iteration_cap
@@ -907,7 +907,7 @@ def _replayed_record(config, instance, hit, rng, x0, norm, pos, clock, new, old,
     if hit > m:
         if not weights.sum() > 0.0:
             weights[-1] = 1.0
-        skipped = rng.multinomial(hit - m, weights / weights.sum())
+        skipped = np.random.default_rng(seed).multinomial(hit - m, weights / weights.sum())
     when = np.arange(1, m + 1) + np.cumsum(skipped)  # the iteration of each move
     done = int(np.searchsorted(when, cap, "right"))  # moves by the cap
     fit = int(component_distances(instance.metric, x0, instance.target,

@@ -23,8 +23,7 @@ from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, Prob
                       execute_plan,
                       fitness, hamming_distance, metric_distance, mutate, potential_value,
                       run, run_batch, subseed)
-from rvonemax.algorithms import (_TRACE_BLOCK, LANES, _generators, _lane_law, _law, _map_runs,
-                                 _trace)
+from rvonemax.algorithms import _TRACE_BLOCK, LANES, _lane_law, _law, _map_runs, _trace
 from rvonemax.experiments import hitting_time_summary
 
 RLS = AlgorithmKind.RLS
@@ -126,19 +125,18 @@ def _lockstep_templates():
 def test_run_batch_records_are_the_same_in_any_grouping(monkeypatch):
     # a replicate depends only on its own seed: with LANES at n (one
     # replicate per group), 3n and the default, record k of run_batch is
-    # run() of replicate k's config built by the constructor (LANES // n
-    # also bounds the rounds a replicate draws at once, so both run under
-    # the same LANES); the run that run_batch hands _map_runs sees each EA
+    # run() of replicate k's config built by the constructor, under the
+    # default LANES; the run that run_batch hands _map_runs sees each EA
     # replicate once, in order, as such a config, and no lockstep replicate
     reps, lockstep = 5, []
     for template in _lockstep_templates():
         n = template.instance.params.n
         configs = [replace(template, seed=subseed(template.seed, k)) for k in range(reps)]
         in_lockstep = template.algorithm is RLS or n == 1
+        alone = [run(config) for config in configs]
         for lanes in (n, 3 * n, LANES):
             seen = []
             monkeypatch.setattr(algorithms, "LANES", lanes)
-            alone = [run(config) for config in configs]
             monkeypatch.setattr(algorithms, "run",
                                 lambda config: seen.append(config) or run(config))
             assert run_batch(template, reps) == alone
@@ -156,8 +154,9 @@ def test_run_batch_records_are_the_same_in_any_grouping(monkeypatch):
 def test_cell_records_are_their_replicates_run_alone(monkeypatch, metric):
     # a cell with random targets, planted starts and a cap that some runs
     # reach: each record, final_fitness included, is that of its
-    # replicate's config built alone by the oracle and run under the same
-    # LANES, at the default and split into groups of 3 replicates
+    # replicate's config built alone by the oracle and run under the
+    # default LANES, with the cell run at the default LANES and split into
+    # groups of 1 and 3 replicates
     n, r, reps = 6, 5, 40
     plan = ExperimentPlan(grid=((n, r),), algorithms=(RLS, EA),
                           operators=(UNIFORM, PM1, HARMONIC), metric=metric,
@@ -166,11 +165,11 @@ def test_cell_records_are_their_replicates_run_alone(monkeypatch, metric):
                           base_seed=17, iteration_cap=45)
     capped = []
     for algorithm, operator in product(plan.algorithms, plan.operators):
-        for lanes in (3 * n, LANES):
+        expected = [run(reference_replicate_config(plan, n, r, algorithm, operator, rep))
+                    for rep in range(reps)]
+        cell = experiments._cell(plan, n, r, algorithm, operator, range(reps))
+        for lanes in (n, 3 * n, LANES):
             monkeypatch.setattr(algorithms, "LANES", lanes)
-            expected = [run(reference_replicate_config(plan, n, r, algorithm, operator, rep))
-                        for rep in range(reps)]
-            cell = experiments._cell(plan, n, r, algorithm, operator, range(reps))
             assert _map_runs(run, *cell) == expected
         capped += [rec.capped for rec in expected]
     assert 0 < sum(capped) < len(capped)
@@ -222,18 +221,17 @@ def test_lockstep_runs_with_equal_hitting_times_share_a_record():
     assert len(first) < len(records)
 
 
-@pytest.mark.parametrize("size", [1, 7, 300])
+@pytest.mark.parametrize("size", [1, 7, LANES // 16 + 100])
 def test_run_is_its_record_in_run_batch(size):
-    # 300 replicates at n=16 fill more than one group of LANES lanes
+    # the largest size at n=16 fills more than one group of LANES lanes
     inst = make_instance(16, 6, MetricKind.RING, target=np.arange(16) % 6)
-    assert 300 * 16 > LANES
     for cfg in (RunConfig(RLS, HARMONIC, inst, seed=81),
                 RunConfig(RLS, PM1, inst, seed=82, iteration_cap=150,
                           trace_potentials=(Potential.fitness(),))):
         batch = run_batch(cfg, size)
         for k in sorted({0, 1, size // 2, size - 1} & set(range(size))):
             assert batch[k] == run(replace(cfg, seed=subseed(cfg.seed, k)))
-        if size == 300 and cfg.iteration_cap == 150:
+        if size > 7 and cfg.iteration_cap == 150:
             assert 0 < sum(rec.capped for rec in batch) < size
 
 
@@ -269,7 +267,25 @@ def test_lockstep_batch_memory_stays_within_a_few_mib():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20, (reps, peak)  # measured 1.15 and 0.48 MiB
+        assert peak < 2 * 2**20, (reps, peak)  # measured 1.54 and 0.64 MiB
+
+
+def test_traced_batch_is_advanced_once_per_group(monkeypatch):
+    # a traced lockstep batch goes straight to _replay: one _advance call,
+    # recording, per group of LANES // n replicates
+    calls = []
+    advance = algorithms._advance
+    monkeypatch.setattr(algorithms, "_advance",
+                        lambda *args, **kw: calls.append(kw.get("record")) or advance(*args, **kw))
+    cfg = RunConfig(RLS, UNIFORM, make_instance(20, 8), seed=5,
+                    trace_potentials=(Potential.fitness(),))
+    reps = LANES // 20 + 98
+    records = run_batch(cfg, reps)
+    assert calls == [True, True]
+    assert all(rec.trace for rec in records)
+    del calls[:]
+    run_batch(replace(cfg, trace_potentials=None), reps)
+    assert calls == [None, None]
 
 
 def _stepped_trace(config, x0, changes, last):
@@ -332,34 +348,19 @@ def test_traced_run_memory_is_not_moves_by_n():
 def test_import_leaves_multiprocessing_unloaded():
     # the library never imports a process pool: its runs are serial; and it
     # loads numpy.random only when it first builds a generator, which keeps
-    # it off the import's time
+    # it off the import's time: an untraced lockstep batch, which draws from
+    # its counter streams, builds none
     src = str(Path(rvonemax.__file__).resolve().parents[1])
-    code = ("import sys; import rvonemax; "
+    code = ("import sys; import rvonemax as rv; "
+            "rv.run_batch(rv.RunConfig(rv.AlgorithmKind.RLS, rv.StepOperatorKind.HARMONIC, "
+            "rv.ProblemInstance(rv.SpaceParams(5, 9), rv.MetricKind.RING, (1, 2, 3, 4, 5)), "
+            "seed=3), 50); "
             "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "
             "'concurrent.futures.process', 'numpy.random'))))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
-
-
-def test_generators_are_default_rng_of_each_seed():
-    # pins the batched SeedSequence hash to numpy's, also across numpy upgrades
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-    seeds += np.random.default_rng(77).integers(0, 2**64, 1000, dtype=np.uint64).tolist()
-    for size in (1, 2, 1000):
-        for lo in range(0, len(seeds), size):
-            batch = seeds[lo:lo + size]
-            generators = _generators(batch)
-            assert len(generators) == len(batch)
-            for seed, rng in zip(batch, generators):
-                expected = np.random.default_rng(seed)
-                assert rng.bit_generator.state == expected.bit_generator.state
-                assert (rng.random(8) == expected.random(8)).all()
-    for size in (1, 2, 1000):
-        for bad in (-1, 2**64, -2**64, 2**65 + 1):
-            with pytest.raises(ValueError):
-                _generators([5] * (size - 1) + [bad])
 
 
 def test_rls_mean_matches_closed_form_from_fixed_hamming_start():

@@ -14,7 +14,7 @@ from rvonemax import (AggregateResult, AlgorithmKind, DegenerateModelError, Expe
                       execute_plan, fit_scaling, fitness, hamming_distance,
                       plant_rows_at_hamming, run_batch, sample_uniform_point, stable_seed,
                       subseed)
-from rvonemax.algorithms import _replicate, _setup
+from rvonemax.algorithms import _advance, _replicate
 from rvonemax.experiments import _cell, _replicate_config, hitting_time_summary
 
 RLS = AlgorithmKind.RLS
@@ -290,15 +290,15 @@ def test_planted_values_are_uniform_over_the_wrong_values(source):
 
 def test_random_targets_and_uniform_starts_are_uniform():
     # chi-square at 0.001 over the r values: a cell's random targets, and
-    # the uniform starts its runs draw (algorithms._setup) and that
-    # sample_uniform_point draws
+    # the uniform starts its lockstep runs draw from their counter streams
+    # (algorithms._advance) and that sample_uniform_point draws
     n, r, rows = SET_UP_N, SET_UP_R, SET_UP_ROWS
     plan = single_cell_plan(n, r, RLS, UNIFORM, StartPolicy.uniform_random(), rows, seed=23,
                             target=TargetPolicy.UNIFORM_RANDOM)
     config, seeds, targets, starts = _cell(plan, n, r, RLS, UNIFORM, range(rows))
     assert starts is None
     rng = np.random.default_rng(29)
-    for values in (targets, _setup(config, seeds)[1],
+    for values in (targets, _advance(config, seeds, targets)[1],
                    np.array([sample_uniform_point(SpaceParams(n, r), rng) for _ in range(rows)])):
         assert values.dtype == np.int64 and values.shape == (rows, n)
         assert_chi_square(np.bincount(values.ravel(), minlength=r), np.full(r, 1 / r))
