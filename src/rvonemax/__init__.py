@@ -18,7 +18,7 @@ from .potentials import DEFAULT_EXP_BASE, Potential, potential_value
 from .space import (MetricKind, ProblemInstance, SpaceParams, as_point, component_distances,
                     fitness, hamming_distance, metric_distance, sample_uniform_point)
 from .token_process import (CapacityError, DivergenceError, MAX_EXACT_STATES,
-                            NAMED_DISTRIBUTIONS, TokenConfig, TokenRunRecord,
+                            NAMED_DISTRIBUTIONS, TokenBatch, TokenConfig, TokenRunRecord,
                             token_expected_hitting_time_exact, token_hitting_times_by_state,
                             token_run, token_run_batch, token_step_pmf)
 

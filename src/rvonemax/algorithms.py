@@ -98,8 +98,8 @@ def subseed(seed: int, index: int) -> int:
     """Deterministic 64-bit sub-seed: seed XOR golden-ratio multiple of index.
 
     subseed(seed, 0) == seed & mask, so the first replicate of a batch is
-    bit-identical to a plain run with the batch seed.
-    """
+    bit-identical to a plain run with the batch seed. A uint64 array index
+    (with seed in [0, 2**64)) gives each index's sub-seed."""
     return (seed ^ ((index * _GOLDEN) & _MASK64)) & _MASK64
 
 
@@ -257,7 +257,7 @@ def one_iteration(algorithm: AlgorithmKind, operator: StepOperatorKind,
 def run(config: RunConfig) -> RunRecord:
     """Execute one seeded run until the optimum is evaluated or the cap hits."""
     if _lockstep(config):
-        return _run_lanes(config, [config.seed])[0]
+        return _run_lanes(config, np.array([config.seed], dtype=np.uint64))[0]
     rng, x0 = _setup(config)
     changes = [] if config.trace_potentials else None
     hit, final_fit = _simulate_ea(config.instance, config.operator, rng, x0,
@@ -277,7 +277,7 @@ def run_batch(config: RunConfig, replicates: int) -> list[RunRecord]:
     ordered by replicate index."""
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    return _map_runs(run, config, [subseed(config.seed, k) for k in range(replicates)])
+    return _map_runs(run, config, subseed(config.seed, np.arange(replicates, dtype=np.uint64)))
 
 
 def _map_runs(run_fn, config: RunConfig, seeds, targets=None, starts=None) -> list[RunRecord]:
@@ -285,22 +285,18 @@ def _map_runs(run_fn, config: RunConfig, seeds, targets=None, starts=None) -> li
     plan cell).
 
     Replicate k is the template config with seed seeds[k], target
-    targets[k] and start starts[k]; targets and starts are read-only
-    (replicates, n) blocks, range-checked once as a whole, and None means
-    the config's own target or start serves every replicate. Lockstep
-    batches (RLS, and the EA at n = 1) go to the lockstep kernel in groups
-    of at most LANES lanes. Other replicates are built one at a time as
-    configs (_replicate) and go to run_fn: callers pass the `run` of their
-    own module, so a wrapper installed on that module-level name sees every
-    call that is not a lockstep group. A replicate's record is the same in
-    any group, so the grouping does not change any result.
+    targets[k] and start starts[k]; seeds is a uint64 array, targets and
+    starts are read-only (replicates, n) blocks, range-checked once as a
+    whole, and None means the config's own target or start serves every
+    replicate. Lockstep batches (RLS, and the EA at n = 1) go to the
+    lockstep kernel (_run_lanes). Other replicates are built one at a time
+    as configs (_replicate) and go to run_fn: callers pass the `run` of
+    their own module, so a wrapper installed on that module-level name sees
+    every call that is not a lockstep group.
     """
     if not _lockstep(config):
         return [run_fn(_replicate(k, config, seeds, targets, starts)) for k in range(len(seeds))]
-    size = max(1, LANES // config.instance.params.n)
-    return [record for lo in range(0, len(seeds), size)
-            for record in _run_lanes(config, *(None if column is None else column[lo:lo + size]
-                                               for column in (seeds, targets, starts)))]
+    return _run_lanes(config, seeds, targets, starts)
 
 
 def _replicate(k, config, seeds, targets=None, starts=None):
@@ -309,7 +305,7 @@ def _replicate(k, config, seeds, targets=None, starts=None):
     instance = config.instance
     if targets is not None:
         instance = ProblemInstance(instance.params, instance.metric, targets[k])
-    return replace(config, instance=instance, seed=seeds[k],
+    return replace(config, instance=instance, seed=int(seeds[k]),
                    initial_point=config.initial_point if starts is None else starts[k])
 
 
@@ -780,10 +776,11 @@ def _advance(config, seeds, targets=None, starts=None, record=False):
     and its Poisson count from key ^ _SECOND (_poisson); so its T depends
     on its seed alone, not on the batch, its group or LANES.
 
-    Returns (hits, starts, per, moves): starts is the (replicates, n) array
-    of start points, and moves is [] without record, and with it the arrays
-    (lane, clock, new value, old and new distance, change of w) of every
-    move, lane k * n + i being position i of replicate k.
+    Returns (hits, starts, per, moves): hits is the int64 array of the T,
+    starts the (replicates, n) array of start points, and moves is []
+    without record, and with it the arrays (lane, clock, new value, old and
+    new distance, change of w) of every move, lane k * n + i being position
+    i of replicate k.
     """
     instance = config.instance
     n, r, ring = instance.params.n, instance.params.r, instance.metric is MetricKind.RING
@@ -834,31 +831,48 @@ def _advance(config, seeds, targets=None, starts=None, record=False):
     offsets = np.arange(0, moves.size, n)
     counts = _poisson(keys ^ _SECOND, np.maximum(per * n * np.maximum.reduceat(tau, offsets)
                                                  - np.add.reduceat(spent_all, offsets), 0.0))
-    hits = [m and m + c for m, c in zip(np.add.reduceat(moves, offsets).tolist(),
-                                        counts.tolist())]
+    hits = np.add.reduceat(moves, offsets) + counts  # no move: mean 0, so count 0
     if record:
         log = ([np.concatenate(column) for column in zip(*log)] if log
                else [np.zeros(0, dtype=np.int64)] * 6)
     return hits, starts, per, log
 
 
+def _groups(config, seeds, targets=None, starts=None):
+    """A lockstep batch's columns (see _map_runs) in groups of at most LANES
+    lanes, which bound memory: a replicate's T is the same in any group."""
+    size = max(1, LANES // config.instance.params.n)
+    for lo in range(0, len(seeds), size):
+        yield [None if c is None else c[lo:lo + size] for c in (seeds, targets, starts)]
+
+
+def _hits(config, seeds, targets=None, starts=None):
+    """The int64 column of a lockstep batch's hitting times T (see _advance);
+    a replicate is capped where T > iteration_cap."""
+    return np.concatenate([_advance(config, *group)[0]
+                           for group in _groups(config, seeds, targets, starts)])
+
+
 def _run_lanes(config, seeds, targets=None, starts=None):
-    """The RunRecords of a lockstep batch (see _map_runs), advanced together
-    by _advance; each replicate's record is the same in any batch.
+    """The RunRecords of a lockstep batch (see _map_runs), from its hits
+    column; each replicate's record is the same in any batch.
 
     A traced batch is replayed with its moves recorded (see _replay), and
     so is each replicate of an untraced one with T above the cap."""
+    def replayed(*columns):
+        return [record for group in _groups(config, *columns)
+                for record in _replay(config, *group)]
     if config.trace_potentials:
-        return _replay(config, seeds, targets, starts)
-    hits = _advance(config, seeds, targets, starts)[0]
+        return replayed(seeds, targets, starts)
+    hits = _hits(config, seeds, targets, starts)
     # records are frozen, so runs with equal hitting times share one
     shared = {hit: RunRecord(hitting_time=hit, capped=False, final_fitness=0,
-                             evaluations=hit + 1) for hit in set(hits)}
-    records = [shared[hit] for hit in hits]
-    again = [k for k, hit in enumerate(hits) if hit > config.iteration_cap]
-    if again:
+                             evaluations=hit + 1) for hit in set(hits.tolist())}
+    records = [shared[hit] for hit in hits.tolist()]
+    again = np.flatnonzero(hits > config.iteration_cap)
+    if again.size:
         rows = [None if column is None else column[again] for column in (targets, starts)]
-        for k, record in zip(again, _replay(config, [seeds[k] for k in again], *rows)):
+        for k, record in zip(again.tolist(), replayed(seeds[again], *rows)):
             records[k] = record
     return records
 
@@ -888,7 +902,7 @@ def _replay(config, seeds, targets=None, starts=None):
     return [_replayed_record(
                 config, instance if targets is None else
                 ProblemInstance(instance.params, instance.metric, targets[k]),
-                hits[k], seeds[k], starts[k], per * n,
+                int(hits[k]), int(seeds[k]), starts[k], per * n,
                 *(a[order[bounds[k]:bounds[k + 1]]] for a in (lane % n, clock, new, old, nd,
                                                               change)))
             for k in range(len(seeds))]

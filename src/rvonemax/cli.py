@@ -23,7 +23,7 @@ import numpy as np
 from .algorithms import AlgorithmKind, DEFAULT_ITERATION_CAP, RunConfig
 from .drift import estimate_drift
 from .experiments import (AggregateResult, ExperimentPlan, StartKind, StartPolicy, TargetPolicy,
-                          build_target, execute_plan, fit_scaling, hitting_time_summary, MODELS,
+                          build_target, column_summary, execute_plan, fit_scaling, MODELS,
                           stable_seed)
 from .operators import StepOperatorKind, harmonic_pmf
 from .potentials import Potential
@@ -325,8 +325,8 @@ def _cmd_drift(ns) -> int:
 def _cmd_token(ns) -> int:
     config = ns.config
     exact = token_expected_hitting_time_exact(config.r, config.distribution)
-    records = token_run_batch(config, ns.reps)
-    mean, std_error, median, capped = hitting_time_summary(records)
+    batch = token_run_batch(config, ns.reps)
+    mean, std_error, median, capped = column_summary(batch.rounds, batch.capped)
     rows = [_row(TOKEN_COLUMNS, config.r, config.distribution, mean, std_error, median,
                  ns.reps, capped, exact)]
     if capped:

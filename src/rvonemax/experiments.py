@@ -23,8 +23,8 @@ from itertools import product
 
 import numpy as np
 
-from .algorithms import (DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, _map_runs, _replicate,
-                         run, subseed)
+from .algorithms import (DEFAULT_ITERATION_CAP, AlgorithmKind, RunConfig, _hits, _lockstep,
+                         _map_runs, _replicate, run, subseed)
 from .drift import _place_at_hamming, plant_state_at_hamming
 from .operators import StepOperatorKind
 from .space import MetricKind, ProblemInstance, SpaceParams, _read_only_points, _scaled
@@ -205,7 +205,7 @@ def _cell(plan: ExperimentPlan, n: int, r: int, algorithm: AlgorithmKind,
     seed = stable_seed(plan.base_seed, cell)
     config = RunConfig(algorithm=algorithm, operator=operator, instance=instance, seed=seed,
                        iteration_cap=plan.iteration_cap)
-    return config, [subseed(seed, rep) for rep in reps], targets, starts
+    return config, subseed(seed, np.arange(reps.start, reps.stop, dtype=np.uint64)), targets, starts
 
 
 def _replicate_config(plan: ExperimentPlan, n: int, r: int, algorithm: AlgorithmKind,
@@ -215,25 +215,35 @@ def _replicate_config(plan: ExperimentPlan, n: int, r: int, algorithm: Algorithm
     return _replicate(0, *_cell(plan, n, r, algorithm, operator, range(rep, rep + 1)))
 
 
-def hitting_time_summary(records) -> tuple[float, float, float, int]:
-    """(mean, std_error, median, capped count) of records with `.hitting_time`
-    and `.capped`. The statistics cover the uncapped records only: none gives
-    nan mean and median, fewer than two give std_error 0.0."""
-    times = np.array([rec.hitting_time for rec in records if not rec.capped], dtype=np.float64)
-    capped = sum(1 for rec in records if rec.capped)
+def column_summary(times, capped) -> tuple[float, float, float, int]:
+    """(mean, std_error, median, capped count) of runs given as columns of
+    hitting times and of capped flags, the statistics over the uncapped runs:
+    none gives nan mean and median, fewer than two give std_error 0.0."""
+    times, capped = np.asarray(times)[~capped].astype(np.float64), int(np.count_nonzero(capped))
     if times.size == 0:
         return float("nan"), 0.0, float("nan"), capped
     std_error = float(times.std(ddof=1) / math.sqrt(times.size)) if times.size > 1 else 0.0
     return float(times.mean()), std_error, float(np.median(times)), capped
 
 
+def hitting_time_summary(records) -> tuple[float, float, float, int]:
+    """column_summary of records with `.hitting_time` and `.capped`."""
+    return column_summary(np.array([rec.hitting_time for rec in records], dtype=np.float64),
+                          np.array([rec.capped for rec in records], dtype=bool))
+
+
 def execute_plan(plan: ExperimentPlan) -> list[AggregateResult]:
     """Run the whole plan, one cell at a time; one aggregate per grid cell x
-    algorithm x operator."""
+    algorithm x operator; a lockstep cell from its _hits column alone."""
     out = []
     for (n, r), algorithm, operator in product(plan.grid, plan.algorithms, plan.operators):
         cell = _cell(plan, n, r, algorithm, operator, range(plan.replicates))
-        mean, std_error, median, capped = hitting_time_summary(_map_runs(run, *cell))
+        if _lockstep(cell[0]):
+            hits = _hits(*cell)
+            summary = column_summary(hits, hits > plan.iteration_cap)
+        else:
+            summary = hitting_time_summary(_map_runs(run, *cell))
+        mean, std_error, median, capped = summary
         out.append(AggregateResult(n=n, r=r, algorithm=algorithm, operator=operator,
                                    metric=plan.metric, mean=mean, std_error=std_error,
                                    median=median, replicates=plan.replicates,

@@ -9,8 +9,9 @@ The Monte-Carlo simulator is rejection-free (the n-fold way of Bortz,
 Kalos and Lebowitz; Gillespie's SSA): a round that does not move only adds
 one to the clock, so from x it draws the wait to the next move as
 Geometric(P[d <= x]) and the move from the step law restricted to [1, x].
-Its cost is the number of moves, not of rounds, and all replicates of a
-batch advance together as numpy arrays. A law with a single step size d0
+Its cost is the number of moves, not of rounds; all replicates of a batch
+advance together as numpy arrays, a jump drawn by a guide table of the step
+cdf, and come back as columns (TokenBatch). A law with one step size d0
 (the unit law, for one) has no random round at all: every wait is 1 and
 every jump d0, so its records follow from the starts in closed form, with
 no loop and no draw after the starts. Alongside it there is an exact
@@ -20,7 +21,9 @@ expectation solver that exploits the triangular structure of the chain
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -98,12 +101,46 @@ def _step_cdf(distribution, r: int) -> np.ndarray:
     return cdf
 
 
+@dataclass(frozen=True, eq=False)
+class TokenBatch(Sequence):
+    """A token batch as read-only columns: int64 rounds (the hitting time
+    where a run is not capped) and final_position, and bool capped. It reads
+    as, and equals, the sequence of its TokenRunRecords, built when read."""
+
+    rounds: np.ndarray
+    final_position: np.ndarray
+    capped: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.rounds, self.final_position, self.capped):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.capped.size
+
+    def __getitem__(self, k):
+        k = range(len(self))[index(k)]  # an IndexError and negative indices as a list's
+        return next(self._records(k, k + 1))
+
+    def __iter__(self):
+        return self._records(0, len(self))
+
+    def _records(self, lo, hi):
+        for t, x, stop in zip(*(c[lo:hi].tolist() for c in (self.rounds, self.final_position,
+                                                            self.capped))):
+            yield TokenRunRecord(hitting_time=None if stop else t, capped=stop, final_position=x)
+
+    def __eq__(self, other):
+        return (len(self) == len(other) and all(a == b for a, b in zip(self, other))
+                if isinstance(other, Sequence) else NotImplemented)
+
+
 def token_run(config: TokenConfig) -> TokenRunRecord:
     """Simulate one seeded token run: the first record of a batch of one."""
     return token_run_batch(config, 1)[0]
 
 
-def token_run_batch(config: TokenConfig, replicates: int) -> list[TokenRunRecord]:
+def token_run_batch(config: TokenConfig, replicates: int) -> TokenBatch:
     """Independent replicates, all drawn from one generator seeded with
     subseed(config.seed, 0); replicate k therefore depends on the batch size.
 
@@ -127,19 +164,26 @@ def token_run_batch(config: TokenConfig, replicates: int) -> list[TokenRunRecord
         capped = position > 0
     else:
         rounds, capped = _walk(cdf, cap, rng, position)
-    # records are frozen, so equal runs share one instance: building a record
-    # per replicate would cost more than the simulation
-    shared: dict[tuple[int, int, bool], TokenRunRecord] = {}
-    records = []
-    for key in zip(rounds.tolist(), position.tolist(), capped.tolist()):
-        record = shared.get(key)
-        if record is None:
-            t, x, stop = key
-            record = shared[key] = (
-                TokenRunRecord(hitting_time=None, capped=True, final_position=x) if stop
-                else TokenRunRecord(hitting_time=t, capped=False, final_position=0))
-        records.append(record)
-    return records
+    return TokenBatch(rounds, position, capped)
+
+
+def _inverse(cdf):
+    """v -> np.searchsorted(cdf, v, "right") for arrays v in [0, cdf[-1]) by a
+    guide table (Chen and Asau 1974) of m buckets, m a power of two in (2r,
+    4r]: j starts at guide[floor(v m)] (v m is exact) and steps up while
+    cdf[j] <= v, only in the lanes still moving after the first pass. A last
+    entry set down to 1.0 is fine: every entry from the first above v is."""
+    m = 1 << (cdf.size.bit_length() + 1)
+    guide = np.searchsorted(cdf, np.arange(m) / m, side="right")
+
+    def lookup(v):
+        j = guide[(v * m).astype(np.intp)]
+        more = np.flatnonzero(cdf[j] <= v)
+        while more.size:
+            j[more] += 1
+            more = more[cdf[j[more]] <= v[more]]
+        return j
+    return lookup
 
 
 def _walk(cdf, cap, rng, position):
@@ -150,6 +194,7 @@ def _walk(cdf, cap, rng, position):
     to the next move is Geometric(P[d <= x]) and the jump is drawn from the
     step law restricted to [1, x].
     """
+    jump = _inverse(cdf)
     rounds = np.zeros(position.size, dtype=np.int64)
     capped = np.zeros(position.size, dtype=bool)
     live = np.flatnonzero(position)
@@ -168,7 +213,7 @@ def _walk(cdf, cap, rng, position):
             live, x, q, wait = live[~late], x[~late], q[~late], wait[~late]
         rounds[live] += wait
         # u * q < q = cdf[x - 1], so the jump never exceeds x
-        x -= np.searchsorted(cdf, rng.random(live.size) * q, side="right") + 1
+        x -= jump(rng.random(live.size) * q) + 1
         position[live] = x
         live = live[x > 0]
     return rounds, capped

@@ -15,7 +15,7 @@ from rvonemax import (AggregateResult, AlgorithmKind, DegenerateModelError, Expe
                       plant_rows_at_hamming, run_batch, sample_uniform_point, stable_seed,
                       subseed)
 from rvonemax.algorithms import _advance, _replicate
-from rvonemax.experiments import _cell, _replicate_config, hitting_time_summary
+from rvonemax.experiments import _cell, _replicate_config, column_summary, hitting_time_summary
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -319,6 +319,28 @@ def test_hitting_time_summary_conventions():
     mean, std_error, median, capped = hitting_time_summary([_Record(None), _Record(None)])
     assert math.isnan(mean) and math.isnan(median)
     assert (std_error, capped) == (0.0, 2)
+    # the column summary that hitting_time_summary wraps keeps them too
+    assert column_summary(np.array([3, 9, 5]), np.array([False, True, False])) == \
+        hitting_time_summary([_Record(3), _Record(5), _Record(None)])
+    assert column_summary(np.array([7]), np.array([False])) == (7.0, 0.0, 7.0, 0)
+    mean, std_error, median, capped = column_summary(np.array([4, 0]), np.array([True, True]))
+    assert math.isnan(mean) and math.isnan(median)
+    assert (std_error, capped) == (0.0, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 41, 2**63 + 1, 2**64 - 3])
+def test_replicate_seeds_are_subseeds_in_one_array(seed):
+    # subseed of a uint64 index array, as run_batch and _cell build their
+    # seed columns, is subseed(seed, k) for each k, also for a range of
+    # replicates that starts above 0
+    for reps in (range(0, 300), range(17, 1017)):
+        seeds = subseed(seed, np.arange(reps.start, reps.stop, dtype=np.uint64))
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [subseed(seed, k) for k in reps]
+    plan = single_cell_plan(3, 4, RLS, UNIFORM, StartPolicy.uniform_random(), 10, seed=seed)
+    cell_seed = stable_seed(seed, f"3|4|{RLS.value}|{UNIFORM.value}|{plan.metric.value}")
+    _, seeds, _, _ = _cell(plan, 3, 4, RLS, UNIFORM, range(5, 40))
+    assert seeds.tolist() == [subseed(cell_seed, k) for k in range(5, 40)]
 
 
 def test_stable_seed_is_stable_and_spread():

@@ -1,10 +1,17 @@
+import hashlib
+from argparse import Namespace
+
 import numpy as np
 import pytest
 
 from helpers import assert_same_distribution, reference_token_hitting_time
-from rvonemax import (CapacityError, DivergenceError, TokenConfig, fit_scaling, subseed,
-                      token_expected_hitting_time_exact, token_hitting_times_by_state,
-                      token_process, token_run, token_run_batch, token_step_pmf)
+from rvonemax import (CapacityError, DivergenceError, TokenBatch, TokenConfig, TokenRunRecord,
+                      fit_scaling, subseed, token_expected_hitting_time_exact,
+                      token_hitting_times_by_state, token_process, token_run, token_run_batch,
+                      token_step_pmf)
+from rvonemax.cli import _cmd_token, main
+from rvonemax.experiments import column_summary, hitting_time_summary
+from rvonemax.token_process import _inverse, _step_cdf
 
 
 def linear_solve_oracle(r, distribution):
@@ -239,3 +246,121 @@ def test_config_validation():
         TokenConfig(r=4, iteration_cap=0)
     with pytest.raises(ValueError):
         token_run_batch(TokenConfig(r=4), 0)
+
+
+def assert_inverse_is_searchsorted(cdf, v):
+    np.testing.assert_array_equal(_inverse(cdf)(v), np.searchsorted(cdf, v, side="right"))
+
+
+def lookup_keys(cdf, rng):
+    """Uniform keys in [0, 1) and the edge cases: 0, every cdf entry below
+    1 and the doubles on either side of it, and the double below 1."""
+    below = cdf[cdf < 1.0]
+    edges = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], below, np.nextafter(below, 0.0),
+                            np.nextafter(below, 1.0)))
+    return np.concatenate((rng.random(20000), edges[(edges >= 0.0) & (edges < 1.0)]))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 255, 4096])
+@pytest.mark.parametrize("distribution", ["unit", "uniform", "harmonic"])
+def test_guide_lookup_is_searchsorted_on_the_named_laws(distribution, r):
+    cdf = _step_cdf(distribution, r)
+    v = lookup_keys(cdf, np.random.default_rng(r))
+    assert_inverse_is_searchsorted(cdf, v)
+    # the walk's keys u * q for every position x, q = P[d <= x], up to just below q
+    q = np.minimum(cdf, 1.0)
+    assert_inverse_is_searchsorted(cdf, np.concatenate((np.nextafter(q, 0.0), 0.5 * q)))
+
+
+def test_guide_lookup_is_searchsorted_on_plateaus_and_point_masses():
+    rng = np.random.default_rng(8)
+    pmfs = []
+    for r in (2, 5, 17, 64, 300, 1000):
+        for zeros in (0.5, 0.9, 0.99):
+            p = rng.random(r) * (rng.random(r) > zeros)  # runs of zero mass: cdf plateaus
+            p[rng.integers(r)] += 1e-3
+            pmfs.append(p / p.sum())
+    pmfs += [np.eye(9)[4] * (1 - 1e-12) + 1e-12 / 9,  # a near point mass
+             np.array([1e-300, 0.0, 0.0, 1.0]),
+             np.array([0.5, 0.5 + 5e-10, 0.0])]  # sums past 1: the guard sets cdf[-1] below cdf[-2]
+    for p in pmfs:
+        cdf = _step_cdf(p, p.size)
+        assert_inverse_is_searchsorted(cdf, lookup_keys(cdf, rng))
+
+
+GOLDEN = {  # stdout sha256 of the calls below, recorded when the walk used np.searchsorted
+    "unit": "a98a659c5f26a045674fb68118ad5230965fc495f73cce3456b6f2ca3abc46f1",
+    "uniform": "06d0c8c5b96339b5f5c8a70d95eb19b2017343a1161a2565269db9607a58c746",
+    "harmonic": "0cfb08fbded876fdead4d88fc4bd164b00b6547687733b20b6ddf740b69ec750",
+    "explicit": "a88d825dae57e317d1b1ef7c069955efb04397ba0ce61a84cb206c5f3ba265c0",
+}
+GOLDEN_CAPS = {"unit": 100, "uniform": 200, "harmonic": 30, "explicit": 3}
+
+
+@pytest.mark.parametrize("law", sorted(GOLDEN))
+def test_token_stdout_is_the_recorded_one(capsys, law):
+    # two seeds, uncapped and with a cap some runs reach; the explicit law
+    # (sizes 2, 3, 5, 6, 7 never drawn) goes through the token command's
+    # handler, since the CLI takes only the named laws
+    for seed in (3, 11):
+        for cap in (None, GOLDEN_CAPS[law]):
+            if law == "explicit":
+                config = TokenConfig(r=8, distribution=[0.5, 0, 0, 0.25, 0, 0, 0, 0.25],
+                                     seed=seed, iteration_cap=cap or 10**10)
+                assert _cmd_token(Namespace(config=config, reps=3000, format="csv",
+                                            out=None)) == 0
+            else:
+                argv = ["token", "--r", "255", "--dist", law, "--reps", "3000",
+                        "--seed", str(seed)] + ([] if cap is None else ["--cap", str(cap)])
+                assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "hit the iteration cap" in err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[law]
+
+
+def as_records(rows):
+    return [TokenRunRecord(hitting_time=t, capped=t is None, final_position=x) for t, x in rows]
+
+
+def test_token_batch_is_a_sequence_of_its_records():
+    # the records a batch returned as a list of records for these configs
+    cases = [
+        (TokenConfig(r=6, distribution="harmonic", seed=2, iteration_cap=3),
+         as_records([(None, 3), (3, 0), (0, 0), (None, 1), (1, 0), (None, 3), (2, 0), (0, 0)])),
+        (TokenConfig(r=4, distribution=[0, 0.5, 0, 0.5], seed=5, iteration_cap=3),
+         as_records([(None, 1), (None, 2), (0, 0), (2, 0), (1, 0), (1, 0), (None, 3),
+                     (None, 1)])),
+    ]
+    for config, expected in cases:
+        batch = token_run_batch(config, len(expected))
+        assert isinstance(batch, TokenBatch) and len(batch) == len(expected)
+        assert batch == expected and expected == batch and list(batch) == expected
+        assert batch == tuple(expected) and batch == token_run_batch(config, len(expected))
+        assert batch != expected[:-1] and batch != expected[::-1] and batch != "records"
+        assert [batch[k] for k in range(-len(expected), len(expected))] == expected * 2
+        for k in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                batch[k]
+        for column, dtype in ((batch.rounds, np.int64), (batch.final_position, np.int64),
+                              (batch.capped, np.bool_)):
+            assert column.dtype == dtype and column.shape == (len(expected),)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+        first = batch[0]
+        assert type(first.final_position) is int and type(first.capped) is bool
+        assert token_run(config) == token_run_batch(config, 1)[0]
+
+
+def test_record_and_column_summaries_agree():
+    uncapped = set()
+    for distribution, cap in (("uniform", 10**10), ("harmonic", 6), ("unit", 1),
+                              ([0, 0.5, 0, 0.5], 3)):
+        for replicates in (1, 2, 400):
+            batch = token_run_batch(TokenConfig(r=4, distribution=distribution, seed=9,
+                                                iteration_cap=cap), replicates)
+            uncapped.add(min(int(np.count_nonzero(~batch.capped)), 2))
+            columns = column_summary(batch.rounds, batch.capped)
+            np.testing.assert_equal(columns, hitting_time_summary(list(batch)))
+    # every run capped (nan mean and median), one uncapped (std_error 0.0), more
+    assert uncapped == {0, 1, 2}
