@@ -66,7 +66,7 @@ import numpy as np
 from .operators import StepOperatorKind, harmonic_table, step
 from .potentials import Potential, potential_value
 from .space import (MetricKind, ProblemInstance, _scaled, as_point, component_distances,
-                    fitness, sample_uniform_point)
+                    fitness, sample_uniform_point)  # fitness: a name bench/tracer.py swaps
 
 DEFAULT_ITERATION_CAP = 10**10
 LANES = 8192  # lanes (replicate x position) the lockstep RLS kernel holds at once
@@ -225,13 +225,15 @@ def one_iteration(algorithm: AlgorithmKind, operator: StepOperatorKind,
     once; returns the (S, n) retained points.
 
     RLS selects one uniform column per row, the (1+1) EA each cell with
-    probability 1/n. Each selected cell takes a step with the law of
-    operators.step, and a row keeps its offspring iff its fitness is not
-    worse.
+    probability 1/n. Each selected cell steps by the law of operators.step,
+    and a row keeps its offspring iff its fitness is not worse: iff the
+    distance changes at its selected cells sum to <= 0.
     """
-    x = np.asarray(x, dtype=np.int64)
+    x = np.array(x, dtype=np.int64)  # a copy, into which kept offspring cells go
     m, n = x.shape
     r = instance.params.r
+    if n != instance.params.n or x.min() < 0 or x.max() >= r:
+        raise ValueError(f"points must be rows of {instance.params.n} values in [0, {r - 1}]")
     if algorithm is AlgorithmKind.RLS:
         rows, cols = np.arange(m), rng.integers(0, n, m)
     else:
@@ -248,10 +250,13 @@ def one_iteration(algorithm: AlgorithmKind, operator: StepOperatorKind,
             new %= r
         else:
             new = np.where((new >= 0) & (new < r), new, cur)  # infeasible: discarded
-    y = x.copy()
-    y[rows, cols] = new
-    keep = fitness(instance, y) <= fitness(instance, x)
-    return np.where(keep[:, None], y, x)
+    z, metric = instance.target[cols], instance.metric
+    change = np.zeros(m, dtype=np.int64)  # each row's fitness change, summed exactly
+    np.add.at(change, rows, (component_distances(metric, new, z, r)
+                             - component_distances(metric, cur, z, r)))
+    keep = change[rows] <= 0
+    x[rows[keep], cols[keep]] = new[keep]
+    return x
 
 
 def run(config: RunConfig) -> RunRecord:

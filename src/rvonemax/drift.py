@@ -9,16 +9,14 @@ are planted, stepped and scored as (S, n) numpy arrays, S rows at a time.
 
 A fitness level s is planted by spreading s units of distance over the
 components, each unit on a uniform component with room left (component i
-has room up to its largest distance c_i). That loop is simulated without
-a pass per unit, by Poisson clocks: component i rings at the points of a
-rate-1 Poisson process stopped after c_i points. By memorylessness each
-next point of their union falls on a uniform component among those with
-room left, so the counts among the first s points have exactly the loop's
-law (ties have probability 0). Arrival times are drawn SLOTS at a time per
-component; a round stops at the s-th point or at the first time a
-component with more than SLOTS room left uses its last drawn slot. That
-time is a stopping time, so the next round restarts fresh clocks from the
-counts committed so far.
+has room up to its largest distance c_i). That loop is simulated by
+rejection in rounds. A row that still needs k units draws min(k, n)
+labels in a round, each a uniform component among those with room at the
+start of the round, and a label adds a unit iff its component still has
+room. So an accepted label is uniform over the components with room left,
+and a round never passes the s-th unit. The row's distances after the
+round are min(d + label counts, c), whatever the order of its labels, so
+the rounds give exactly the loop's law.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ def harmonic_number(k: int) -> float:
 # ---------------------------------------------------------------------------
 
 BLOCK_ROWS = 1024  # rows planted and stepped at once; bounds the arrays' memory
-SLOTS = 8  # arrival times per clock and round when planting a fitness level
 
 
 def _realize(instance: ProblemInstance, dist: np.ndarray,
@@ -118,11 +115,14 @@ def _place_at_hamming(targets: np.ndarray, u: np.ndarray, r: int) -> np.ndarray:
     wrong values drawn from its row of n + k uniforms u: the positions of
     its k smallest keys u[:n], in position order, take its k draws
     w = floor(u[n:] * (r-1)) from [0, r-2], w standing for w + (w >= x).
-    So uniform u give a uniform k-subset set to uniform wrong values."""
+    So uniform u give a uniform k-subset set to uniform wrong values; at
+    k = n the subset is every position, and no keys are sorted."""
     x = np.array(targets, dtype=np.int64)
     rows, n = x.shape
     k = u.shape[1] - n
-    picked = np.arange(rows)[:, None], np.sort(np.argsort(u[:, :n], axis=1)[:, :k], axis=1)
+    picked = (slice(None), slice(None))  # at k = n, every position; its keys go unused
+    if k < n:
+        picked = np.arange(rows)[:, None], np.sort(np.argsort(u[:, :n], axis=1)[:, :k], axis=1)
     wrong = _scaled(u[:, n:], r - 1)
     x[picked] = wrong + (wrong >= x[picked])
     return x
@@ -133,42 +133,37 @@ def plant_rows_at_fitness(instance: ProblemInstance, s: int, rows: int,
     """(rows, n) points with fitness exactly s: each row spreads s unit
     distance increments over uniformly chosen components with headroom left.
 
-    The increments are the first s points of per-component Poisson clocks,
-    which have exactly that law (see the module docstring). Each round
-    draws SLOTS arrival times per clock; rows are planted BLOCK_ROWS // SLOTS
-    at a time, so no round holds more than BLOCK_ROWS * n of them.
+    Placed by rejection in rounds (see the module docstring), BLOCK_ROWS
+    rows at a time: no round draws more than BLOCK_ROWS * n uniforms.
     """
     reachable = instance.max_fitness
     if not (0 <= s <= reachable):
         raise ValueError(f"fitness level must lie in [0, {reachable}] for this target, got {s}")
-    caps = instance.max_distances
-    n = instance.params.n
-    dist = np.zeros((rows, n), dtype=np.int64)
-    for lo in range(0, rows, BLOCK_ROWS // SLOTS):
-        d = dist[lo:lo + BLOCK_ROWS // SLOTS]
-        need = np.full(len(d), s, dtype=np.int64)
-        live = np.flatnonzero(need)
-        while live.size:
-            room = caps - d[live]
-            slots = min(SLOTS, int(room.max()))
-            # times[:, j, i]: the (j+1)-th arrival of clock i, inf past its room
-            times = rng.standard_exponential((live.size, slots, n))
-            row, i = np.nonzero(room < slots)
-            times[row, room[row, i], i] = np.inf
-            for j in range(1, slots):  # a slot at a time: np.cumsum is slower on this axis
-                times[:, j] += times[:, j - 1]
-            # every arrival up to theta is drawn: theta is the first time a clock
-            # with room past its slots uses its last one
-            theta = np.where(room > slots, times[:, -1], np.inf).min(axis=1)
-            ranked = np.sort(times.reshape(live.size, -1), axis=1)
-            nth = ranked[np.arange(live.size), np.minimum(need[live], slots * n) - 1]
-            got = (times <= np.minimum(theta, nth)[:, None, None]).sum(axis=1)
-            total = got.sum(axis=1)
-            ok = total <= need[live]  # a tie at the cut has probability 0: redraw
-            d[live[ok]] += got[ok]
-            need[live[ok]] -= total[ok]
-            live = live[need[live] > 0]
+    dist = np.zeros((rows, instance.params.n), dtype=np.int64)
+    for lo in range(0, rows, BLOCK_ROWS):
+        _spread(dist[lo:lo + BLOCK_ROWS], s, instance.max_distances, rng)
     return _realize(instance, dist, rng)
+
+
+def _spread(d: np.ndarray, s: int, caps: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill the zero rows of d with s units each, in rounds of up to n labels
+    per row: uniforms scaled to indices among the row's components with room."""
+    n = d.shape[1]
+    live = np.arange(len(d) if s else 0)
+    need = np.full(len(live), s)
+    while live.size:
+        k = np.minimum(need, n)
+        room = d[live] < caps
+        cnt = room.sum(axis=1)
+        pick = _scaled(rng.random(int(k.sum())), np.repeat(cnt, k))  # among the row's open ones
+        labels = np.flatnonzero(room)[pick + np.repeat(np.cumsum(cnt) - cnt, k)]
+        new = np.bincount(labels, minlength=live.size * n).reshape(live.size, n)
+        new += d[live]
+        np.minimum(new, caps, out=new)
+        d[live] = new
+        need = s - new.sum(axis=1)
+        live, need = live[need > 0], need[need > 0]
+        del labels, new, pick, room  # freed before the next draws: a round holds a few blocks
 
 
 def plant_state_at_fitness(instance: ProblemInstance, s: int,

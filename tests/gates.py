@@ -209,10 +209,10 @@ def fitness_planting_law(seed):
     against the exact law of the one-unit-at-a-time loop: an interior
     interval target (n=2, r=20, target (0, 7), s in {5, 15, 25}; n=3, r=40,
     target (0, 30, 10), s in {20, 50, 80}) and the ring (n=3, r=40, s in
-    {20, 50}), every cap above the planter's SLOTS = 8 arrivals per round,
-    so rows take several rounds. One chi-square test at 0.001/8 per level,
-    cells expected fewer than 10 times pooled (margin: the smallest p-value
-    minus 0.001/8)."""
+    {20, 50}), every level above n, so rows take several rounds of at most
+    n labels, with rejections near the caps. One chi-square test at 0.001/8
+    per level, cells expected fewer than 10 times pooled (margin: the
+    smallest p-value minus 0.001/8)."""
     cases = ((MetricKind.INTERVAL, 20, (0, 7), (5, 15, 25)),
              (MetricKind.INTERVAL, 40, (0, 30, 10), (20, 50, 80)),
              (MetricKind.RING, 40, (0, 30, 10), (20, 50)))

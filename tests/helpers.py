@@ -16,6 +16,24 @@ from rvonemax import (AlgorithmKind, MetricKind, ProblemInstance, RunConfig, Spa
                       subseed, token_step_pmf)
 
 
+class CountingGenerator:
+    """A Generator whose method calls are recorded by name in `calls`, and
+    the sizes of what they return in `sizes`."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls, self.sizes = rng, calls, []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self._calls.append(name)
+            out = method(*args, **kwargs)
+            self.sizes.append(np.size(out))
+            return out
+        return call
+
+
 def assert_chi_square(counts, expected_probs, significance=0.001):
     """Goodness-of-fit check; fails only below the given significance."""
     counts = np.asarray(counts, dtype=np.float64)
@@ -325,7 +343,8 @@ def binomial_pmf(n, p, k):
     return float(stats.binom.pmf(k, n, p))
 
 
-__all__ = ["assert_chi_square", "assert_same_categorical", "assert_same_distribution",
+__all__ = ["CountingGenerator", "assert_chi_square", "assert_same_categorical",
+           "assert_same_distribution",
            "exact_expected_hitting_time", "exact_fitness_planting_law", "exact_transition_matrix",
            "goodness_of_fit_pvalue",
            "reference_hitting_time", "reference_one_iteration",

@@ -21,8 +21,8 @@ from rvonemax import algorithms, experiments
 from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, ProblemInstance,
                       RunConfig, SpaceParams, StartPolicy, StepOperatorKind, TargetPolicy,
                       execute_plan,
-                      fitness, hamming_distance, metric_distance, mutate, potential_value,
-                      run, run_batch, subseed)
+                      fitness, hamming_distance, harmonic_table, metric_distance, mutate,
+                      one_iteration, potential_value, run, run_batch, subseed)
 from rvonemax.algorithms import _TRACE_BLOCK, LANES, _lane_law, _law, _map_runs, _trace
 from rvonemax.experiments import hitting_time_summary
 
@@ -397,6 +397,55 @@ def test_rls_mutates_exactly_one_position():
         y, selected = mutate(RLS, UNIFORM, inst, x, rng)
         assert selected == 1
         assert hamming_distance(x, y) <= 1
+
+
+def full_row_round(algorithm, operator, instance, x, rng):
+    """one_iteration's draws, each offspring row scored whole: it replaces
+    its row of x iff fitness(y) <= fitness(x). Also returns the number of
+    selected cells per row and of discarded (infeasible) steps."""
+    m, n = x.shape
+    r = instance.params.r
+    if algorithm is RLS:
+        rows, cols = np.arange(m), rng.integers(0, n, m)
+    else:
+        rows, cols = np.nonzero(rng.random((m, n)) < 1.0 / n)
+    cur = x[rows, cols]
+    if operator is UNIFORM:
+        v = rng.integers(0, r - 1, cur.size)
+        new = v + (v >= cur)
+    else:
+        jump = 1 if operator is PM1 else harmonic_table(r).sample_block(rng, cur.size)
+        new = np.where(rng.integers(0, 2, cur.size) == 0, cur - jump, cur + jump)
+        if instance.metric is MetricKind.RING:
+            new %= r
+    feasible = (new >= 0) & (new < r)
+    y = x.copy()
+    y[rows, cols] = np.where(feasible, new, cur)
+    keep = fitness(instance, y) <= fitness(instance, x)
+    return np.where(keep[:, None], y, x), np.bincount(rows, minlength=m), int((~feasible).sum())
+
+
+@pytest.mark.parametrize("metric", list(MetricKind))
+@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+@pytest.mark.parametrize("algorithm", [RLS, EA])
+def test_one_iteration_is_the_full_row_rule_byte_for_byte(algorithm, operator, metric):
+    # one_iteration scores only the selected cells; a second generator with
+    # the same seed replays its draws and scores whole rows
+    n, r, rows = 6, 7, 3000
+    inst = make_instance(n, r, metric, target=(0, 3, 6, 2, 5, 1))
+    x = np.random.default_rng(5).integers(0, r, (rows, n))
+    got = one_iteration(algorithm, operator, inst, x, np.random.default_rng(17))
+    want, selected, discarded = full_row_round(algorithm, operator, inst, x,
+                                               np.random.default_rng(17))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    moved = (got != x).any(axis=1)
+    assert moved.any() and not moved.all()
+    assert selected.max() == 1 if algorithm is RLS else (selected[moved] >= 2).any()
+    assert (discarded > 0) == (metric is MetricKind.INTERVAL and operator is not UNIFORM)
+    for bad in (x - (x == 0), x + (x == r - 1), x[:, 1:]):  # a value -1 or r, a short row
+        with pytest.raises(ValueError):
+            one_iteration(algorithm, operator, inst, bad, np.random.default_rng(17))
 
 
 def test_ea_selection_count_is_binomial():

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from gates import assert_passes
-from helpers import (assert_chi_square, assert_same_categorical, reference_one_iteration,
-                     reference_plant_state_at_fitness, reference_plant_state_at_hamming,
-                     reference_realize_distances)
+from helpers import (CountingGenerator, assert_chi_square, assert_same_categorical,
+                     reference_one_iteration, reference_plant_state_at_fitness,
+                     reference_plant_state_at_hamming, reference_realize_distances)
 from rvonemax import (AlgorithmKind, MetricKind, Potential, ProblemInstance, RunConfig,
                       SpaceParams, StepOperatorKind, estimate_drift, fitness, hamming_distance,
                       harmonic_number, one_iteration, plant_rows_at_fitness,
                       plant_rows_at_hamming, plant_state_at_fitness, plant_state_at_hamming,
                       potential_value, realize_distance_rows)
-from rvonemax.drift import BLOCK_ROWS, SLOTS
+from rvonemax.drift import BLOCK_ROWS
 
 RLS = AlgorithmKind.RLS
 EA = AlgorithmKind.ONE_PLUS_ONE_EA
@@ -177,21 +177,37 @@ def test_row_planters_hit_the_level_on_every_row(metric):
 
 
 @pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
-def test_fitness_planting_hits_the_level_when_caps_exceed_slots(metric):
-    # every cap above SLOTS, so a far level takes several rounds per row, and
-    # more rows than one chunk of BLOCK_ROWS // SLOTS
+def test_fitness_planting_hits_the_level_over_several_rounds(metric):
+    # a round places at most n units per row, so every level above n takes
+    # several rounds (one `random` draw each)
     n, r, rows = 5, 64, 300
     inst = make_instance(n, r, metric, target=(0, 10, 31, 50, 63))
-    assert inst.max_distances.min() > SLOTS and rows > BLOCK_ROWS // SLOTS
-    rng = np.random.default_rng(77)
+    calls = []
+    rng = CountingGenerator(np.random.default_rng(77), calls)
     for s in (0, 1, inst.max_fitness // 2, inst.max_fitness - 1, inst.max_fitness):
+        calls.clear()
         x = plant_rows_at_fitness(inst, s, rows, rng)
         assert x.shape == (rows, n) and (fitness(inst, x) == s).all()
+        assert calls.count("random") >= math.ceil(s / n)
+
+
+def test_fitness_planting_rounds_draw_at_most_a_block_of_uniforms():
+    # one `random` call per round, then _realize's sides; level 0 draws no round
+    n, r = 20, 8
+    inst = make_instance(n, r, target=np.arange(n) % r)
+    for s in (0, 1, n, 40, 100, inst.max_fitness):
+        calls = []
+        rng = CountingGenerator(np.random.default_rng(11), calls)
+        x = plant_rows_at_fitness(inst, s, 2 * BLOCK_ROWS + 1, rng)
+        assert (fitness(inst, x) == s).all()
+        assert calls[-1] == "integers" and set(calls[:-1]) <= {"random"}
+        assert max(rng.sizes[:-1], default=0) <= BLOCK_ROWS * n
+        assert (len(calls) == 1) == (s == 0)
 
 
 def test_fitness_planting_memory_stays_within_a_few_blocks():
-    # a far level at n=50, r=256 takes about 36 rounds per chunk of rows; no
-    # round's arrival times may outgrow one (BLOCK_ROWS, n) block, whatever s or r
+    # a far level at n=50, r=256 takes 100 rounds of n labels per block of rows;
+    # no round's labels may outgrow one (BLOCK_ROWS, n) block, whatever s or r
     n, r, s = 50, 256, 5000
     inst = make_instance(n, r)
     block = BLOCK_ROWS * n * np.dtype(np.int64).itemsize

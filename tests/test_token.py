@@ -4,7 +4,7 @@ from argparse import Namespace
 import numpy as np
 import pytest
 
-from helpers import assert_same_distribution, reference_token_hitting_time
+from helpers import CountingGenerator, assert_same_distribution, reference_token_hitting_time
 from rvonemax import (CapacityError, DivergenceError, TokenBatch, TokenConfig, TokenRunRecord,
                       fit_scaling, subseed, token_expected_hitting_time_exact,
                       token_hitting_times_by_state, token_process, token_run, token_run_batch,
@@ -186,21 +186,6 @@ def test_one_size_law_matches_round_by_round_rule(r, d0):
             records = token_run_batch(config, replicates)
             got = [(rec.hitting_time, rec.capped, rec.final_position) for rec in records]
             assert got == one_size_reference(r, d0, seed, replicates, cap), (distribution, cap)
-
-
-class CountingGenerator:
-    """A Generator whose method calls are recorded by name."""
-
-    def __init__(self, rng, calls):
-        self._rng, self._calls = rng, calls
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def call(*args, **kwargs):
-            self._calls.append(name)
-            return method(*args, **kwargs)
-        return call
 
 
 @pytest.mark.parametrize("distribution, one_size", [
