@@ -127,7 +127,8 @@ def _poisson(keys, means):
     Below 10, inversion of the uniform u at counter 0: the least k with
     P[X <= k] > u. From 10 on, PTRS (Hoermann, "The transformed rejection
     method for generating Poisson random variables", 1993), as numpy's
-    Generator.poisson draws it, try a from counters 2a and 2a + 1. A mean
+    Generator.poisson draws it: try a of every key still drawing in pass a,
+    from counters 2a and 2a + 1, up to the key's first accepted try. A mean
     above numpy's bound, _POISSON_MAX, is a ValueError there and here."""
     means = np.asarray(means, dtype=np.float64)
     if not (means <= _POISSON_MAX).all():
@@ -143,27 +144,23 @@ def _poisson(keys, means):
         k += 1
         p = p * lam / k
         cdf = cdf + p
-    ids, tries = np.flatnonzero(means >= 10), 0
+    ids, t = np.flatnonzero(means >= 10), 0
     while ids.size:
-        # tries tries..tries+3 of every key at once; its first accepted one counts
-        lam = means[ids, None]
+        # try t of every key still drawing; the log test only where the quick one fails
+        lam = means[ids]
         b = 0.931 + 2.53 * np.sqrt(lam)
         a, vr = -0.059 + 0.02483 * b, 0.9277 - 3.6224 / (b - 2)
-        invalpha = 1.1239 + 1.1328 / (b - 3.4)
-        uv = _uniforms(keys[ids, None, None],
-                       (2 * np.arange(tries, tries + 4)).astype(np.uint64)[:, None] + _PAIR)
-        U, V = uv[..., 0] - 0.5, uv[..., 1]
+        uv = _uniforms(keys[ids, None], np.uint64(2 * t) + _PAIR)
+        U, V = uv[:, 0] - 0.5, uv[:, 1]
         us = np.maximum(0.5 - np.abs(U), 1e-300)  # 0 only at U = -0.5, which k < 0 rejects
         k = np.floor((2 * a / us + b) * U + lam + 0.43)
         take = (us >= 0.07) & (V <= vr)
-        before = np.cumsum(take, axis=1) == 0  # the tries before a key's first quick accept
-        i, j = np.nonzero(before & (k >= 0) & ((us >= 0.013) | (V <= us)))
-        kt = k[i, j]
-        take[i, j] = (np.log(V[i, j] * invalpha[i, 0] / (a[i, 0] / us[i, j] ** 2 + b[i, 0]))
-                      <= kt * np.log(lam[i, 0]) - lam[i, 0] - [lgamma(v) for v in kt + 1])
-        hit = take.any(axis=1)
-        counts[ids[hit]] = k[hit, take[hit].argmax(axis=1)]
-        ids, tries = ids[~hit], tries + 4
+        i = np.flatnonzero(~take & (k >= 0) & ((us >= 0.013) | (V <= us)))
+        invalpha = 1.1239 + 1.1328 / (b[i] - 3.4)
+        take[i] = (np.log(V[i] * invalpha / (a[i] / us[i] ** 2 + b[i]))
+                   <= k[i] * np.log(lam[i]) - lam[i] - [lgamma(v) for v in k[i] + 1])
+        counts[ids[take]] = k[take]
+        ids, t = ids[~take], t + 1
     return counts
 
 

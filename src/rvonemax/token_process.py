@@ -11,19 +11,17 @@ one to the clock, so from x it draws the wait to the next move as
 Geometric(P[d <= x]) and the move from the step law restricted to [1, x].
 Its cost is the number of moves, not of rounds; all replicates of a batch
 advance together as numpy arrays, a jump drawn by a guide table of the step
-cdf, and come back as columns (TokenBatch). A law with one step size d0
-(the unit law, for one) has no random round at all: every wait is 1 and
-every jump d0, so its records follow from the starts in closed form, with
-no loop and no draw after the starts. Alongside it there is an exact
+cdf, and come back as the columns of a TokenBatch. A law with one step
+size d0 (the unit law, for one) has no random round at all: every wait is 1
+and every jump d0, so its columns follow from the starts in closed form,
+with no loop and no draw after the starts. Alongside it there is an exact
 expectation solver that exploits the triangular structure of the chain
 (position never increases), so no general linear solve is needed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 
@@ -102,10 +100,9 @@ def _step_cdf(distribution, r: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class TokenBatch(Sequence):
+class TokenBatch:
     """A token batch as read-only columns: int64 rounds (the hitting time
-    where a run is not capped) and final_position, and bool capped. It reads
-    as, and equals, the sequence of its TokenRunRecords, built when read."""
+    where a run is not capped) and final_position, and bool capped."""
 
     rounds: np.ndarray
     final_position: np.ndarray
@@ -115,29 +112,12 @@ class TokenBatch(Sequence):
         for column in (self.rounds, self.final_position, self.capped):
             column.flags.writeable = False
 
-    def __len__(self) -> int:
-        return self.capped.size
-
-    def __getitem__(self, k):
-        k = range(len(self))[index(k)]  # an IndexError and negative indices as a list's
-        return next(self._records(k, k + 1))
-
-    def __iter__(self):
-        return self._records(0, len(self))
-
-    def _records(self, lo, hi):
-        for t, x, stop in zip(*(c[lo:hi].tolist() for c in (self.rounds, self.final_position,
-                                                            self.capped))):
-            yield TokenRunRecord(hitting_time=None if stop else t, capped=stop, final_position=x)
-
-    def __eq__(self, other):
-        return (len(self) == len(other) and all(a == b for a, b in zip(self, other))
-                if isinstance(other, Sequence) else NotImplemented)
-
 
 def token_run(config: TokenConfig) -> TokenRunRecord:
-    """Simulate one seeded token run: the first record of a batch of one."""
-    return token_run_batch(config, 1)[0]
+    """Simulate one seeded token run: row 0 of a batch of one."""
+    batch = token_run_batch(config, 1)
+    t, x, capped = (column.item() for column in (batch.rounds, batch.final_position, batch.capped))
+    return TokenRunRecord(hitting_time=None if capped else t, capped=capped, final_position=x)
 
 
 def token_run_batch(config: TokenConfig, replicates: int) -> TokenBatch:

@@ -139,8 +139,8 @@ def criterion_7(seed):
     for r in (15, 63, 255):
         for dist in ("unit", "uniform", "harmonic"):
             exact = token_expected_hitting_time_exact(r, dist)
-            records = token_run_batch(TokenConfig(r=r, distribution=dist, seed=seed), 100_000)
-            times = np.array([rec.hitting_time for rec in records], dtype=np.float64)
+            batch = token_run_batch(TokenConfig(r=r, distribution=dist, seed=seed), 100_000)
+            times = np.where(batch.capped, np.nan, batch.rounds)
             se = times.std(ddof=1) / math.sqrt(times.size)
             pulls[f"r={r}/{dist}"] = abs(times.mean() - exact) / se
     worst = max(pulls.values())

@@ -14,6 +14,7 @@ from rvonemax import (AlgorithmKind, MetricKind, ProblemInstance, RunConfig, Spa
                       StartKind, StepOperatorKind, TargetPolicy, fitness, harmonic_pmf,
                       harmonic_table, mutate, sample_uniform_point, stable_seed, step,
                       subseed, token_step_pmf)
+from rvonemax.algorithms import _uniforms
 
 
 class CountingGenerator:
@@ -237,6 +238,39 @@ def reference_token_hitting_time(r, distribution, rng, cap=10**7):
     raise AssertionError("reference token run exceeded its cap")
 
 
+def reference_poisson(key, mean):
+    """One Poisson(mean) count from the counter stream of key, by a plain
+    loop: below a mean of 10, inversion of the uniform at counter 0; from 10
+    on, PTRS tries a = 0, 1, ... from counters 2a and 2a + 1, up to the
+    first accepted one. An exact oracle for algorithms._poisson."""
+    def uniform(counter):
+        return float(_uniforms(np.array([key], dtype=np.uint64),
+                               np.array([counter], dtype=np.uint64))[0])
+
+    if mean < 10:
+        u, k = uniform(0), 0
+        p = cdf = math.exp(-mean)  # P[X = k] and P[X <= k]
+        while u >= cdf and p > 0:
+            k += 1
+            p = p * mean / k
+            cdf += p
+        return k
+    b = 0.931 + 2.53 * math.sqrt(mean)
+    a, vr = -0.059 + 0.02483 * b, 0.9277 - 3.6224 / (b - 2)
+    invalpha = 1.1239 + 1.1328 / (b - 3.4)
+    for t in itertools.count():
+        U, V = uniform(2 * t) - 0.5, uniform(2 * t + 1)
+        us = max(0.5 - abs(U), 1e-300)
+        k = math.floor((2 * a / us + b) * U + mean + 0.43)
+        if us >= 0.07 and V <= vr:
+            return k
+        if k < 0 or (us < 0.013 and V > us):
+            continue
+        if (math.log(V * invalpha / (a / (us * us) + b))
+                <= k * math.log(mean) - mean - math.lgamma(k + 1)):
+            return k
+
+
 class _ScriptedRng:
     """Stands in for a Generator inside operators.step: integers() and
     random() return the scripted draws in order."""
@@ -347,7 +381,7 @@ __all__ = ["CountingGenerator", "assert_chi_square", "assert_same_categorical",
            "assert_same_distribution",
            "exact_expected_hitting_time", "exact_fitness_planting_law", "exact_transition_matrix",
            "goodness_of_fit_pvalue",
-           "reference_hitting_time", "reference_one_iteration",
+           "reference_hitting_time", "reference_one_iteration", "reference_poisson",
            "reference_plant_state_at_fitness", "reference_plant_state_at_hamming",
            "reference_realize_distances", "reference_replicate_config",
            "reference_state_after", "reference_token_hitting_time", "same_categorical_pvalue",

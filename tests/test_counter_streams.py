@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import assert_chi_square
+from helpers import assert_chi_square, reference_poisson
 from rvonemax import subseed
 from rvonemax.algorithms import _POISSON_MAX, _mix, _poisson, _uniforms
 
@@ -104,3 +104,22 @@ def test_poisson_counts_of_a_key_do_not_depend_on_the_batch():
     order = np.random.default_rng(1).permutation(300)
     assert (_poisson(keys[order], means[order]) == together[order]).all()
     assert all(_poisson(keys[k:k + 1], means[k:k + 1])[0] == together[k] for k in range(0, 300, 7))
+
+
+POISSON_ORACLE_MEANS = (0.0, 0.3, 9.999, 10.0, 57.5, 2000.0, 1e9)
+
+
+@pytest.mark.parametrize("mean", POISSON_ORACLE_MEANS)
+def test_poisson_counts_equal_the_one_key_at_a_time_oracle(mean):
+    # every count equals the plain per-key loop: inversion below 10, and
+    # PTRS tries in counter order, up to the first accepted one, from 10 on
+    keys = _keys(17, 2000)
+    expected = [reference_poisson(key, mean) for key in keys]
+    assert _poisson(keys, np.full(2000, mean)).tolist() == expected
+
+
+def test_poisson_counts_of_mixed_means_equal_the_oracle():
+    keys = _keys(18, 2000)
+    means = np.random.default_rng(2).choice(POISSON_ORACLE_MEANS, 2000)
+    expected = [reference_poisson(key, mean) for key, mean in zip(keys, means.tolist())]
+    assert _poisson(keys, means).tolist() == expected

@@ -1,5 +1,6 @@
 import hashlib
 from argparse import Namespace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -89,21 +90,19 @@ def test_token_run_deterministic_and_start_at_zero():
 
 
 def test_token_run_unit_r1_mean():
-    records = token_run_batch(TokenConfig(r=1, distribution="unit", seed=5), 20000)
-    times = [rec.hitting_time for rec in records]
-    assert np.mean(times) == pytest.approx(0.5, abs=0.011)  # 3 sigma of Bernoulli/2
+    batch = token_run_batch(TokenConfig(r=1, distribution="unit", seed=5), 20000)
+    assert not batch.capped.any()
+    assert np.mean(batch.rounds) == pytest.approx(0.5, abs=0.011)  # 3 sigma of Bernoulli/2
 
 
 def test_token_run_cap_marks_record():
     concentrated = np.zeros(8)
     concentrated[-1] = 1.0
-    records = token_run_batch(TokenConfig(r=8, distribution=concentrated, seed=11,
-                                          iteration_cap=50), 50)
-    stuck = [rec for rec in records if rec.capped]
-    assert stuck, "some runs must start in a state that can never absorb"
-    for rec in stuck:
-        assert rec.hitting_time is None
-        assert 0 < rec.final_position < 8
+    batch = token_run_batch(TokenConfig(r=8, distribution=concentrated, seed=11,
+                                        iteration_cap=50), 50)
+    stuck = batch.final_position[batch.capped]
+    assert stuck.size, "some runs must start in a state that can never absorb"
+    assert ((0 < stuck) & (stuck < 8)).all()
 
 
 @pytest.mark.parametrize("r, distribution", [
@@ -111,17 +110,23 @@ def test_token_run_cap_marks_record():
     (8, [0.5, 0, 0, 0.25, 0, 0, 0, 0.25]),  # sizes 2, 3, 5, 6, 7 never drawn
 ])
 def test_token_batch_matches_round_by_round_reference(r, distribution):
-    records = token_run_batch(TokenConfig(r=r, distribution=distribution, seed=21), 20000)
-    assert not any(rec.capped for rec in records)
+    batch = token_run_batch(TokenConfig(r=r, distribution=distribution, seed=21), 20000)
+    assert not batch.capped.any()
     rng = np.random.default_rng(22)
     reference = [reference_token_hitting_time(r, distribution, rng) for _ in range(3000)]
-    assert_same_distribution([rec.hitting_time for rec in records], reference)
+    assert_same_distribution(batch.rounds, reference)
+
+
+def row(batch, k):
+    """Row k of a batch as a record: no hitting time where the run is capped."""
+    t, x, capped = (int(batch.rounds[k]), int(batch.final_position[k]), bool(batch.capped[k]))
+    return TokenRunRecord(hitting_time=None if capped else t, capped=capped, final_position=x)
 
 
 def test_token_run_is_first_record_of_batch_of_one():
     for dist in ("unit", "uniform", "harmonic"):
         cfg = TokenConfig(r=40, distribution=dist, seed=5)
-        assert token_run(cfg) == token_run_batch(cfg, 1)[0]
+        assert token_run(cfg) == row(token_run_batch(cfg, 1), 0)
 
 
 @pytest.mark.parametrize("distribution, stuck_at", [
@@ -131,32 +136,30 @@ def test_token_run_is_first_record_of_batch_of_one():
 def test_token_tiny_acceptance_probability_caps_cleanly(distribution, stuck_at):
     # a wait of order 1/q saturates geometric() at 2**63 - 1 and must not
     # overflow the round counter of a run that has already moved
-    records = token_run_batch(TokenConfig(r=3, distribution=distribution, seed=4,
-                                          iteration_cap=10**6), 20)
-    assert any(rec.capped for rec in records)
-    for rec in records:
-        if rec.capped:
-            assert rec.hitting_time is None and rec.final_position in stuck_at
-        else:
-            assert rec.hitting_time in (0, 1) and rec.final_position == 0
+    batch = token_run_batch(TokenConfig(r=3, distribution=distribution, seed=4,
+                                        iteration_cap=10**6), 20)
+    capped = batch.capped
+    assert capped.any()
+    assert np.isin(batch.final_position[capped], stuck_at).all()
+    assert np.isin(batch.rounds[~capped], (0, 1)).all()
+    assert (batch.final_position[~capped] == 0).all()
 
 
 def test_token_unit_law_cap_boundary():
     # under the unit law T equals the start, so cap c leaves starts above c
     # capped at start - c
     r, cap = 20, 7
-    records = token_run_batch(TokenConfig(r=r, distribution="unit", seed=8,
-                                          iteration_cap=cap), 500)
-    assert any(rec.capped for rec in records) and not all(rec.capped for rec in records)
-    for rec in records:
-        if rec.capped:
-            assert 1 <= rec.final_position <= r - cap
-        else:
-            assert 0 <= rec.hitting_time <= cap
-    assert {rec.hitting_time for rec in records if not rec.capped} == set(range(cap + 1))
+    batch = token_run_batch(TokenConfig(r=r, distribution="unit", seed=8,
+                                        iteration_cap=cap), 500)
+    capped = batch.capped
+    assert capped.any() and not capped.all()
+    assert ((1 <= batch.final_position[capped]) & (batch.final_position[capped] <= r - cap)).all()
+    times = batch.rounds[~capped]
+    assert ((0 <= times) & (times <= cap)).all()
+    assert set(times.tolist()) == set(range(cap + 1))
     # a cap beyond the int64 round counter acts as no cap
     huge = TokenConfig(r=r, distribution="unit", seed=8, iteration_cap=10**30)
-    assert not any(rec.capped for rec in token_run_batch(huge, 50))
+    assert not token_run_batch(huge, 50).capped.any()
 
 
 def one_size_reference(r, d0, seed, replicates, cap):
@@ -183,8 +186,8 @@ def test_one_size_law_matches_round_by_round_rule(r, d0):
     for distribution in laws:
         for cap in sorted({max(1, top - 1), top, top + 1, 10**30}):
             config = TokenConfig(r=r, distribution=distribution, seed=seed, iteration_cap=cap)
-            records = token_run_batch(config, replicates)
-            got = [(rec.hitting_time, rec.capped, rec.final_position) for rec in records]
+            batch = token_run_batch(config, replicates)
+            got = [astuple(row(batch, k)) for k in range(replicates)]
             assert got == one_size_reference(r, d0, seed, replicates, cap), (distribution, cap)
 
 
@@ -208,9 +211,9 @@ def test_monte_carlo_matches_exact_smoke():
     r = 15
     for dist, seed in (("unit", 1), ("uniform", 2), ("harmonic", 3)):
         exact = token_expected_hitting_time_exact(r, dist)
-        times = np.array([rec.hitting_time
-                          for rec in token_run_batch(TokenConfig(r=r, distribution=dist,
-                                                                 seed=seed), 20000)])
+        batch = token_run_batch(TokenConfig(r=r, distribution=dist, seed=seed), 20000)
+        assert not batch.capped.any()
+        times = batch.rounds
         se = times.std(ddof=1) / np.sqrt(times.size)
         assert abs(times.mean() - exact) <= 3 * se, (dist, times.mean(), exact, se)
 
@@ -303,38 +306,29 @@ def test_token_stdout_is_the_recorded_one(capsys, law):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[law]
 
 
-def as_records(rows):
-    return [TokenRunRecord(hitting_time=t, capped=t is None, final_position=x) for t, x in rows]
-
-
-def test_token_batch_is_a_sequence_of_its_records():
-    # the records a batch returned as a list of records for these configs
+def test_token_run_is_row_zero_of_a_batch_of_one():
+    # token_run's record for an uncapped run, one that reaches its cap, and
+    # one stuck at 1, where no step size of the law fits
+    harmonic = dict(r=6, distribution="harmonic", iteration_cap=3)
     cases = [
-        (TokenConfig(r=6, distribution="harmonic", seed=2, iteration_cap=3),
-         as_records([(None, 3), (3, 0), (0, 0), (None, 1), (1, 0), (None, 3), (2, 0), (0, 0)])),
-        (TokenConfig(r=4, distribution=[0, 0.5, 0, 0.5], seed=5, iteration_cap=3),
-         as_records([(None, 1), (None, 2), (0, 0), (2, 0), (1, 0), (1, 0), (None, 3),
-                     (None, 1)])),
+        (TokenConfig(seed=5, **harmonic), TokenRunRecord(3, False, 0)),
+        (TokenConfig(seed=1, **harmonic), TokenRunRecord(None, True, 2)),
+        (TokenConfig(r=4, distribution=[0, 0.5, 0, 0.5], seed=4, iteration_cap=3),
+         TokenRunRecord(None, True, 1)),
     ]
     for config, expected in cases:
-        batch = token_run_batch(config, len(expected))
-        assert isinstance(batch, TokenBatch) and len(batch) == len(expected)
-        assert batch == expected and expected == batch and list(batch) == expected
-        assert batch == tuple(expected) and batch == token_run_batch(config, len(expected))
-        assert batch != expected[:-1] and batch != expected[::-1] and batch != "records"
-        assert [batch[k] for k in range(-len(expected), len(expected))] == expected * 2
-        for k in (len(expected), -len(expected) - 1):
-            with pytest.raises(IndexError):
-                batch[k]
+        batch = token_run_batch(config, 1)
+        assert isinstance(batch, TokenBatch)
         for column, dtype in ((batch.rounds, np.int64), (batch.final_position, np.int64),
                               (batch.capped, np.bool_)):
-            assert column.dtype == dtype and column.shape == (len(expected),)
+            assert column.dtype == dtype and column.shape == (1,)
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0] = 0
-        first = batch[0]
-        assert type(first.final_position) is int and type(first.capped) is bool
-        assert token_run(config) == token_run_batch(config, 1)[0]
+        record = token_run(config)
+        assert type(record.final_position) is int and type(record.capped) is bool
+        assert record.capped or type(record.hitting_time) is int
+        assert record == row(batch, 0) == expected
 
 
 def test_record_and_column_summaries_agree():
@@ -346,6 +340,7 @@ def test_record_and_column_summaries_agree():
                                                 iteration_cap=cap), replicates)
             uncapped.add(min(int(np.count_nonzero(~batch.capped)), 2))
             columns = column_summary(batch.rounds, batch.capped)
-            np.testing.assert_equal(columns, hitting_time_summary(list(batch)))
+            records = [row(batch, k) for k in range(replicates)]
+            np.testing.assert_equal(columns, hitting_time_summary(records))
     # every run capped (nan mean and median), one uncapped (std_error 0.0), more
     assert uncapped == {0, 1, 2}
