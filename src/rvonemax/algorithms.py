@@ -36,13 +36,16 @@ offspring is sure to be rejected; their number, Bin(n, 1/n), comes from
 Generator.binomial. A run costs about its number of events, not its number
 of iterations.
 
-Neither kernel knows the step operator: the per-position law (_law for the
-EA, its vectorized closed forms _lane_law for RLS) owns the weights and the
-conditioned moves, and _law also the misses and the pick index. Both
-kernels take a start point the config lacks as the first n draws of the
-run's stream, and both build a trace after the run with one builder,
-_trace, which scores the points after the run's accepted changes a block
-at a time.
+The lockstep kernel and the EA's generic loop, _simulate_ea, do not know
+the step operator: the per-position law (_law for the EA's uniform and
+harmonic steps, its vectorized closed forms _lane_law for RLS) owns the
+weights and the conditioned moves, and _law also the misses and the pick
+index. The +-1 EA runs its own loop, _simulate_pm1_ea, with the law
+written inline: its weights are 1 or 2, so a try of a pick with its move,
+and a miss, each take one uniform, and no event calls a law. Every kernel takes a start point
+the config lacks as the first n draws of the run's stream, and builds a
+trace after the run with one builder, _trace, which scores the points
+after the run's accepted changes a block at a time.
 
 Runs are deterministic functions of their seed, and run one after another
 in the calling process. Replicates of a batch use sub-seeds derived from
@@ -262,8 +265,11 @@ def run(config: RunConfig) -> RunRecord:
         return _run_lanes(config, np.array([config.seed], dtype=np.uint64))[0]
     rng, x0 = _setup(config)
     changes = [] if config.trace_potentials else None
-    hit, final_fit = _simulate_ea(config.instance, config.operator, rng, x0,
-                                  config.iteration_cap, changes)
+    if config.operator is StepOperatorKind.PLUS_MINUS_ONE:
+        hit, final_fit = _simulate_pm1_ea(config.instance, rng, x0, config.iteration_cap, changes)
+    else:
+        hit, final_fit = _simulate_ea(config.instance, config.operator, rng, x0,
+                                      config.iteration_cap, changes)
     capped = hit is None
     iterations = config.iteration_cap if capped else hit
     trace = None
@@ -350,9 +356,10 @@ def _trace(instance, potentials, x0, changes, last):
 # ---------------------------------------------------------------------------
 
 def _simulate_ea(instance, operator, rng, x0, cap, changes):
-    """Rejection-free (1+1) EA: one loop pass per iteration in which some
-    selected position takes a not-worse step, a feasible step that does not
-    raise that position's own distance d_i.
+    """Rejection-free (1+1) EA with uniform or harmonic steps (the +-1 step
+    has its own loop, _simulate_pm1_ea): one loop pass per iteration in
+    which some selected position takes a not-worse step, a feasible step
+    that does not raise that position's own distance d_i.
 
     Position i takes one with probability a_i / n, independently of the
     others, where a_i = w_i / per is RLS's acceptance probability (_law);
@@ -459,6 +466,143 @@ def _simulate_ea(instance, operator, rng, x0, cap, changes):
             return t, 0
 
 
+def _simulate_pm1_ea(instance, rng, x0, cap, changes):
+    """_simulate_ea for the +-1 step, with its law written inline: the same
+    proposals, waits, candidates, cap and `changes`, and no closure call.
+
+    Position i's state is (w_i, toward_i) (_pm1_state), per = 2 and bound =
+    max w_i, 1 on the interval and 2 on the ring. A proposal takes one
+    uniform u: with v = u * len(live) and k = int(v), it is live[k] with its
+    draw s = 2 (v - k) uniform on [0, 2), kept iff s < w_i, and it moves
+    toward z_i iff s < 1 (on the interval w_i = bound = 1, so every proposal
+    is kept and moves toward). A live candidate is kept with probability
+    n / (2n - 1) and steps away (infeasible at the interval's edge); one at
+    w_i = 2 is never kept. A finished one steps to x_i - 1 or x_i + 1 by one
+    uniform. Each move's new distance follows from d_i alone: d_i - 1
+    toward, r - 1 - d_i for the away move of w_i = 2 on the ring, and
+    d_i + 1 for a miss.
+    """
+    n, r = instance.params.n, instance.params.r
+    ring = instance.metric is MetricKind.RING
+    x, z = x0.tolist(), instance.target.tolist()
+    dist = component_distances(instance.metric, x0, instance.target, r).tolist()
+    fit = sum(dist)
+    if fit == 0:
+        return 0, 0
+
+    w, toward = [0] * n, [1] * n
+    live, slot = [], [0] * n  # slot[i] is the index of position i in live
+    for i in range(n):
+        if dist[i]:
+            w[i], toward[i] = _pm1_state(x[i], z[i], dist[i], r, ring)
+            _toggle(live, slot, i)
+    total = sum(w)
+    norm, bound = 2 * n, 2 if ring else 1
+    c = -log1p(-bound / norm) / bound
+    thin = -log1p(-1 / norm) / c  # a ring proposal at w_i = 1 is kept with this probability
+    draw = _draws(rng.random)
+    hazard = _draws(rng.standard_exponential)
+    selected = _draws(lambda size: rng.binomial(n, 1.0 / n, size))
+    position = _draws(lambda size: rng.integers(0, n, size))
+    e = hazard()  # to the next proposal, from the end of iteration t
+    t = 0
+
+    while True:
+        rate = c * total  # proposals per iteration
+        marked, pending, delta = [], [], 0
+        h = None  # the hazard left in the event iteration, once it is known
+        size = len(live)
+        while True:
+            if not ring:
+                i = live[int(draw() * size)]
+                keep, new, nd = True, x[i] + toward[i], dist[i] - 1
+            else:
+                while True:
+                    v = draw() * size
+                    k = int(v)
+                    i = live[k]
+                    s = 2 * (v - k)
+                    if s < w[i]:
+                        break
+                keep = w[i] == 2 or draw() < thin
+                if s < 1:
+                    new, nd = (x[i] + toward[i]) % r, dist[i] - 1
+                else:
+                    new, nd = (x[i] - toward[i]) % r, r - 1 - dist[i]
+            if keep and i not in marked:
+                # a not-worse step at i
+                if h is None:
+                    wait = 1 + int(e / rate)
+                    if wait > cap - t:
+                        return None, fit
+                    t += wait
+                    h = rate * wait - e
+                marked.append(i)
+                delta += nd - dist[i]
+                pending.append((i, new, nd))
+            step = hazard()
+            if h is None:
+                e += step
+            elif step < h:
+                h -= step
+            else:
+                e = step - h
+                break
+
+        # the other selected positions, until the offspring is sure to be rejected
+        k = selected()
+        candidates = []
+        while k and delta <= 0:
+            i = position()
+            if i in candidates:
+                continue
+            candidates.append(i)
+            k -= 1
+            wi = w[i]
+            if wi == 2 or i in marked:
+                continue
+            if not wi:
+                new = x[i] - 1 if draw() < 0.5 else x[i] + 1
+            elif draw() * (norm - 1) < n:
+                new = x[i] - toward[i]
+            else:
+                continue
+            if ring:
+                new %= r
+            elif not 0 <= new < r:
+                continue  # infeasible step, component unchanged
+            delta += 1
+            pending.append((i, new, dist[i] + 1))
+
+        if delta <= 0:
+            fit += delta
+            for i, new, nd in pending:
+                x[i] = new
+                if not (nd and dist[i]) or ring and (2 * nd >= r - 1 or 2 * dist[i] >= r - 1):
+                    # the state changes only when i finishes, re-enters or is at a ring tie
+                    old = w[i]
+                    w[i], toward[i] = _pm1_state(new, z[i], nd, r, ring)
+                    if not old or not nd:
+                        _toggle(live, slot, i)
+                    total += w[i] - old
+                dist[i] = nd
+            if changes is not None:
+                changes += [(t, i, new) for i, new, _ in pending]
+        if fit == 0:
+            return t, 0
+
+
+def _pm1_state(x, z, d, r, ring):
+    """(w_i, toward_i) of the +-1 step at x_i = x with d_i = d > 0, or the
+    finished (0, 1) at d = 0: x + toward_i is accepted, and x - toward_i too
+    when w_i = 2 (on the ring, when 2d >= r - 1)."""
+    if d == 0:
+        return 0, 1
+    if ring:
+        return (2 if 2 * d >= r - 1 else 1), (-1 if (x - z) % r == d else 1)
+    return 1, (-1 if x > z else 1)
+
+
 # ---------------------------------------------------------------------------
 # Per-position step laws
 # ---------------------------------------------------------------------------
@@ -480,20 +624,19 @@ def _law(operator, r, ring, x, z, dist, draw):
 
     The uniform step counts values (per = bound = r - 1) and picks by a
     binary descent through a Fenwick tree over the integer weights, whose
-    remainder gives the move. The jump steps add the jump-law mass of the
-    jumps over both signs (per = 2; bound 1 on the interval, 2 on the ring),
-    and pick by thinning: a uniform position of `live`, those with w_i > 0,
-    is kept with probability w_i / bound, and the kept draw, uniform on
-    [0, w_i), gives the move. The +-1 step's jump is 1, and the harmonic
-    step's is read from F[j] = P[jump <= j].
+    remainder gives the move. The harmonic step adds the jump-law mass
+    F[j] = P[jump <= j] of the jumps over both signs (per = 2; bound 1 on
+    the interval, 2 on the ring), and picks by thinning: a uniform position
+    of `live`, those with w_i > 0, is kept with probability w_i / bound, and
+    the kept draw, uniform on [0, w_i), gives the move. The +-1 step has no
+    law here: its EA loop, _simulate_pm1_ea, holds it inline.
     """
     if operator is StepOperatorKind.UNIFORM:
         per = bound = r - 1
         pick, settle, miss, w = _uniform_law(r, ring, x, z, dist, draw)
     else:
         per, bound = 2, 2.0 if ring else 1.0
-        make = _unit_law if operator is StepOperatorKind.PLUS_MINUS_ONE else _jump_law
-        pick, settle, miss, w = make(r, ring, x, z, dist, draw, bound)
+        pick, settle, miss, w = _jump_law(r, ring, x, z, dist, draw, bound)
     # each law starts with every position finished (w_i = 0, not in the
     # index); the unfinished ones are settled into place
     total = 0
@@ -556,52 +699,6 @@ def _uniform_law(r, ring, x, z, dist, draw):
     return pick, settle, miss, w
 
 
-def _unit_law(r, ring, x, z, dist, draw, bound):
-    n = len(x)
-    w = [0] * n
-    toward = [1] * n  # x_i + toward_i is accepted when d_i > 0: see settle
-    live, slot = [], [0] * n  # slot[i] is the index of position i in live
-    total = 0
-
-    def pick():
-        while True:
-            i = live[int(draw() * len(live))]
-            s = draw() * bound
-            if s < w[i]:
-                return i, (x[i] + toward[i] if s < 1.0 else x[i] - toward[i]) % r
-
-    def settle(i, new, d):
-        """x_i + toward_i is accepted when d > 0, and x_i - toward_i too
-        when w_i = 2 (on the ring, when 2d >= r - 1)."""
-        nonlocal total
-        x[i] = new
-        dist[i] = d
-        old = w[i]
-        if d == 0:
-            wi, toward[i] = 0, 1
-            _toggle(live, slot, i)
-        else:
-            if not old:
-                _toggle(live, slot, i)
-            if ring:
-                wi = 2 if 2 * d >= r - 1 else 1
-                toward[i] = -1 if (new - z[i]) % r == d else 1
-            else:
-                wi, toward[i] = 1, (-1 if new > z[i] else 1)
-        total += wi - old
-        w[i] = wi
-        return total
-
-    def miss(i, s):
-        """x_i - toward_i for s < 1 and, when d_i = 0, x_i + toward_i for s >= 1."""
-        new = x[i] - toward[i] if s < 1.0 else x[i] + toward[i]
-        if ring:
-            return new % r
-        return new if 0 <= new < r else None
-
-    return pick, settle, miss, w
-
-
 def _jump_law(r, ring, x, z, dist, draw, bound):
     n = len(x)
     F = [0.0] + harmonic_table(r).cdf.tolist()
@@ -612,8 +709,10 @@ def _jump_law(r, ring, x, z, dist, draw, bound):
 
     def pick():
         while True:
-            i = live[int(draw() * len(live))]
-            s = draw() * bound
+            v = draw() * len(live)
+            k = int(v)
+            i = live[k]
+            s = (v - k) * bound
             if s < w[i]:
                 break
         toward, near, far = states[i]

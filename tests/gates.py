@@ -405,22 +405,37 @@ def rls_exact_mean(seed):
     return least > significance, least - significance, True, "; ".join(details)
 
 
-@_gate("ea one step", 45)
-def ea_one_step(seed):
-    """The fitness after one iteration of the uniform-step EA from (4, 2)
-    (n=2, r=5, interval, target (0, 0)) against the exact law of
-    exact_transition_matrix: a chi-square test at 0.001 on 40,000 runs
-    (margin: its p-value minus 0.001). There the other position is often
-    selected beside a not-worse step with its step conditioned on missing,
-    so the rate at which the kernel keeps such candidates shows."""
-    inst, x0, runs = _zeros(2, 5), (4, 2), 40_000
-    matrix = exact_transition_matrix(EA, UNIFORM, inst)
-    points = list(itertools.product(range(5), repeat=2))
+def _ea_one_step(seed, operator, x0):
+    """The fitness after one EA iteration from x0 (r=5, interval, target 0)
+    against the exact law of exact_transition_matrix: a chi-square test at
+    0.001 on 40,000 runs (margin: its p-value minus 0.001)."""
+    inst, runs = _zeros(len(x0), 5), 40_000
+    matrix = exact_transition_matrix(EA, operator, inst)
+    points = list(itertools.product(range(5), repeat=len(x0)))
     exact = Counter()
     for x, prob in zip(points, matrix[points.index(x0)]):
         exact[fitness(inst, np.array(x))] += prob
-    records = run_batch(RunConfig(EA, UNIFORM, inst, seed=seed, iteration_cap=1,
+    records = run_batch(RunConfig(EA, operator, inst, seed=seed, iteration_cap=1,
                                   initial_point=x0), runs)
     seen = Counter(rec.final_fitness for rec in records)  # 0 when the run hit
     p = goodness_of_fit_pvalue(seen, exact)
     return p > 0.001, p - 0.001, True, f"p={p:.3g}, fitness counts {dict(sorted(seen.items()))}"
+
+
+@_gate("ea one step", 45)
+def ea_one_step(seed):
+    """One iteration of the uniform-step EA from (4, 2) (n=2) against the
+    exact law (_ea_one_step). There the other position is often selected
+    beside a not-worse step with its step conditioned on missing, so the
+    rate at which the kernel keeps such candidates shows."""
+    return _ea_one_step(seed, UNIFORM, (4, 2))
+
+
+@_gate("ea one step pm1", 48)
+def ea_one_step_pm1(seed):
+    """One iteration of the +-1 EA from (2, 3, 0) (n=3) against the exact
+    law (_ea_one_step). Beside a not-worse step at one live position, the
+    other live one is often selected (kept with probability n / (2n - 1),
+    then stepping away), and so is the finished one (stepping to -1,
+    infeasible, or to 1), so both of the +-1 loop's miss laws show."""
+    return _ea_one_step(seed, PM1, (2, 3, 0))

@@ -23,7 +23,8 @@ from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, Prob
                       execute_plan,
                       fitness, hamming_distance, harmonic_table, metric_distance, mutate,
                       one_iteration, potential_value, run, run_batch, subseed)
-from rvonemax.algorithms import _TRACE_BLOCK, LANES, _lane_law, _law, _map_runs, _trace
+from rvonemax.algorithms import (_TRACE_BLOCK, LANES, _lane_law, _law, _map_runs, _pm1_state,
+                                  _trace)
 from rvonemax.experiments import hitting_time_summary
 
 RLS = AlgorithmKind.RLS
@@ -541,6 +542,12 @@ def test_ea_one_step_matches_exact_transition_law():
     assert_passes("ea one step")
 
 
+def test_ea_one_step_pm1_matches_exact_transition_law():
+    # the same oracle for the +-1 EA loop, from a start where a live and a
+    # finished position are often selected beside a not-worse step
+    assert_passes("ea one step pm1")
+
+
 @pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
 @pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
 def test_steps_at_a_finished_position_never_stay_on_target(operator, metric):
@@ -577,21 +584,22 @@ def preimage_law(f, width, cells=512):
 
 def pick_at(pick, script, operator, s, w, bound):
     """The move pick() of a one-position law makes when its kept draw is s
-    in [0, w): the uniform step's one uniform u has int(u * w) = int(s); a
-    jump step draws its position, then u = s / bound, exact as bound is 1
-    or 2. script holds pick's uniforms, popped from the end."""
+    in [0, w): the uniform step's one uniform u has int(u * w) = int(s); the
+    harmonic step takes its position and s from one u, s = u * bound at one
+    live position, so u = s / bound, exact as bound is 1 or 2. script holds
+    pick's uniforms, popped from the end."""
     if operator is UNIFORM:
         u = (int(s) + 0.5) / w
         assert int(u * w) == int(s)
-        script[:] = [u]
     else:
-        script[:] = [s / bound, 0.0]
+        u = s / bound
+    script[:] = [u]
     i, new = pick()
     assert i == 0 and not script
     return new
 
 
-@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+@pytest.mark.parametrize("operator", [UNIFORM, HARMONIC])
 @pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
 def test_rls_closed_forms_match_enumerated_step_outcomes(operator, metric):
     # exact, no sampling: for every (x, z) the law's acceptance probability
@@ -640,6 +648,64 @@ def test_rls_closed_forms_match_enumerated_step_outcomes(operator, metric):
     assert seen == ({"ring tie, odd r", "ring tie, even r"} if ring else {"interval truncation"})
 
 
+def pm1_loop_moves(x, z, d, r, ring):
+    """The moves the +-1 EA loop makes at one position from its state
+    _pm1_state(x, z, d, r, ring) = (w, toward), as two laws {value or None:
+    (probability, new distance the loop writes)}: its picks, s uniform on
+    [0, w), toward iff s < 1; and its misses, the away step of a live
+    position, or x - 1 and x + 1 of a finished one. A value off the interval
+    is None, an infeasible step."""
+    w, toward = _pm1_state(x, z, d, r, ring)
+
+    def law(*moves):
+        out = {}
+        for prob, value, nd in moves:
+            value = value % r if ring else value if 0 <= value < r else None
+            assert out.get(value, (0.0, nd))[1] == nd
+            out[value] = (out.get(value, (0.0, nd))[0] + prob, nd)
+        return out
+    if not w:
+        return law(), law((0.5, x - 1, 1), (0.5, x + 1, 1))
+    if w == 2:
+        return law((0.5, x + toward, d - 1), (0.5, x - toward, r - 1 - d)), law()
+    return law((1.0, x + toward, d - 1)), law((1.0, x - toward, d + 1))
+
+
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_pm1_loop_law_matches_enumerated_step_outcomes(metric):
+    # exact, no sampling: for every (x, z) the +-1 EA loop's weight w
+    # (acceptance probability w / 2), its picks (the accepted-move law) and
+    # its misses (the rejected steps: infeasible, None, or landing farther
+    # than d) equal an enumeration of operators.step, and each move lands at
+    # the new distance the loop writes for it
+    ring = metric is MetricKind.RING
+    seen = set()
+    for r in (2, 3, 4, 5, 8):
+        for z in range(r):
+            for x in range(r):
+                d = metric_distance(metric, x, z, r)
+                accepted, missed = {}, {}
+                for prob, value in step_outcomes(PM1, metric, x, r):
+                    if value is not None and metric_distance(metric, value, z, r) <= d:
+                        accepted[value] = accepted.get(value, 0.0) + prob
+                    else:
+                        missed[value] = missed.get(value, 0.0) + prob
+                a = sum(accepted.values())
+                w = _pm1_state(x, z, d, r, ring)[0]
+                assert w / 2 == a and w <= (2 if ring else 1), (r, x, z)
+                picks, misses = pm1_loop_moves(x, z, d, r, ring)
+                for law, want, mass in ((picks, accepted, a), (misses, missed, 1 - a)):
+                    assert law.keys() == want.keys(), (r, x, z)
+                    for value, (prob, nd) in law.items():
+                        assert prob == want[value] / mass, (r, x, z, value)
+                        assert value is None or metric_distance(metric, value, z, r) == nd
+                if ring and w == 2:
+                    seen.add("ring tie, odd r" if r % 2 else "ring tie, even r")
+                if not ring and d and None in misses:
+                    seen.add("interval edge")
+    assert seen == ({"ring tie, odd r", "ring tie, even r"} if ring else {"interval edge"})
+
+
 @pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
 @pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
 def test_lane_law_matches_enumerated_step_outcomes(operator, metric):
@@ -678,7 +744,7 @@ def test_lane_law_matches_enumerated_step_outcomes(operator, metric):
         assert "ring tie, w = 2" in seen
 
 
-@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+@pytest.mark.parametrize("operator", [UNIFORM, HARMONIC])
 @pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
 def test_law_index_follows_settled_moves(operator, metric):
     # exact, no sampling: along a seeded walk of moves at n=6, in which
@@ -722,10 +788,11 @@ def test_law_index_follows_settled_moves(operator, metric):
 
 @pytest.mark.parametrize("algorithm", [RLS, EA])
 @pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
-def test_capped_run_is_prefix_of_uncapped_run(algorithm, operator):
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_capped_run_is_prefix_of_uncapped_run(metric, algorithm, operator):
     # cap c: T <= c reproduces the uncapped record; otherwise the run is
     # capped at c with c + 1 evaluations and the first c + 1 trace rows
-    inst = make_instance(6, 5, MetricKind.RING, target=np.arange(6) % 5)
+    inst = make_instance(6, 5, metric, target=np.arange(6) % 5)
     for seed in (1, 2, 3):
         def capped(cap):
             return run(RunConfig(algorithm, operator, inst, seed=seed, iteration_cap=cap,
@@ -747,13 +814,16 @@ def test_capped_run_is_prefix_of_uncapped_run(algorithm, operator):
 
 
 def test_binary_ring_operators_share_run_time_law():
+    # at r = 2 every step flips the bit, so the operators' run times share a
+    # law; for the EA that compares the +-1 loop with the generic one
     inst = make_instance(16, 2, MetricKind.RING)
-    samples = {}
-    for operator, seed in ((UNIFORM, 1), (PM1, 2), (HARMONIC, 3)):
-        cfg = RunConfig(RLS, operator, inst, seed=seed)
-        samples[operator] = [rec.hitting_time for rec in run_batch(cfg, 3000)]
-    assert_same_distribution(samples[UNIFORM], samples[PM1])
-    assert_same_distribution(samples[UNIFORM], samples[HARMONIC])
+    for algorithm in (RLS, EA):
+        samples = {}
+        for operator, seed in ((UNIFORM, 1), (PM1, 2), (HARMONIC, 3)):
+            cfg = RunConfig(algorithm, operator, inst, seed=seed)
+            samples[operator] = [rec.hitting_time for rec in run_batch(cfg, 3000)]
+        assert_same_distribution(samples[UNIFORM], samples[PM1])
+        assert_same_distribution(samples[UNIFORM], samples[HARMONIC])
 
 
 def test_iteration_cap_marks_record_capped():

@@ -21,7 +21,8 @@ gates, in the order of the report:
 - the trace rows of every algorithm x operator x metric after 1 and 4
   iterations against the exact transition law of a tiny instance, the RLS
   mean of every operator x metric against that instance's exact E[T], and
-  one EA iteration from a fixed start against the law.
+  one EA iteration from a fixed start against the law, for uniform and for
+  +-1 steps.
 
 The margin is how far the measured value lies inside the rule's bounds, in
 the rule's own units (negative when the gate fails). A gate that passes at
