@@ -36,16 +36,16 @@ offspring is sure to be rejected; their number, Bin(n, 1/n), comes from
 Generator.binomial. A run costs about its number of events, not its number
 of iterations.
 
-The lockstep kernel and the EA's generic loop, _simulate_ea, do not know
-the step operator: the per-position law (_law for the EA's uniform and
-harmonic steps, its vectorized closed forms _lane_law for RLS) owns the
+The lockstep kernel and the EA's loop, _simulate_ea, leave the step
+operator to a per-position law (_law for the EA's uniform and harmonic
+steps, its vectorized closed forms _lane_law for RLS), which owns the
 weights and the conditioned moves, and _law also the misses and the pick
-index. The +-1 EA runs its own loop, _simulate_pm1_ea, with the law
-written inline: its weights are 1 or 2, so a try of a pick with its move,
-and a miss, each take one uniform, and no event calls a law. Every kernel takes a start point
-the config lacks as the first n draws of the run's stream, and builds a
-trace after the run with one builder, _trace, which scores the points
-after the run's accepted changes a block at a time.
+index. The EA's +-1 law is written inline in its loop instead: its
+weights are 1 or 2, so a try of a pick with its move, and a miss, each
+take one uniform, and no +-1 event calls a law. Every kernel takes a start
+point the config lacks as the first n draws of the run's stream, and
+builds a trace after the run with one builder, _trace, which scores the
+points after the run's accepted changes a block at a time.
 
 Runs are deterministic functions of their seed, and run one after another
 in the calling process. Replicates of a batch use sub-seeds derived from
@@ -263,13 +263,13 @@ def run(config: RunConfig) -> RunRecord:
     """Execute one seeded run until the optimum is evaluated or the cap hits."""
     if _lockstep(config):
         return _run_lanes(config, np.array([config.seed], dtype=np.uint64))[0]
-    rng, x0 = _setup(config)
+    # an EA run draws from default_rng(seed): its start point first, when the config has none
+    rng = np.random.default_rng(config.seed)
+    x0 = (config.initial_point if config.initial_point is not None
+          else sample_uniform_point(config.instance.params, rng))
     changes = [] if config.trace_potentials else None
-    if config.operator is StepOperatorKind.PLUS_MINUS_ONE:
-        hit, final_fit = _simulate_pm1_ea(config.instance, rng, x0, config.iteration_cap, changes)
-    else:
-        hit, final_fit = _simulate_ea(config.instance, config.operator, rng, x0,
-                                      config.iteration_cap, changes)
+    hit, final_fit = _simulate_ea(config.instance, config.operator, rng, x0,
+                                  config.iteration_cap, changes)
     capped = hit is None
     iterations = config.iteration_cap if capped else hit
     trace = None
@@ -317,14 +317,6 @@ def _replicate(k, config, seeds, targets=None, starts=None):
                    initial_point=config.initial_point if starts is None else starts[k])
 
 
-def _setup(config):
-    """(rng, x0): an EA run's generator default_rng(seed) and its start
-    point, the config's, else a uniform one, the generator's first draw."""
-    rng = np.random.default_rng(config.seed)
-    return rng, (config.initial_point if config.initial_point is not None
-                 else sample_uniform_point(config.instance.params, rng))
-
-
 def _trace(instance, potentials, x0, changes, last):
     """The trace rows (t, values) for t = 0, ..., last of a run from x0:
     row t holds the potentials at the point after every change of an
@@ -356,10 +348,9 @@ def _trace(instance, potentials, x0, changes, last):
 # ---------------------------------------------------------------------------
 
 def _simulate_ea(instance, operator, rng, x0, cap, changes):
-    """Rejection-free (1+1) EA with uniform or harmonic steps (the +-1 step
-    has its own loop, _simulate_pm1_ea): one loop pass per iteration in
-    which some selected position takes a not-worse step, a feasible step
-    that does not raise that position's own distance d_i.
+    """Rejection-free (1+1) EA: one loop pass per iteration in which some
+    selected position takes a not-worse step, a feasible step that does not
+    raise that position's own distance d_i.
 
     Position i takes one with probability a_i / n, independently of the
     others, where a_i = w_i / per is RLS's acceptance probability (_law);
@@ -380,6 +371,20 @@ def _simulate_ea(instance, operator, rng, x0, cap, changes):
     takes the step conditioned on missing (`miss`), and the drawing stops as
     soon as the offspring is sure to be rejected.
 
+    The uniform and harmonic steps take their law from _law. The +-1 law is
+    written inline, so that none of its events calls a closure: position
+    i's state is (w_i, toward_i) (_pm1_state), per = 2 and bound = max w_i,
+    1 on the interval and 2 on the ring. A proposal takes one uniform u:
+    with v = u * len(live) and k = int(v), it is live[k] with its draw s =
+    2 (v - k) uniform on [0, 2), kept iff s < w_i, and it moves toward z_i
+    iff s < 1 (on the interval w_i = bound = 1, so every proposal is kept
+    and moves toward). A live candidate is kept with probability n / (2n -
+    1) and steps away (infeasible at the interval's edge); one at w_i = 2
+    is never kept. A finished one steps to x_i - 1 or x_i + 1 by one
+    uniform. Each move's new distance follows from d_i alone: d_i - 1
+    toward, r - 1 - d_i for the away move of w_i = 2 on the ring, and
+    d_i + 1 for a miss.
+
     Returns (hitting_time or None, final_fitness). A list `changes` (None
     when untraced) gets the (iteration, position, new value) of every
     accepted change, from which _trace builds the trace after the run.
@@ -392,10 +397,21 @@ def _simulate_ea(instance, operator, rng, x0, cap, changes):
     if fit == 0:
         return 0, 0
 
+    unit = operator is StepOperatorKind.PLUS_MINUS_ONE
     draw = _draws(rng.random)
-    pick, settle, miss, w, total, per, bound = _law(operator, r, ring, x, z, dist, draw)
+    if unit:
+        w, toward = [0] * n, [1] * n
+        live, slot = [], [0] * n  # slot[i] is the index of position i in live
+        for i in range(n):
+            if dist[i]:
+                w[i], toward[i] = _pm1_state(x[i], z[i], dist[i], r, ring)
+                _toggle(live, slot, i)
+        total, per, bound, size = sum(w), 2, 2 if ring else 1, len(live)
+    else:
+        pick, settle, miss, w, total, per, bound = _law(operator, r, ring, x, z, dist, draw)
     norm = per * n  # position i takes a not-worse step with probability w_i / norm
     c = -log1p(-bound / norm) / bound  # q_i / w_i grows with w_i: its largest value
+    thin = -log1p(-1 / norm) / c  # a +-1 ring proposal at w_i = 1 is kept with this probability
     hazard = _draws(rng.standard_exponential)
     selected = _draws(lambda size: rng.binomial(n, 1.0 / n, size))
     position = _draws(lambda size: rng.integers(0, n, size))
@@ -407,113 +423,16 @@ def _simulate_ea(instance, operator, rng, x0, cap, changes):
         marked, pending, delta = [], [], 0
         h = None  # the hazard left in the event iteration, once it is known
         while True:
-            i, new = pick()
-            wi = w[i]
-            # kept with probability q_i / (c w_i), which is 1 at w_i = bound
-            if (wi == bound or draw() * c * wi < -log1p(-wi / norm)) and i not in marked:
-                # a not-worse step at i
-                if h is None:
-                    wait = 1 + int(e / rate)
-                    if wait > cap - t:
-                        return None, fit
-                    t += wait
-                    h = rate * wait - e
-                marked.append(i)
+            if not unit:
+                i, new = pick()
+                wi = w[i]
+                # kept with probability q_i / (c w_i), which is 1 at w_i = bound
+                keep = wi == bound or draw() * c * wi < -log1p(-wi / norm)
                 zi = z[i]
                 nd = new - zi if new > zi else zi - new
                 if ring and r - nd < nd:
                     nd = r - nd
-                delta += nd - dist[i]
-                pending.append((i, new, nd))
-            step = hazard()
-            if h is None:
-                e += step
-            elif step < h:
-                h -= step
-            else:
-                e = step - h
-                break
-
-        # the other selected positions, until the offspring is sure to be rejected
-        k = selected()
-        candidates = []
-        while k and delta <= 0:
-            i = position()
-            if i in candidates:
-                continue
-            candidates.append(i)
-            k -= 1
-            wi = w[i]
-            if i in marked or wi and draw() * (norm - wi) >= n * (per - wi):
-                continue
-            new = miss(i, draw() * (per - wi))
-            if new is None:
-                continue  # infeasible step, component unchanged
-            zi = z[i]
-            nd = new - zi if new > zi else zi - new
-            if ring and r - nd < nd:
-                nd = r - nd
-            delta += nd - dist[i]
-            pending.append((i, new, nd))
-
-        if delta <= 0:
-            fit += delta
-            for i, new, nd in pending:
-                total = settle(i, new, nd)
-            if changes is not None:
-                changes += [(t, i, new) for i, new, _ in pending]
-        if fit == 0:
-            return t, 0
-
-
-def _simulate_pm1_ea(instance, rng, x0, cap, changes):
-    """_simulate_ea for the +-1 step, with its law written inline: the same
-    proposals, waits, candidates, cap and `changes`, and no closure call.
-
-    Position i's state is (w_i, toward_i) (_pm1_state), per = 2 and bound =
-    max w_i, 1 on the interval and 2 on the ring. A proposal takes one
-    uniform u: with v = u * len(live) and k = int(v), it is live[k] with its
-    draw s = 2 (v - k) uniform on [0, 2), kept iff s < w_i, and it moves
-    toward z_i iff s < 1 (on the interval w_i = bound = 1, so every proposal
-    is kept and moves toward). A live candidate is kept with probability
-    n / (2n - 1) and steps away (infeasible at the interval's edge); one at
-    w_i = 2 is never kept. A finished one steps to x_i - 1 or x_i + 1 by one
-    uniform. Each move's new distance follows from d_i alone: d_i - 1
-    toward, r - 1 - d_i for the away move of w_i = 2 on the ring, and
-    d_i + 1 for a miss.
-    """
-    n, r = instance.params.n, instance.params.r
-    ring = instance.metric is MetricKind.RING
-    x, z = x0.tolist(), instance.target.tolist()
-    dist = component_distances(instance.metric, x0, instance.target, r).tolist()
-    fit = sum(dist)
-    if fit == 0:
-        return 0, 0
-
-    w, toward = [0] * n, [1] * n
-    live, slot = [], [0] * n  # slot[i] is the index of position i in live
-    for i in range(n):
-        if dist[i]:
-            w[i], toward[i] = _pm1_state(x[i], z[i], dist[i], r, ring)
-            _toggle(live, slot, i)
-    total = sum(w)
-    norm, bound = 2 * n, 2 if ring else 1
-    c = -log1p(-bound / norm) / bound
-    thin = -log1p(-1 / norm) / c  # a ring proposal at w_i = 1 is kept with this probability
-    draw = _draws(rng.random)
-    hazard = _draws(rng.standard_exponential)
-    selected = _draws(lambda size: rng.binomial(n, 1.0 / n, size))
-    position = _draws(lambda size: rng.integers(0, n, size))
-    e = hazard()  # to the next proposal, from the end of iteration t
-    t = 0
-
-    while True:
-        rate = c * total  # proposals per iteration
-        marked, pending, delta = [], [], 0
-        h = None  # the hazard left in the event iteration, once it is known
-        size = len(live)
-        while True:
-            if not ring:
+            elif not ring:
                 i = live[int(draw() * size)]
                 keep, new, nd = True, x[i] + toward[i], dist[i] - 1
             else:
@@ -558,34 +477,53 @@ def _simulate_pm1_ea(instance, rng, x0, cap, changes):
                 continue
             candidates.append(i)
             k -= 1
+            if i in marked:
+                continue
             wi = w[i]
-            if wi == 2 or i in marked:
-                continue
-            if not wi:
-                new = x[i] - 1 if draw() < 0.5 else x[i] + 1
-            elif draw() * (norm - 1) < n:
-                new = x[i] - toward[i]
+            if not unit:
+                if wi and draw() * (norm - wi) >= n * (per - wi):
+                    continue
+                new = miss(i, draw() * (per - wi))
+                if new is None:
+                    continue  # infeasible step, component unchanged
+                zi = z[i]
+                nd = new - zi if new > zi else zi - new
+                if ring and r - nd < nd:
+                    nd = r - nd
             else:
-                continue
-            if ring:
-                new %= r
-            elif not 0 <= new < r:
-                continue  # infeasible step, component unchanged
-            delta += 1
-            pending.append((i, new, dist[i] + 1))
+                if wi == 2:
+                    continue
+                if not wi:
+                    new = x[i] - 1 if draw() < 0.5 else x[i] + 1
+                elif draw() * (norm - 1) < n:
+                    new = x[i] - toward[i]
+                else:
+                    continue
+                if ring:
+                    new %= r
+                elif not 0 <= new < r:
+                    continue  # infeasible step, component unchanged
+                nd = dist[i] + 1
+            delta += nd - dist[i]
+            pending.append((i, new, nd))
 
         if delta <= 0:
             fit += delta
-            for i, new, nd in pending:
-                x[i] = new
-                if not (nd and dist[i]) or ring and (2 * nd >= r - 1 or 2 * dist[i] >= r - 1):
-                    # the state changes only when i finishes, re-enters or is at a ring tie
-                    old = w[i]
-                    w[i], toward[i] = _pm1_state(new, z[i], nd, r, ring)
-                    if not old or not nd:
-                        _toggle(live, slot, i)
-                    total += w[i] - old
-                dist[i] = nd
+            if not unit:
+                for i, new, nd in pending:
+                    total = settle(i, new, nd)
+            else:
+                for i, new, nd in pending:
+                    x[i] = new
+                    if not (nd and dist[i]) or ring and (2 * nd >= r - 1 or 2 * dist[i] >= r - 1):
+                        # the state changes only when i finishes, re-enters or is at a ring tie
+                        old = w[i]
+                        w[i], toward[i] = _pm1_state(new, z[i], nd, r, ring)
+                        if not old or not nd:
+                            _toggle(live, slot, i)
+                        total += w[i] - old
+                    dist[i] = nd
+                size = len(live)
             if changes is not None:
                 changes += [(t, i, new) for i, new, _ in pending]
         if fit == 0:
@@ -628,8 +566,7 @@ def _law(operator, r, ring, x, z, dist, draw):
     F[j] = P[jump <= j] of the jumps over both signs (per = 2; bound 1 on
     the interval, 2 on the ring), and picks by thinning: a uniform position
     of `live`, those with w_i > 0, is kept with probability w_i / bound, and
-    the kept draw, uniform on [0, w_i), gives the move. The +-1 step has no
-    law here: its EA loop, _simulate_pm1_ea, holds it inline.
+    the kept draw, uniform on [0, w_i), gives the move.
     """
     if operator is StepOperatorKind.UNIFORM:
         per = bound = r - 1

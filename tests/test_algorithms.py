@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import os
 import subprocess
@@ -63,6 +64,39 @@ def test_identical_seeds_reproduce_records_exactly():
     cfg = RunConfig(EA, HARMONIC, inst, seed=98765,
                     trace_potentials=(Potential.fitness(), Potential.hamming()))
     assert run(cfg) == run(cfg)
+
+
+EA_GOLDEN = {  # sha256 of the records below, recorded when the +-1 EA had a loop of its own
+    (UNIFORM, MetricKind.INTERVAL):
+        "199cf89cbe95eff99e7b70d72ea3949ea1e9533beba83fdc251bea03b6dd60bc",
+    (UNIFORM, MetricKind.RING):
+        "42548bc6a02f2e8e5307d22acf2dfb49539a1ff0ba197e717c1e25b6a61b7ffe",
+    (PM1, MetricKind.INTERVAL):
+        "eca03be7cf73ebda71142c89819362747bcedc8b2036860fff56650e8867e1d8",
+    (PM1, MetricKind.RING):
+        "b5cd1ca8609c4df7a6dc50886696cb7af278c9394a6ab4edcbae8ba902ab7d3b",
+    (HARMONIC, MetricKind.INTERVAL):
+        "929d8afae021a37d47cb67234dfba1d7befc68b66b4026aafede488dad84edb4",
+    (HARMONIC, MetricKind.RING):
+        "8c13e6564f980b8c01427e119a769e687cacb31eb7cf7aea50d42890f049d9f6",
+}
+EA_GOLDEN_CAPS = {(12, 9): 300, (4, 2): 8}  # caps that some runs of each cell reach
+
+
+@pytest.mark.parametrize("operator,metric", list(EA_GOLDEN))
+def test_ea_records_are_the_recorded_ones(operator, metric):
+    # every draw of the EA kernel shows in its records: hitting times, final
+    # fitness and a fitness trace (the accepted changes), uncapped and at a
+    # cap, at a size with ring ties and interval edges and at r = 2
+    records = []
+    for (n, r), cap in EA_GOLDEN_CAPS.items():
+        inst = make_instance(n, r, metric, target=np.arange(n) % r)
+        for iteration_cap in (10**10, cap):
+            cfg = RunConfig(EA, operator, inst, seed=7, iteration_cap=iteration_cap,
+                            trace_potentials=("fitness",))
+            records += run_batch(cfg, 20)
+    assert 0 < sum(rec.capped for rec in records) < len(records) // 2
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == EA_GOLDEN[operator, metric]
 
 
 def test_run_batch_contracts():
@@ -815,7 +849,7 @@ def test_capped_run_is_prefix_of_uncapped_run(metric, algorithm, operator):
 
 def test_binary_ring_operators_share_run_time_law():
     # at r = 2 every step flips the bit, so the operators' run times share a
-    # law; for the EA that compares the +-1 loop with the generic one
+    # law; for the EA that compares the +-1 branch of its loop with the _law one
     inst = make_instance(16, 2, MetricKind.RING)
     for algorithm in (RLS, EA):
         samples = {}
