@@ -71,16 +71,17 @@ def build_parser() -> _Parser:
                        help="plan file with flat key = value lines")
     p_run.add_argument("--n", default=None, metavar="LIST", help="dimension(s), e.g. 50 or 50,100")
     p_run.add_argument("--r", default=None, metavar="LIST", help="alphabet size(s), e.g. 4 or 4,8")
-    p_run.add_argument("--algo", default=None, metavar="LIST", help="rls and/or ea")
-    p_run.add_argument("--op", default=None, metavar="LIST", help="uniform, pm1 and/or harmonic")
-    p_run.add_argument("--metric", default=None, choices=("interval", "ring"))
-    p_run.add_argument("--target", default=None, choices=("zero", "center", "random"))
-    p_run.add_argument("--start", default=None, choices=("random", "maxdist", "hamming"))
+    p_run.add_argument("--algo", default="rls", metavar="LIST", help="rls and/or ea")
+    p_run.add_argument("--op", default="uniform", metavar="LIST",
+                       help="uniform, pm1 and/or harmonic")
+    p_run.add_argument("--metric", default="interval", choices=("interval", "ring"))
+    p_run.add_argument("--target", default="zero", choices=("zero", "center", "random"))
+    p_run.add_argument("--start", default="random", choices=("random", "maxdist", "hamming"))
     p_run.add_argument("--hamming-k", type=int, default=None, metavar="K",
                        help="start Hamming distance (with --start hamming)")
-    p_run.add_argument("--reps", type=int, default=None, metavar="N")
+    p_run.add_argument("--reps", type=int, default=100, metavar="N")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--cap", type=int, default=None, metavar="T",
+    p_run.add_argument("--cap", type=int, default=DEFAULT_ITERATION_CAP, metavar="T",
                        help="iteration cap per run")
     add_output(p_run)
 
@@ -120,13 +121,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def load_plan_file(path: str) -> dict:
-    """Parse a flat plan document of 'key = value' lines.
+def load_plan_file(path: str) -> list[str]:
+    """Read a flat plan document of 'key = value' lines as the `run` flags it
+    stands for, e.g. ['--r', '3,4', '--reps', '4'].
 
-    Values are integers, floats, bare or quoted strings, or [a, b, c] lists
-    of these; '#' starts a comment.
+    A value is its flag's text, quotes dropped; an [a, b, c] list of n, r,
+    algorithms or operators is given as a,b,c. '#' starts a comment.
     """
-    values: dict = {}
+    names = {"n": "--n", "r": "--r", "algorithms": "--algo", "operators": "--op",
+             "metric": "--metric", "target": "--target", "start": "--start",
+             "hamming_k": "--hamming-k", "replicates": "--reps", "seed": "--seed", "cap": "--cap"}
+    flags, unknown = [], []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -134,44 +139,31 @@ def load_plan_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, rhs = line.partition("=")
-            values[key.strip()] = _parse_plan_value(rhs.strip())
-    return values
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in names:
+                unknown.append(key)
+                continue
+            listed = (key in ("n", "r", "algorithms", "operators")
+                      and value.startswith("[") and value.endswith("]"))
+            items = value[1:-1].split(",") if listed else [value]
+            flags += [names[key], ",".join(item.strip().strip("'\"") for item in items)]
+    if unknown:
+        raise ValueError(f"unknown plan key(s): {', '.join(sorted(unknown))}")
+    return flags
 
 
-def _parse_plan_value(text: str):
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_plan_scalar(part.strip()) for part in inner.split(",")]
-    return _parse_plan_scalar(text)
-
-
-def _parse_plan_scalar(text: str):
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _split(value) -> list:
-    """Items of a plan-file list as they are; a flag or plan-file scalar split at commas."""
-    if isinstance(value, list):
-        return value
-    return [part for part in str(value).split(",") if part.strip()]
+def _split(text: str) -> list[str]:
+    """A flag's list text split at commas."""
+    return [part for part in text.split(",") if part.strip()]
 
 
 def parse_args(argv) -> argparse.Namespace:
     """Parse arguments and build the library objects the subcommand runs:
     `experiment` (an ExperimentPlan) for run; `config` (a RunConfig),
     `potential` and `levels` for drift; `config` (a TokenConfig) for token.
+
+    A run plan file is read as the flags it names, placed before the inline
+    flags, so one parser checks every value and an inline flag wins.
 
     Exits with status 1 on usage errors, including a ValueError raised by a
     constructor.
@@ -180,6 +172,8 @@ def parse_args(argv) -> argparse.Namespace:
     ns = parser.parse_args(argv)
     try:
         if ns.subcommand == "run":
+            if ns.plan:
+                ns = parser.parse_args(["run", *load_plan_file(ns.plan), *argv[1:]])
             ns.experiment = _build_experiment(ns)
         elif ns.subcommand == "drift":
             params = SpaceParams(n=ns.n, r=ns.r)
@@ -201,44 +195,23 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _build_experiment(ns) -> ExperimentPlan:
-    values = load_plan_file(ns.plan) if ns.plan else {}
-    # inline flags win over plan-file values
-    flags = {"n": ns.n, "r": ns.r, "algorithms": ns.algo, "operators": ns.op,
-             "metric": ns.metric, "target": ns.target, "start": ns.start,
-             "hamming_k": ns.hamming_k, "replicates": ns.reps, "seed": ns.seed, "cap": ns.cap}
-    unknown = sorted(set(values) - set(flags))
-    if unknown:
-        raise ValueError(f"unknown plan key(s): {', '.join(unknown)}")
-    # an integer key takes what its int-typed flag takes, so 2.7 or 1e3 is no integer
-    for key in ("n", "r", "hamming_k", "replicates", "seed", "cap"):
-        if key in values:
-            for item in _split(values[key]) if key in ("n", "r") else [values[key]]:
-                try:
-                    int(str(item))
-                except ValueError:
-                    raise ValueError(f"plan key {key} needs an integer, got {item!r}") from None
-    values.update((key, flag) for key, flag in flags.items() if flag is not None)
-    if "n" not in values or "r" not in values:
+    if ns.n is None or ns.r is None:
         raise ValueError("run needs --n and --r (flags or plan file)")
-    if "seed" not in values:
+    if ns.seed is None:
         raise ValueError("--seed is required (runs must be reproducible)")
-    start = str(values.get("start", "random")).strip().lower()
-    hamming_k = values.get("hamming_k")
-    if (start == "hamming") != (hamming_k is not None):
-        raise ValueError("--start hamming needs --hamming-k" if hamming_k is None
+    if (ns.start == "hamming") != (ns.hamming_k is not None):
+        raise ValueError("--start hamming needs --hamming-k" if ns.hamming_k is None
                          else "--hamming-k is only valid with --start hamming")
     return ExperimentPlan(
-        grid=tuple((n, r) for n in _split(values["n"]) for r in _split(values["r"])),
-        algorithms=tuple(AlgorithmKind.parse(str(a)) for a in
-                         _split(values.get("algorithms", "rls"))),
-        operators=tuple(StepOperatorKind.parse(str(o)) for o in
-                        _split(values.get("operators", "uniform"))),
-        metric=MetricKind.parse(str(values.get("metric", "interval"))),
-        target_policy=TargetPolicy.parse(str(values.get("target", "zero"))),
-        start_policy=StartPolicy(StartKind(start), None if hamming_k is None else int(hamming_k)),
-        replicates=int(values.get("replicates", 100)),
-        base_seed=int(values["seed"]),
-        iteration_cap=int(values.get("cap", DEFAULT_ITERATION_CAP)))
+        grid=tuple((n, r) for n in _split(ns.n) for r in _split(ns.r)),
+        algorithms=tuple(AlgorithmKind.parse(a) for a in _split(ns.algo)),
+        operators=tuple(StepOperatorKind.parse(o) for o in _split(ns.op)),
+        metric=MetricKind.parse(ns.metric),
+        target_policy=TargetPolicy.parse(ns.target),
+        start_policy=StartPolicy(StartKind(ns.start), ns.hamming_k),
+        replicates=ns.reps,
+        base_seed=ns.seed,
+        iteration_cap=ns.cap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Every name the benchmark tracer swaps must exist in the library.
+"""Every name the benchmark tracer swaps or imports must exist in the library.
 
 `bench/tracer.py` replaces module-level names of `rvonemax` modules with
-span-recording wrappers; a rename or removal there would break
-`python3 bench/run.py --trace 1`.
+span-recording wrappers, and `bench/run.py` imports library names itself;
+a rename or removal there would break `python3 bench/run.py --trace 1`.
 """
 
+import ast
 import importlib
 import inspect
 import sys
@@ -51,3 +52,40 @@ def test_tagged_callees_take_the_arguments_the_benchmark_reads():
         assert all(p.kind in positional for p in leading), f"rvonemax.{module_name}.{attr}"
         checked.add(span_name)
     assert checked == set(tracer.TAGGED)
+
+
+def _resolve(dotted: str):
+    """The object a dotted `rvonemax` name stands for, importing submodules on the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[:i]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_bench_library_names_resolve():
+    # `from rvonemax.x import y`, `import rvonemax.x` and `rvonemax.x.y` in bench/*.py
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rvonemax"):
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(a.name for a in node.names if a.name.startswith("rvonemax"))
+            elif isinstance(node, ast.Attribute):
+                chain = [node.attr]
+                value = node.value
+                while isinstance(value, ast.Attribute):
+                    chain.append(value.attr)
+                    value = value.value
+                if isinstance(value, ast.Name) and value.id == "rvonemax":
+                    names.add(".".join(["rvonemax", *reversed(chain)]))
+    assert {"rvonemax.operators.HarmonicTable", "rvonemax.algorithms.subseed",
+            "rvonemax.space.sample_uniform_point", "rvonemax.cli.main"} <= names
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (ImportError, AttributeError) as exc:
+            raise AssertionError(f"bench/ uses {name}, which does not resolve: {exc}") from None

@@ -10,6 +10,7 @@ import pytest
 import rvonemax
 from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, RunConfig,
                       StepOperatorKind, TokenConfig)
+from rvonemax.algorithms import DEFAULT_ITERATION_CAP
 from rvonemax.cli import (AGGREGATE_COLUMNS, aggregate_rows, build_parser, main, parse_args,
                           render_rows, load_plan_file)
 from rvonemax.experiments import AggregateResult
@@ -70,7 +71,8 @@ def test_one_parser_serves_every_parse_and_keeps_nothing_from_the_last(capsys):
     parse_args(["run", "--n", "5", "--r", "3", "--seed", "1", "--metric", "ring",
                 "--target", "center", "--reps", "4"])
     ns = parse_args(["run", "--n", "5", "--r", "3", "--seed", "1"])
-    assert (ns.metric, ns.target, ns.reps) == (None, None, None)
+    assert (ns.algo, ns.op, ns.metric, ns.target, ns.start, ns.reps, ns.cap) == \
+        ("rls", "uniform", "interval", "zero", "random", 100, DEFAULT_ITERATION_CAP)
     assert ns.experiment.replicates == 100
     # a usage error after a successful parse still exits 1
     code, out, err = run_cli(capsys, ["token", "--r", "7"])
@@ -345,9 +347,9 @@ def test_plan_file_with_inline_override(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1 + 2
     assert all(line.split(",")[1] == "5" for line in lines[1:])
-    loaded = load_plan_file(str(plan))
-    assert loaded["r"] == [3, 4]
-    assert loaded["replicates"] == 4
+    assert load_plan_file(str(plan)) == [
+        "--n", "6", "--r", "3,4", "--algo", "rls", "--op", "uniform,pm1", "--metric", "interval",
+        "--target", "zero", "--start", "random", "--reps", "4", "--seed", "21"]
 
 
 def test_plan_file_syntax_error(tmp_path, capsys):
@@ -368,19 +370,30 @@ def test_plan_file_unknown_key(tmp_path, capsys):
     assert "algorithm, replicate" in err
 
 
-@pytest.mark.parametrize("line", ["replicates = 2.7", "seed = 1.9", "hamming_k = 2.5",
-                                  "cap = 1e3", "n = 5.0", "r = [4, 3.5]", "seed = [1]"])
-def test_plan_file_integer_key_rejects_what_its_flag_rejects(tmp_path, capsys, line):
-    # an integer key is not truncated: 2.7 replicates is an error, as --reps 2.7 is
+PLAN_VALUE_CASES = [  # a plan line, and the same value as its inline flag
+    ("replicates = 2.7", "--reps", "2.7"), ("seed = 1.9", "--seed", "1.9"),
+    ("hamming_k = 2.5", "--hamming-k", "2.5"), ("cap = 1e3", "--cap", "1e3"),
+    ("n = 5.0", "--n", "5.0"), ("r = [4, 3.5]", "--r", "4,3.5"), ("seed = [1]", "--seed", "[1]"),
+    ("metric = RING", "--metric", "RING"), ("target = Zero", "--target", "Zero"),
+    ("start = far", "--start", "far"), ("algorithms = [rls, sa]", "--algo", "rls,sa"),
+    ("operators = jump", "--op", "jump")]
+
+
+@pytest.mark.parametrize("line, flag, value", PLAN_VALUE_CASES,
+                         ids=[line for line, _, _ in PLAN_VALUE_CASES])
+def test_plan_value_fails_as_its_inline_flag_fails(tmp_path, capsys, line, flag, value):
+    # a plan value is read by its flag: 2.7 replicates is the error --reps 2.7 is
     plan = tmp_path / "plan.txt"
-    key, _, value = line.partition(" = ")
+    key = line.partition(" = ")[0]
     values = {"n": "5", "r": "4", "seed": "1", "replicates": "2", "start": "hamming",
-              "hamming_k": "2", "cap": "1000", key: value}
+              "hamming_k": "2", "cap": "1000", key: line.partition(" = ")[2]}
     plan.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    flags = {"--n": "5", "--r": "4", "--seed": "1", "--reps": "2", "--start": "hamming",
+             "--hamming-k": "2", "--cap": "1000", flag: value}
     code, out, err = run_cli(capsys, ["run", "--plan", str(plan)])
-    assert code == 1
-    assert out == ""
-    assert f"plan key {key} needs an integer" in err
+    inline = run_cli(capsys, ["run", *(item for pair in flags.items() for item in pair)])
+    assert (code, out, err) == inline
+    assert code == 1 and out == "" and "error" in err
 
 
 def test_plan_file_accepts_every_key_of_its_flag(tmp_path, capsys):
