@@ -8,15 +8,16 @@ rounds until the token sits at 0.
 The Monte-Carlo simulator is rejection-free (the n-fold way of Bortz,
 Kalos and Lebowitz; Gillespie's SSA): a round that does not move only adds
 one to the clock, so from x it draws the wait to the next move as
-Geometric(P[d <= x]) and the move from the step law restricted to [1, x].
-Its cost is the number of moves, not of rounds; all replicates of a batch
-advance together as numpy arrays, a jump drawn by a guide table of the step
-cdf, and come back as the columns of a TokenBatch. A law with one step
-size d0 (the unit law, for one) has no random round at all: every wait is 1
-and every jump d0, so its columns follow from the starts in closed form,
-with no loop and no draw after the starts. Alongside it there is an exact
-expectation solver that exploits the triangular structure of the chain
-(position never increases), so no general linear solve is needed.
+Geometric(P[d <= x]) and the move from the step law restricted to [1, x],
+each by inverting its cdf at one uniform. Its cost is the number of moves,
+not of rounds; all replicates of a batch advance together as numpy arrays,
+a jump drawn by a guide table of the step cdf, and come back as the columns
+of a TokenBatch. A law with one step size d0 (the unit law, for one) has no
+random round at all: every wait is 1 and every jump d0, so its columns
+follow from the starts in closed form, with no loop and no draw after the
+starts. Alongside it there is an exact expectation solver that exploits the
+triangular structure of the chain (position never increases), so no general
+linear solve is needed.
 """
 
 from __future__ import annotations
@@ -170,32 +171,46 @@ def _walk(cdf, cap, rng, position):
     """(rounds, capped) of the runs from the starts in position, which it
     moves to their final positions.
 
-    The runs advance in lockstep, one move per live run per event: the wait
-    to the next move is Geometric(P[d <= x]) and the jump is drawn from the
-    step law restricted to [1, x].
+    The runs advance in lockstep, one move per live run per event, from one
+    uniform pair (u, v) per run: from x, with q = P[d <= x], the wait to the
+    next move is 1 + floor(log1p(-u) / log1p(-q)) (Devroye 1986, X.2), 1
+    where q = 1, and the jump is the step law restricted to [1, x] at v q.
+    The cap test is made on the float wait, and only when a bound on the
+    live runs' rounds plus the event's longest wait could pass the cap.
     """
     jump = _inverse(cdf)
+    q = np.minimum(cdf, 1.0)  # q[x - 1] = P[d <= x]; cumulative rounding may exceed 1
     rounds = np.zeros(position.size, dtype=np.int64)
     capped = np.zeros(position.size, dtype=bool)
+    bound = 0  # no live run has more rounds
     live = np.flatnonzero(position)
-    while live.size:
-        x = position[live]
-        q = np.minimum(cdf[x - 1], 1.0)  # P[d <= x]; cumulative rounding may exceed 1
-        stuck = q == 0.0  # geometric() rejects p = 0
-        if stuck.any():
-            capped[live[stuck]] = True
-            live, x, q = live[~stuck], x[~stuck], q[~stuck]
-        wait = rng.geometric(q)
-        # wait saturates at 2**63 - 1 for tiny q, so rounds + wait could overflow
-        late = wait > cap - rounds[live]
-        if late.any():
-            capped[live[late]] = True
-            live, x, q, wait = live[~late], x[~late], q[~late], wait[~late]
-        rounds[live] += wait
-        # u * q < q = cdf[x - 1], so the jump never exceeds x
-        x -= jump(rng.random(live.size) * q) + 1
-        position[live] = x
-        live = live[x > 0]
+    # log1p(-q) is -inf where q = 1; a wait is inf where q is subnormal
+    with np.errstate(divide="ignore", over="ignore"):
+        slope = np.log1p(-q)
+        while live.size:
+            k = position[live] - 1  # q[k] = P[d <= x] at each live position x
+            qk = q[k]
+            stuck = qk == 0.0  # no step size fits under x: capped at once
+            if stuck.any():
+                capped[live[stuck]] = True
+                live, k, qk = live[~stuck], k[~stuck], qk[~stuck]
+            u, v = rng.random((2, live.size))
+            fails = np.log1p(-u) / slope[k]  # the move comes after floor(fails) + 1 rounds
+            longest = fails.max(initial=0.0)
+            if longest >= cap - bound:  # an exact int-float comparison
+                room = cap - rounds[live]
+                # 2**63 - 1024 is the largest double below 2**63: an exact cast
+                floor = np.minimum(fails, 2.0**63 - 1024).astype(np.int64)
+                late = (fails >= 2.0**63) | (floor >= room)
+                capped[live[late]] = True
+                bound = int(cap - room[~late].min(initial=cap))
+                live, k, qk, v, fails = live[~late], k[~late], qk[~late], v[~late], fails[~late]
+                longest = fails.max(initial=0.0)
+            bound += int(longest) + 1
+            rounds[live] += fails.astype(np.int64) + 1
+            x = k - jump(v * qk)  # v q < q = cdf[k], so the jump never exceeds x
+            position[live] = x
+            live = live[x > 0]
     return rounds, capped
 
 

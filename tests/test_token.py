@@ -4,15 +4,17 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from helpers import CountingGenerator, assert_same_distribution, reference_token_hitting_time
+from helpers import (CountingGenerator, assert_chi_square, assert_same_distribution,
+                     reference_token_hitting_time)
 from rvonemax import (CapacityError, DivergenceError, TokenBatch, TokenConfig, TokenRunRecord,
                       fit_scaling, subseed, token_expected_hitting_time_exact,
                       token_hitting_times_by_state, token_process, token_run, token_run_batch,
                       token_step_pmf)
 from rvonemax.cli import _cmd_token, main
 from rvonemax.experiments import column_summary, hitting_time_summary
-from rvonemax.token_process import _inverse, _step_cdf
+from rvonemax.token_process import _inverse, _step_cdf, _walk
 
 
 def linear_solve_oracle(r, distribution):
@@ -129,20 +131,40 @@ def test_token_run_is_first_record_of_batch_of_one():
         assert token_run(cfg) == row(token_run_batch(cfg, 1), 0)
 
 
-@pytest.mark.parametrize("distribution, stuck_at", [
-    ([1e-18, 0, 1 - 1e-18], (1, 2)),  # only the 1e-18 step moves from 1 and 2
-    ([1e-30, 1 - 1e-30, 0], (1,)),    # 3 reaches 1 after one round, then waits ~1e30
+@pytest.mark.parametrize("distribution, stuck_at, cap, replicates", [
+    ([1e-18, 0, 1 - 1e-18], (1, 2), 10**6, 20),  # only the 1e-18 step moves from 1 and 2
+    ([1e-30, 1 - 1e-30, 0], (1,), 10**6, 20),    # 3 reaches 1 after one round, then waits ~1e30
+    ([1e-30, 1 - 1e-30, 0], (1,), 2**63 - 1, 50),  # ~1e30 is past any int64 round count
+    ([1e-30, 1 - 1e-30, 0], (1,), 10**30, 50),
 ])
-def test_token_tiny_acceptance_probability_caps_cleanly(distribution, stuck_at):
-    # a wait of order 1/q saturates geometric() at 2**63 - 1 and must not
-    # overflow the round counter of a run that has already moved
+def test_token_tiny_acceptance_probability_caps_cleanly(distribution, stuck_at, cap, replicates):
+    # a wait of order 1/q must neither overflow the round counter of a run
+    # that has already moved nor, past 2**63 - 1, count as a hit
     batch = token_run_batch(TokenConfig(r=3, distribution=distribution, seed=4,
-                                        iteration_cap=10**6), 20)
+                                        iteration_cap=cap), replicates)
     capped = batch.capped
     assert capped.any()
     assert np.isin(batch.final_position[capped], stuck_at).all()
     assert np.isin(batch.rounds[~capped], (0, 1)).all()
     assert (batch.final_position[~capped] == 0).all()
+    assert (batch.rounds >= 0).all()
+
+
+@pytest.mark.parametrize("q", [1e-3, 0.05, 0.3, 0.5, 0.9])
+def test_walk_wait_is_geometric(q):
+    # from 1 under the law [q, 1 - q] the one move is to 0, so a run's rounds
+    # are the one wait the walk draws there; bins of about equal mass
+    rng = np.random.default_rng(7)
+    starts = np.ones(100_000, dtype=np.int64)
+    rounds, capped = _walk(_step_cdf([q, 1 - q], 2), 10**10, rng, starts)
+    assert not capped.any()
+    law = stats.geom(q)  # trials up to the first success, on {1, 2, ...}
+    edges = np.unique(law.ppf(np.arange(1, 40) / 40))
+    counts = np.bincount(np.searchsorted(edges, rounds), minlength=edges.size + 1)
+    assert_chi_square(counts, np.diff(np.concatenate(([0.0], law.cdf(edges), [1.0]))))
+    # where q = 1 the wait is exactly one round
+    rounds, capped = _walk(_step_cdf([1.0, 0.0], 2), 10**10, rng, np.ones(1000, dtype=np.int64))
+    assert not capped.any() and (rounds == 1).all()
 
 
 def test_token_unit_law_cap_boundary():
@@ -204,7 +226,9 @@ def test_one_size_batch_draws_only_its_starts(monkeypatch, distribution, one_siz
     if one_size:
         assert calls == ["integers"]
     else:
-        assert calls[0] == "integers" and "geometric" in calls
+        # the starts, then one uniform pair per live run per event (a wait and
+        # a jump), and never geometric()
+        assert calls[0] == "integers" and set(calls[1:]) == {"random"}
 
 
 def test_monte_carlo_matches_exact_smoke():
@@ -276,11 +300,11 @@ def test_guide_lookup_is_searchsorted_on_plateaus_and_point_masses():
         assert_inverse_is_searchsorted(cdf, lookup_keys(cdf, rng))
 
 
-GOLDEN = {  # stdout sha256 of the calls below, recorded when the walk used np.searchsorted
+GOLDEN = {  # stdout sha256 of the calls below, recorded with the wait drawn by inversion
     "unit": "a98a659c5f26a045674fb68118ad5230965fc495f73cce3456b6f2ca3abc46f1",
-    "uniform": "06d0c8c5b96339b5f5c8a70d95eb19b2017343a1161a2565269db9607a58c746",
-    "harmonic": "0cfb08fbded876fdead4d88fc4bd164b00b6547687733b20b6ddf740b69ec750",
-    "explicit": "a88d825dae57e317d1b1ef7c069955efb04397ba0ce61a84cb206c5f3ba265c0",
+    "uniform": "e3505b87532508283518b066834f6cb7accbadb8a1947c7e7c9fe136088191f4",
+    "harmonic": "3851b3c47a5ce8cb1fde425b6dcbef39a1defc402a44a94015a812a37107957d",
+    "explicit": "7900ab0c08fa4dfbbf099b3b6c0f6a174e79a1d8d763830a5ca2f975c1576cf0",
 }
 GOLDEN_CAPS = {"unit": 100, "uniform": 200, "harmonic": 30, "explicit": 3}
 
