@@ -41,11 +41,12 @@ operator to a per-position law (_law for the EA's uniform and harmonic
 steps, its vectorized closed forms _lane_law for RLS), which owns the
 weights and the conditioned moves, and _law also the misses and the pick
 index. The EA's +-1 law is written inline in its loop instead: its
-weights are 1 or 2, so a try of a pick with its move, and a miss, each
-take one uniform, and no +-1 event calls a law. Every kernel takes a start
-point the config lacks as the first n draws of the run's stream, and
-builds a trace after the run with one builder, _trace, which scores the
-points after the run's accepted changes a block at a time.
+weights are 1 or 2, one pick ticket per unit, so a pick with its move,
+and a miss, each take one uniform, and no +-1 event calls a law. Every
+kernel takes a start point the config lacks as the first n draws of the
+run's stream, and builds a trace after the run with one builder, _trace,
+which scores the points after the run's accepted changes a block at a
+time.
 
 Runs are deterministic functions of their seed, and run one after another
 in the calling process. Replicates of a batch use sub-seeds derived from
@@ -374,11 +375,12 @@ def _simulate_ea(instance, operator, rng, x0, cap, changes):
     The uniform and harmonic steps take their law from _law. The +-1 law is
     written inline, so that none of its events calls a closure: position
     i's state is (w_i, toward_i) (_pm1_state), per = 2 and bound = max w_i,
-    1 on the interval and 2 on the ring. A proposal takes one uniform u:
-    with v = u * len(live) and k = int(v), it is live[k] with its draw s =
-    2 (v - k) uniform on [0, 2), kept iff s < w_i, and it moves toward z_i
-    iff s < 1 (on the interval w_i = bound = 1, so every proposal is kept
-    and moves toward). A live candidate is kept with probability n / (2n -
+    1 on the interval and 2 on the ring. `live` holds a pick ticket per
+    unit of weight: i, the move toward z_i, while w_i >= 1, and i + n, the
+    move away, while w_i = 2 (on the ring at 2 d_i >= r - 1). A proposal
+    is the ticket at one uniform index of live, never rejected, and is kept
+    iff w_i = 2 or, at w_i = 1 on the ring, a second uniform is below
+    `thin` = q_i / c. A live candidate is kept with probability n / (2n -
     1) and steps away (infeasible at the interval's edge); one at w_i = 2
     is never kept. A finished one steps to x_i - 1 or x_i + 1 by one
     uniform. Each move's new distance follows from d_i alone: d_i - 1
@@ -401,12 +403,12 @@ def _simulate_ea(instance, operator, rng, x0, cap, changes):
     draw = _draws(rng.random)
     if unit:
         w, toward = [0] * n, [1] * n
-        live, slot = [], [0] * n  # slot[i] is the index of position i in live
+        live = []  # ticket i when w_i >= 1, moving toward z_i; i + n when w_i = 2, away
         for i in range(n):
             if dist[i]:
                 w[i], toward[i] = _pm1_state(x[i], z[i], dist[i], r, ring)
-                _toggle(live, slot, i)
-        total, per, bound, size = sum(w), 2, 2 if ring else 1, len(live)
+                live += (i, i + n)[:w[i]]
+        total, per, bound = len(live), 2, 2 if ring else 1
     else:
         pick, settle, miss, w, total, per, bound = _law(operator, r, ring, x, z, dist, draw)
     norm = per * n  # position i takes a not-worse step with probability w_i / norm
@@ -433,21 +435,16 @@ def _simulate_ea(instance, operator, rng, x0, cap, changes):
                 if ring and r - nd < nd:
                     nd = r - nd
             elif not ring:
-                i = live[int(draw() * size)]
+                i = live[int(draw() * total)]
                 keep, new, nd = True, x[i] + toward[i], dist[i] - 1
             else:
-                while True:
-                    v = draw() * size
-                    k = int(v)
-                    i = live[k]
-                    s = 2 * (v - k)
-                    if s < w[i]:
-                        break
-                keep = w[i] == 2 or draw() < thin
-                if s < 1:
+                i = live[int(draw() * total)]
+                if i < n:
                     new, nd = (x[i] + toward[i]) % r, dist[i] - 1
                 else:
+                    i -= n
                     new, nd = (x[i] - toward[i]) % r, r - 1 - dist[i]
+                keep = w[i] == 2 or draw() < thin
             if keep and i not in marked:
                 # a not-worse step at i
                 if h is None:
@@ -519,11 +516,16 @@ def _simulate_ea(instance, operator, rng, x0, cap, changes):
                         # the state changes only when i finishes, re-enters or is at a ring tie
                         old = w[i]
                         w[i], toward[i] = _pm1_state(new, z[i], nd, r, ring)
-                        if not old or not nd:
-                            _toggle(live, slot, i)
-                        total += w[i] - old
+                        if not old:
+                            live.append(i)
+                        elif not nd:
+                            _drop(live, i)
+                        if old == 2 > w[i]:
+                            _drop(live, i + n)
+                        elif w[i] == 2 > old:
+                            live.append(i + n)
                     dist[i] = nd
-                size = len(live)
+                total = len(live)
             if changes is not None:
                 changes += [(t, i, new) for i, new, _ in pending]
         if fit == 0:
@@ -641,7 +643,7 @@ def _jump_law(r, ring, x, z, dist, draw, bound):
     F = [0.0] + harmonic_table(r).cdf.tolist()
     w = [0.0] * n
     states = [(1, 0.0, 1.0)] * n  # (toward, F[J], F[L-1]): see settle
-    live, slot = [], [0] * n  # slot[i] is the index of position i in live
+    live = []  # the positions with w_i > 0
     total = 0
 
     def pick():
@@ -668,10 +670,10 @@ def _jump_law(r, ring, x, z, dist, draw, bound):
         if d == 0:
             wi = 0.0
             states[i] = (1, 0.0, 1.0)
-            _toggle(live, slot, i)
+            _drop(live, i)
         else:
             if not old:
-                _toggle(live, slot, i)
+                live.append(i)
             zi = z[i]
             if ring:
                 toward = -1 if (new - zi) % r == d else 1
@@ -702,18 +704,13 @@ def _jump_law(r, ring, x, z, dist, draw, bound):
     return pick, settle, miss, w
 
 
-def _toggle(live, slot, i):
-    """Remove position i from live if it is there, else append it, keeping
-    slot[j] the index of each j in live; O(1)."""
-    k = slot[i]
-    if k < len(live) and live[k] == i:
-        last = live.pop()
-        if last != i:
-            live[k] = last
-            slot[last] = k
-    else:
-        slot[i] = len(live)
-        live.append(i)
+def _drop(live, k):
+    """Remove entry k from the list live, moving its last entry into k's
+    place; O(len(live)) for the search, which is short at the n of a run."""
+    at = live.index(k)
+    last = live.pop()
+    if at < len(live):
+        live[at] = last
 
 
 def _draws(method):

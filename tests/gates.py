@@ -342,37 +342,47 @@ def hamming_increase(seed):
             f"kernel={kernel}/{runs}, reference={reference}/{runs}, p={p:.3g}")
 
 
+def _trace_law_pvalues(algorithm, operator, inst, seed, runs, pots):
+    """{t: p} for t = 1 and 4: a chi-square test of the law of the trace row
+    (the potentials pots) at iteration t of runs runs from a uniform start,
+    capped at 4 iterations, against the exact law, the uniform start pushed
+    through exact_transition_matrix."""
+    r, n = inst.params.r, inst.params.n
+    rows = [tuple(potential_value(p, inst, np.array(x)) for p in pots)
+            for x in itertools.product(range(r), repeat=n)]
+    matrix = exact_transition_matrix(algorithm, operator, inst)
+    records = run_batch(RunConfig(algorithm, operator, inst, seed=seed, iteration_cap=4,
+                                  trace_potentials=pots), runs)
+    law = np.full(len(rows), 1.0 / len(rows))
+    pvalues = {}
+    for t in range(1, 5):
+        law = law @ matrix
+        if t not in (1, 4):
+            continue
+        exact = Counter()
+        for row, prob in zip(rows, law):
+            exact[row] += prob
+        # a run that hit the optimum before t stays there: its last row
+        seen = Counter(rec.trace[min(t, len(rec.trace) - 1)][1] for rec in records)
+        pvalues[t] = goodness_of_fit_pvalue(seen, exact)
+    return pvalues
+
+
 @_gate("transition oracle", 44)
 def transition_oracle(seed):
     """The law of the trace row (fitness, Hamming, exp_weight:2) at
     iterations 1 and 4 from a uniform start, for RLS and the EA with every
     operator on both metrics (n=3, r=4, target (0, 1, 2)), against the exact
-    law: the uniform start pushed through exact_transition_matrix. One
-    chi-square test at 0.001/24 per (algorithm, operator, metric, iteration)
-    on 2000 runs, capped at 4 iterations by design (margin: the smallest
-    p-value minus 0.001/24)."""
+    law (_trace_law_pvalues). One chi-square test at 0.001/24 per
+    (algorithm, operator, metric, iteration) on 2000 runs, capped at 4
+    iterations by design (margin: the smallest p-value minus 0.001/24)."""
     runs, significance = 2000, 0.001 / 24
     pots = (Potential.fitness(), Potential.hamming(), Potential.exp_weight(2.0))
     pvalues, details = [], []
     for metric in (MetricKind.INTERVAL, MetricKind.RING):
         inst = ProblemInstance(SpaceParams(3, 4), metric, np.array([0, 1, 2]))
-        rows = [tuple(potential_value(p, inst, np.array(x)) for p in pots)
-                for x in itertools.product(range(4), repeat=3)]
         for algorithm, operator in itertools.product((RLS, EA), (UNIFORM, PM1, HARMONIC)):
-            matrix = exact_transition_matrix(algorithm, operator, inst)
-            records = run_batch(RunConfig(algorithm, operator, inst, seed=seed, iteration_cap=4,
-                                          trace_potentials=pots), runs)
-            law = np.full(len(rows), 1.0 / len(rows))
-            for t in range(1, 5):
-                law = law @ matrix
-                if t not in (1, 4):
-                    continue
-                exact = Counter()
-                for row, prob in zip(rows, law):
-                    exact[row] += prob
-                # a run that hit the optimum before t stays there: its last row
-                seen = Counter(rec.trace[min(t, len(rec.trace) - 1)][1] for rec in records)
-                p = goodness_of_fit_pvalue(seen, exact)
+            for t, p in _trace_law_pvalues(algorithm, operator, inst, seed, runs, pots).items():
                 pvalues.append(p)
                 details.append(f"{algorithm.value}/{operator.value}/{metric.value}/t={t}: "
                                f"p={p:.3g}")
@@ -439,3 +449,21 @@ def ea_one_step_pm1(seed):
     then stepping away), and so is the finished one (stepping to -1,
     infeasible, or to 1), so both of the +-1 loop's miss laws show."""
     return _ea_one_step(seed, PM1, (2, 3, 0))
+
+
+@_gate("ea pm1 ring ties", 49)
+def ea_pm1_ring_ties(seed):
+    """The law of the trace row (fitness, Hamming) at iterations 1 and 4 of
+    the +-1 EA from a uniform start on the ring at n=3, r=3, target
+    (0, 1, 2), against the exact law (_trace_law_pvalues): a chi-square
+    test at 0.001/2 per iteration on 2000 runs, capped at 4 iterations by
+    design (margin: the smaller p-value minus 0.001/2). At r=3 every
+    unfinished position sits at a ring tie (w_i = 2: both of its moves are
+    accepted), so positions finish from w_i = 2 and re-enter at it."""
+    runs, significance = 2000, 0.001 / 2
+    inst = ProblemInstance(SpaceParams(3, 3), MetricKind.RING, np.array([0, 1, 2]))
+    pvalues = _trace_law_pvalues(EA, PM1, inst, seed, runs,
+                                 (Potential.fitness(), Potential.hamming()))
+    least = min(pvalues.values())
+    return (least > significance, least - significance, True,
+            "; ".join(f"t={t}: p={p:.3g}" for t, p in pvalues.items()))

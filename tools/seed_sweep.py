@@ -22,7 +22,10 @@ gates, in the order of the report:
   iterations against the exact transition law of a tiny instance, the RLS
   mean of every operator x metric against that instance's exact E[T], and
   one EA iteration from a fixed start against the law, for uniform and for
-  +-1 steps.
+  +-1 steps;
+- ea pm1 ring ties, the +-1 EA's trace rows after 1 and 4 iterations at
+  n=3, r=3 on the ring, where every unfinished position is at a tie,
+  against the exact transition law.
 
 The margin is how far the measured value lies inside the rule's bounds, in
 the rule's own units (negative when the gate fails). A gate that passes at
