@@ -744,21 +744,25 @@ def _lane_law(operator, r, ring):
     step is accepted with probability w / per, as in _law; w = 0 at d = 0)
     and, where w > 0, their accepted moves, drawn from the step conditioned
     on acceptance by inverting s = u * w, uniform on [0, w), as _law's pick
-    does.
+    does. On the interval the accepted values lie in [0, r - 1], so a move
+    there takes no modulo; only the ring's moves wrap.
     """
     if operator is StepOperatorKind.UNIFORM:
         def move(x, z, d, u):
             # the accepted values are the run start, start + 1, ... (mod r) of
-            # length w + 1, x among them
+            # length w + 1, x at offset `at` among them
             if ring:
                 full = 2 * d + 1 >= r
                 start, w = np.where(full, 0, z - d), np.where(full, r - 1, 2 * d)
+                at = (x - start) % r
             else:
                 start = np.maximum(z - d, 0)
                 w = np.minimum(z + d, r - 1) - start
+                at = x - start
             s = (u * w).astype(np.int64)
-            s += s >= (x - start) % r
-            return w, (start + s) % r
+            s += s >= at
+            s += start
+            return w, s % r if ring else s
         return r - 1, move
 
     if operator is StepOperatorKind.PLUS_MINUS_ONE:
@@ -809,7 +813,9 @@ def _advance(config, seeds, targets=None, starts=None, record=False):
     start point, when it has none, at counters 0 to n - 1, lane i's pair
     (e's uniform, the move's) in round t at n + 2(t n + i) and the next,
     and its Poisson count from key ^ _SECOND (_poisson); so its T depends
-    on its seed alone, not on the batch, its group or LANES.
+    on its seed alone, not on the batch, its group or LANES. A round drops
+    the lanes it finished by one index gather per lane array, which keeps
+    the others in batch order.
 
     Returns (hits, starts, per, moves): hits is the int64 array of the T,
     starts the (replicates, n) array of start points, and moves is []
@@ -841,10 +847,13 @@ def _advance(config, seeds, targets=None, starts=None, record=False):
             # chunk[t - start, :, row[j]]; key + c * golden is the stream of key from c on
             start, size = t, min(2 * size or 1, max(1, LANES // lane.size))
             row = np.arange(lane.size)
-            first = keys[lane // n] + (n + 2 * (lane % n)).astype(np.uint64) * np.uint64(_GOLDEN)
+            owner = lane // n  # lane - owner * n is lane % n, at a fraction of its cost
+            first = (n + 2 * (lane - owner * n)).astype(np.uint64) * np.uint64(_GOLDEN)
+            first += keys[owner]
+            del owner  # not held through the rounds
             chunk = _uniforms(first, (2 * n * np.arange(start, start + size))
                               .astype(np.uint64)[:, None, None] + _PAIR[:, None])
-        e, u = chunk[t - start][:, row]
+        e, u = chunk[t - start].take(row, axis=1)  # take: chunk[t - start][:, row], faster
         e = -np.log1p(-e)
         w, x = move(x, z, d, u)
         clock += e / w
@@ -856,9 +865,11 @@ def _advance(config, seeds, targets=None, starts=None, record=False):
         t += 1
         done = d == 0
         if done.any():
-            ids = lane[done]
-            tau[ids], spent_all[ids], moves[ids] = clock[done], spent[done], t
-            keep = ~done
+            # index gathers: a fraction of the cost of boolean masks (and nonzero
+            # of a bool array, of an int one)
+            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            ids = lane[gone]
+            tau[ids], spent_all[ids], moves[ids] = clock[gone], spent[gone], t
             lane, x, z, d, clock, spent, row = (a[keep] for a in (lane, x, z, d, clock, spent,
                                                                   row))
 

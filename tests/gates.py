@@ -467,3 +467,23 @@ def ea_pm1_ring_ties(seed):
     least = min(pvalues.values())
     return (least > significance, least - significance, True,
             "; ".join(f"t={t}: p={p:.3g}" for t, p in pvalues.items()))
+
+
+@_gate("ea pm1 ring ties mean", 50)
+def ea_pm1_ring_ties_mean(seed):
+    """The mean hitting time of 20,000 runs of the +-1 EA from a uniform
+    start on the ring at n=3, r=3, target (0, 1, 2), against the exact E[T]
+    of exact_transition_matrix: a two-sided z-test at 0.001 (margin: the
+    p-value minus 0.001). The instance of "ea pm1 ring ties", run to its
+    hitting time, so that positions that finish from a tie (w_i = 2) go on
+    drawing pick tickets: a ticket a finish left behind shows as extra
+    events in T."""
+    runs, significance = 20_000, 0.001
+    inst = ProblemInstance(SpaceParams(3, 3), MetricKind.RING, np.array([0, 1, 2]))
+    exact = exact_expected_hitting_time(exact_transition_matrix(EA, PM1, inst))
+    times = np.array([rec.hitting_time for rec in
+                      run_batch(RunConfig(EA, PM1, inst, seed=seed), runs)], dtype=np.float64)
+    z = (times.mean() - exact) / (times.std(ddof=1) / math.sqrt(runs))
+    p = 2.0 * stats.norm.sf(abs(z))
+    return (p > significance, p - significance, True,
+            f"mean={times.mean():.3f} exact={exact:.3f} z={z:.2f}")

@@ -99,6 +99,41 @@ def test_ea_records_are_the_recorded_ones(operator, metric):
     assert hashlib.sha256(repr(records).encode()).hexdigest() == EA_GOLDEN[operator, metric]
 
 
+RLS_GOLDEN = {  # sha256 of the records below
+    (UNIFORM, MetricKind.INTERVAL):
+        "05311c933e6a45c3b3bdc3079db38b94979a45f08620e82d1f1778ba6fbde059",
+    (UNIFORM, MetricKind.RING):
+        "ac48b34533b17d40b1d2e860b9d455996b62713d29be7f884299e514168a76ea",
+    (PM1, MetricKind.INTERVAL):
+        "73dd98346d36a802061ef05349df4a210130ab9468431e2837c2c9ab90dac104",
+    (PM1, MetricKind.RING):
+        "52d1cdb66df940d51754c0b43dbb06297fb998d59e623041a1fc51d49f98305d",
+    (HARMONIC, MetricKind.INTERVAL):
+        "8df91aff5d222093b26b5bd6ec61e667b51630c405fff3404184a77d612522ff",
+    (HARMONIC, MetricKind.RING):
+        "436bf67bfb444d30da21c0c52a68a5cf0cee01504ad6636288e607e891e8b0d8",
+}
+RLS_GOLDEN_CAPS = {(12, 9): 150, (4, 2): 8}  # caps that some runs of each cell reach
+
+
+@pytest.mark.parametrize("operator,metric", list(RLS_GOLDEN))
+def test_rls_records_are_the_recorded_ones(operator, metric):
+    # every draw of the lockstep kernel shows in its records: hitting
+    # times, and for traced and capped runs (replayed with their moves) the
+    # final fitness and a fitness trace, at a size with ring ties and
+    # interval edges and at r = 2
+    records = []
+    for (n, r), cap in RLS_GOLDEN_CAPS.items():
+        inst = make_instance(n, r, metric, target=np.arange(n) % r)
+        for iteration_cap, potentials in product((10**10, cap), (None, ("fitness",))):
+            cfg = RunConfig(RLS, operator, inst, seed=7, iteration_cap=iteration_cap,
+                            trace_potentials=potentials)
+            batch = run_batch(cfg, 20)
+            assert (0 < sum(rec.capped for rec in batch) < len(batch)) == (iteration_cap == cap)
+            records += batch
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == RLS_GOLDEN[operator, metric]
+
+
 def test_run_batch_contracts():
     inst = make_instance(6, 4)
     cfg = RunConfig(RLS, UNIFORM, inst, seed=55)
@@ -589,6 +624,13 @@ def test_ea_pm1_ring_ties_match_exact_transition_law():
     assert_passes("ea pm1 ring ties")
 
 
+def test_ea_pm1_ring_ties_mean_matches_exact_expected_hitting_time():
+    # the same instance run to its hitting time: positions finish from a
+    # tie and then draw pick tickets for the rest of the run, so a ticket
+    # that a finish leaves behind shifts the mean away from the exact E[T]
+    assert_passes("ea pm1 ring ties mean")
+
+
 @pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
 @pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
 def test_steps_at_a_finished_position_never_stay_on_target(operator, metric):
@@ -783,6 +825,37 @@ def test_lane_law_matches_enumerated_step_outcomes(operator, metric):
     if ring:
         # the +-1 law's w = 2 states, where both neighbours are accepted
         assert "ring tie, w = 2" in seen
+
+
+@pytest.mark.parametrize("operator", [UNIFORM, PM1, HARMONIC])
+def test_interval_lane_moves_stay_in_range_at_large_r(operator):
+    # a seeded grid of lanes up to r = 2**40 (the harmonic law holds an
+    # r-entry table, so it stops at 2**16): random, near and edge (x, z)
+    # with d > 0, and u at 0, random and the largest double below 1. Every
+    # move lies in [0, r - 1], within d of z and off x, and the uniform move,
+    # which takes no modulo on the interval, is its former modulo form
+    rng = np.random.default_rng(31)
+    sizes = [2, 3, 4, 5, 8, 255, 256, 2**16]
+    if operator is not HARMONIC:
+        sizes += [2**31, 2**32 + 1, 2**40]
+    for r in sizes:
+        _, move = _lane_law(operator, r, False)
+        z = np.concatenate([rng.integers(0, r, 3000), np.zeros(500, np.int64),
+                            np.full(500, r - 1)])
+        near = np.clip(z[2000:] + rng.integers(-3, 4, 2000), 0, r - 1)
+        x = np.concatenate([rng.integers(0, r, 2000), near])
+        x = np.where(x == z, (z + 1) % r, x)
+        d = np.abs(x - z)
+        u = rng.random(x.size)
+        u[::3], u[1::3] = 0.0, 1.0 - 2.0**-53
+        w, new = move(x, z, d, u)
+        assert (w > 0).all(), r
+        assert ((new >= 0) & (new < r) & (np.abs(new - z) <= d) & (new != x)).all(), r
+        if operator is UNIFORM:
+            start = np.maximum(z - d, 0)
+            s = (u * w).astype(np.int64)
+            s += s >= (x - start) % r
+            np.testing.assert_array_equal(new, (start + s) % r)
 
 
 @pytest.mark.parametrize("operator", [UNIFORM, HARMONIC])

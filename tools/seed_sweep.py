@@ -25,7 +25,9 @@ gates, in the order of the report:
   +-1 steps;
 - ea pm1 ring ties, the +-1 EA's trace rows after 1 and 4 iterations at
   n=3, r=3 on the ring, where every unfinished position is at a tie,
-  against the exact transition law.
+  against the exact transition law;
+- ea pm1 ring ties mean, the +-1 EA's mean hitting time on that instance
+  against its exact E[T].
 
 The margin is how far the measured value lies inside the rule's bounds, in
 the rule's own units (negative when the gate fails). A gate that passes at
