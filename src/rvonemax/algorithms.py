@@ -36,17 +36,17 @@ offspring is sure to be rejected; their number, Bin(n, 1/n), comes from
 Generator.binomial. A run costs about its number of events, not its number
 of iterations.
 
-The lockstep kernel and the EA's loop, _simulate_ea, leave the step
-operator to a per-position law (_law for the EA's uniform and harmonic
-steps, its vectorized closed forms _lane_law for RLS), which owns the
-weights and the conditioned moves, and _law also the misses and the pick
-index. The EA's +-1 law is written inline in its loop instead: its
-weights are 1 or 2, one pick ticket per unit, so a pick with its move,
-and a miss, each take one uniform, and no +-1 event calls a law. Every
-kernel takes a start point the config lacks as the first n draws of the
-run's stream, and builds a trace after the run with one builder, _trace,
-which scores the points after the run's accepted changes a block at a
-time.
+The lockstep kernel and the EA's loop, _simulate_ea, leave the step operator
+to a per-position law (_law for the EA's uniform and harmonic steps, its
+vectorized closed forms _lane_law for RLS), which owns the weights and the
+conditioned moves, and _law also the misses and the pick index; the harmonic
+laws, and one_iteration, read the jump law F of the shared
+operators.HarmonicTable. The EA's +-1 law is written inline in its loop
+instead: its weights are 1 or 2, one pick ticket per unit, so a pick with
+its move, and a miss, each take one uniform, and no +-1 event calls a law.
+Every kernel takes a start point the config lacks as the first n draws of
+the run's stream, and builds a trace after the run with one builder, _trace,
+which scores the points after the run's accepted changes a block at a time.
 
 Runs are deterministic functions of their seed, and run one after another
 in the calling process. Replicates of a batch use sub-seeds derived from
@@ -245,7 +245,7 @@ def one_iteration(algorithm: AlgorithmKind, operator: StepOperatorKind,
         new = v + (v >= cur)
     else:
         jump = (1 if operator is StepOperatorKind.PLUS_MINUS_ONE
-                else harmonic_table(r).sample_block(rng, cur.size))
+                else harmonic_table(r).jump(rng.random(cur.size)))
         new = np.where(rng.integers(0, 2, cur.size) == 0, cur - jump, cur + jump)
         if instance.metric is MetricKind.RING:
             new %= r
@@ -640,7 +640,7 @@ def _uniform_law(r, ring, x, z, dist, draw):
 
 def _jump_law(r, ring, x, z, dist, draw, bound):
     n = len(x)
-    F = [0.0] + harmonic_table(r).cdf.tolist()
+    F = harmonic_table(r).F.tolist()
     w = [0.0] * n
     states = [(1, 0.0, 1.0)] * n  # (toward, F[J], F[L-1]): see settle
     live = []  # the positions with w_i > 0
@@ -776,7 +776,7 @@ def _lane_law(operator, r, ring):
             return w, (x + np.where(u * w < 1.0, toward, -toward)) % r
         return 2, move
 
-    F = np.concatenate(([0.0], harmonic_table(r).cdf))  # F[j] = P[jump <= j]
+    F = harmonic_table(r).F  # F[j] = P[jump <= j]
 
     def move(x, z, d, u):
         # the accepted steps are x + toward*j for j in [1, J], mass F[J], and

@@ -3,7 +3,8 @@
 Three randomized operators are provided. The uniform step resets a value to
 a different one chosen uniformly at random. The unit step adds or subtracts
 1 with equal probability. The harmonic step jumps by j in {1, ..., r-1} with
-probability proportional to 1/j, direction chosen uniformly.
+probability proportional to 1/j, direction chosen uniformly: by the law
+F[j] = P[jump <= j] of HarmonicTable, which every harmonic consumer reads.
 
 Under the ring metric every step wraps around. Under the interval metric a
 step leaving [0, r-1] is infeasible and is discarded: step() returns None
@@ -44,31 +45,29 @@ def harmonic_pmf(r: int) -> np.ndarray:
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
-    weights = 1.0 / np.arange(1, r, dtype=np.float64)
-    return weights / weights.sum()
+    weights = np.arange(1, r, dtype=np.float64)
+    np.divide(1.0, weights, out=weights)  # in place: a large table faults in fewer pages
+    return np.divide(weights, weights.sum(), out=weights)
 
 
 class HarmonicTable:
-    """Precomputed inverse-CDF table for harmonic step sizes over [1, r-1].
-
-    Built once per alphabet size and shared; sampling is a binary search in
-    the cumulative table, O(log r) per draw.
+    """The harmonic jump law over [1, r-1], the one every consumer reads:
+    F[j] = P[jump <= j] for j = 0..r-1 (F[0] = 0, F[r-1] exactly 1.0), and
+    jump(u), the jump at uniform(s) u in [0, 1) by a binary search in F,
+    O(log r) per draw. Built once per r and shared, so pmf and F are read-only.
     """
 
-    __slots__ = ("r", "pmf", "cdf")
+    __slots__ = ("pmf", "F")
 
     def __init__(self, r: int):
-        self.r = r
         self.pmf = harmonic_pmf(r)
-        cdf = np.cumsum(self.pmf)
-        cdf[-1] = 1.0  # guard against cumulative rounding
-        self.cdf = cdf
+        self.F = np.zeros(r)
+        np.cumsum(self.pmf, out=self.F[1:])
+        self.F[-1] = 1.0  # guard against cumulative rounding
+        self.pmf.flags.writeable = self.F.flags.writeable = False
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self.cdf, rng.random(), side="right")) + 1
-
-    def sample_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.searchsorted(self.cdf, rng.random(size), side="right") + 1
+    def jump(self, u):
+        return np.searchsorted(self.F, u, "right")
 
 
 @lru_cache(maxsize=128)
@@ -89,10 +88,8 @@ def step(kind: StepOperatorKind, metric: MetricKind, current: int, r: int,
     if kind is StepOperatorKind.UNIFORM:
         v = int(rng.integers(0, r - 1))
         return v if v < current else v + 1
-    if kind is StepOperatorKind.PLUS_MINUS_ONE:
-        jump = 1
-    else:
-        jump = harmonic_table(r).sample(rng)
+    jump = (1 if kind is StepOperatorKind.PLUS_MINUS_ONE
+            else int(harmonic_table(r).jump(rng.random())))
     if int(rng.integers(0, 2)) == 0:
         jump = -jump
     value = current + jump

@@ -9,15 +9,15 @@ The Monte-Carlo simulator is rejection-free (the n-fold way of Bortz,
 Kalos and Lebowitz; Gillespie's SSA): a round that does not move only adds
 one to the clock, so from x it draws the wait to the next move as
 Geometric(P[d <= x]) and the move from the step law restricted to [1, x],
-each by inverting its cdf at one uniform. Its cost is the number of moves,
-not of rounds; all replicates of a batch advance together as numpy arrays,
-a jump drawn by a guide table of the step cdf, and come back as the columns
-of a TokenBatch. A law with one step size d0 (the unit law, for one) has no
-random round at all: every wait is 1 and every jump d0, so its columns
-follow from the starts in closed form, with no loop and no draw after the
-starts. Alongside it there is an exact expectation solver that exploits the
-triangular structure of the chain (position never increases), so no general
-linear solve is needed.
+each by inverting its cdf (the harmonic one is operators.HarmonicTable's F)
+at one uniform. Its cost is the number of moves, not of rounds; all
+replicates of a batch advance together as numpy arrays, a jump drawn by a
+guide table of the step cdf, and come back as the columns of a TokenBatch.
+A law with one step size d0 (the unit law, for one) has no random round at
+all: every wait is 1 and every jump d0, so its columns follow from the
+starts in closed form, with no loop and no draw after the starts. An exact
+expectation solver exploits the triangular structure of the chain
+(position never increases), so no general linear solve is needed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import subseed
-from .operators import harmonic_pmf
+from .operators import harmonic_pmf, harmonic_table
 
 MAX_EXACT_STATES = 4096  # dense O(r^2) solve stays cheap up to here
 
@@ -65,8 +65,8 @@ def token_step_pmf(distribution, r: int) -> np.ndarray:
     p = np.asarray(distribution, dtype=np.float64)
     if p.shape != (r,):
         raise ValueError(f"explicit distribution must have length {r}, got shape {p.shape}")
-    if (p < 0).any():
-        raise ValueError("step-size probabilities must be non-negative")
+    if not (np.isfinite(p) & (p >= 0)).all():  # NaN fails every comparison
+        raise ValueError("step-size probabilities must be finite and non-negative")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"step-size probabilities must sum to 1, got {p.sum()!r}")
     return p.copy()
@@ -95,6 +95,8 @@ class TokenRunRecord:
 
 
 def _step_cdf(distribution, r: int) -> np.ndarray:
+    if isinstance(distribution, str) and distribution.strip().lower() == "harmonic":
+        return harmonic_table(r + 1).F[1:]  # read-only, shared
     cdf = np.cumsum(token_step_pmf(distribution, r))
     cdf[-1] = 1.0  # guard against cumulative rounding
     return cdf

@@ -11,9 +11,8 @@ import numpy as np
 from scipy import stats
 
 from rvonemax import (AlgorithmKind, MetricKind, ProblemInstance, RunConfig, SpaceParams,
-                      StartKind, StepOperatorKind, TargetPolicy, fitness, harmonic_pmf,
-                      harmonic_table, mutate, sample_uniform_point, stable_seed, step,
-                      subseed, token_step_pmf)
+                      StartKind, StepOperatorKind, TargetPolicy, fitness, harmonic_table,
+                      mutate, sample_uniform_point, stable_seed, step, subseed, token_step_pmf)
 from rvonemax.algorithms import _uniforms
 
 
@@ -296,10 +295,10 @@ def step_outcomes(kind, metric, current, r):
     if kind is StepOperatorKind.PLUS_MINUS_ONE:
         return [(0.5, step(kind, metric, current, r, _ScriptedRng(ints=[sign])))
                 for sign in (0, 1)]
-    pmf = harmonic_pmf(r)
-    left = [0.0] + harmonic_table(r).cdf.tolist()  # jump j is drawn for u in [left[j-1], left[j])
-    return [(pmf[j - 1] / 2, step(kind, metric, current, r,
-                                  _ScriptedRng(ints=[sign], floats=[left[j - 1]])))
+    table = harmonic_table(r)
+    F = table.F.tolist()  # jump j is drawn for u in [F[j-1], F[j])
+    return [(table.pmf[j - 1] / 2, step(kind, metric, current, r,
+                                        _ScriptedRng(ints=[sign], floats=[F[j - 1]])))
             for j in range(1, r) for sign in (0, 1)]
 
 

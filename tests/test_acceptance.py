@@ -101,7 +101,7 @@ def test_criterion_9_property_suites(capsys, tmp_path):
     # harmonic pmf chi-square at significance 0.001
     for r in (4, 64, 1024):
         rng = np.random.default_rng(9100 + r)
-        sizes = harmonic_table(r).sample_block(rng, 100_000)
+        sizes = harmonic_table(r).jump(rng.random(100_000))
         counts = np.bincount(sizes, minlength=r)[1:]
         try:
             assert_chi_square(counts, harmonic_pmf(r))

@@ -484,7 +484,7 @@ def full_row_round(algorithm, operator, instance, x, rng):
         v = rng.integers(0, r - 1, cur.size)
         new = v + (v >= cur)
     else:
-        jump = 1 if operator is PM1 else harmonic_table(r).sample_block(rng, cur.size)
+        jump = 1 if operator is PM1 else harmonic_table(r).jump(rng.random(cur.size))
         new = np.where(rng.integers(0, 2, cur.size) == 0, cur - jump, cur + jump)
         if instance.metric is MetricKind.RING:
             new %= r

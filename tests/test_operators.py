@@ -6,6 +6,7 @@ import pytest
 from helpers import assert_chi_square
 from rvonemax import (HarmonicTable, MetricKind, StepOperatorKind, harmonic_number,
                       harmonic_pmf, harmonic_table, metric_distance, step)
+from rvonemax.token_process import _step_cdf, token_step_pmf
 
 UNIFORM = StepOperatorKind.UNIFORM
 PM1 = StepOperatorKind.PLUS_MINUS_ONE
@@ -34,11 +35,30 @@ def test_harmonic_pmf_properties(r):
 
 
 def test_harmonic_table_matches_harmonic_number():
-    for r in (2, 5, 40, 300):
+    for r in (2, 3, 5, 40, 255, 256, 300, 4097):
         table = HarmonicTable(r)
+        F = table.F
         assert table.pmf[0] == pytest.approx(1 / harmonic_number(r - 1), rel=1e-12)
-        assert table.cdf[-1] == 1.0
+        assert F.shape == (r,) and F[0] == 0.0 and F[-1] == 1.0
+        assert (np.diff(F) >= 0).all()
+        # the reference rule: the pmf's cumsum with its last entry set to 1.0
+        cdf = np.cumsum(harmonic_pmf(r))
+        cdf[-1] = 1.0
+        assert F[1:].tobytes() == cdf.tobytes()
+        assert _step_cdf("harmonic", r).tobytes() == harmonic_table(r + 1).F[1:].tobytes()
+        assert _step_cdf("harmonic", r - 1).tobytes() == cdf.tobytes()  # harmonic_pmf(r) is its pmf
         assert harmonic_table(r) is harmonic_table(r)  # cached and shared
+        for array in (table.pmf, F, harmonic_table(r).F):  # read-only, so sharing is safe
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+        assert harmonic_pmf(r).flags.writeable and token_step_pmf("harmonic", r).flags.writeable
+    for r in (2, 3, 5, 17):
+        F = harmonic_table(r).F
+        j = np.arange(1, r)
+        # jump j is drawn for u in [F[j-1], F[j])
+        assert (harmonic_table(r).jump(F[:-1]) == j).all()
+        assert (harmonic_table(r).jump(np.nextafter(F[1:], 0)) == j).all()
+        assert [int(harmonic_table(r).jump(float(u))) for u in F[:-1]] == j.tolist()
 
 
 def test_uniform_step_binary_always_flips():
@@ -136,7 +156,7 @@ def test_uniform_step_chi_square(r):
 @pytest.mark.parametrize("r", [4, 64, 1024])
 def test_harmonic_step_size_chi_square(r):
     rng = np.random.default_rng(1234 + r)
-    sizes = harmonic_table(r).sample_block(rng, 100000)
+    sizes = harmonic_table(r).jump(rng.random(100000))
     counts = np.bincount(sizes, minlength=r)[1:]
     assert_chi_square(counts, harmonic_pmf(r))
 

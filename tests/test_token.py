@@ -74,6 +74,13 @@ def test_step_pmf_validation():
         token_step_pmf([1.5, -0.5], 2)
     with pytest.raises(ValueError):
         token_step_pmf([1.0], 2)  # wrong length
+    for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [0.5, 0.5, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):  # NaN passes both the sign and sum tests
+            token_step_pmf(bad, 3)
+        with pytest.raises(ValueError, match="finite"):
+            TokenConfig(r=3, distribution=bad)
+        with pytest.raises(ValueError, match="finite"):
+            token_expected_hitting_time_exact(3, bad)
     np.testing.assert_allclose(token_step_pmf("harmonic", 4),
                                np.array([1, 1 / 2, 1 / 3, 1 / 4]) / (25 / 12))
 
