@@ -223,7 +223,8 @@ def column_summary(times, capped) -> tuple[float, float, float, int]:
     if times.size == 0:
         return float("nan"), 0.0, float("nan"), capped
     std_error = float(times.std(ddof=1) / math.sqrt(times.size)) if times.size > 1 else 0.0
-    return float(times.mean()), std_error, float(np.median(times)), capped
+    o, k = np.sort(times), times.size  # one sort: np.median partitions twice, several times slower
+    return float(times.mean()), std_error, float((o[(k - 1) // 2] + o[k // 2]) / 2), capped
 
 
 def hitting_time_summary(records) -> tuple[float, float, float, int]:

@@ -15,9 +15,9 @@ replicates of a batch advance together as numpy arrays, a jump drawn by a
 guide table of the step cdf, and come back as the columns of a TokenBatch.
 A law with one step size d0 (the unit law, for one) has no random round at
 all: every wait is 1 and every jump d0, so its columns follow from the
-starts in closed form, with no loop and no draw after the starts. An exact
-expectation solver exploits the triangular structure of the chain
-(position never increases), so no general linear solve is needed.
+starts in closed form, with no loop and no draw after the starts. The exact
+solver gives E[T] from every start: the chain never moves up, so E[x] needs
+only the states below x, an online convolution solved in O(r log^2 r).
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ import numpy as np
 from .algorithms import subseed
 from .operators import harmonic_pmf, harmonic_table
 
-MAX_EXACT_STATES = 4096  # dense O(r^2) solve stays cheap up to here
+MAX_EXACT_STATES = 2**20  # the exact solve takes about 2 s here on a 2-core x86 box
+_LEAF = 32  # the exact solve's ranges of states solved as one dense system
+_FFT_FROM = 512  # and its shortest range that convolves by FFT
 
 NAMED_DISTRIBUTIONS = ("unit", "uniform", "harmonic")
 
@@ -185,6 +187,7 @@ def _walk(cdf, cap, rng, position):
     rounds = np.zeros(position.size, dtype=np.int64)
     capped = np.zeros(position.size, dtype=bool)
     bound = 0  # no live run has more rounds
+    may_stick = q[0] == 0.0  # q never decreases: with q[0] > 0 no run is ever stuck
     live = np.flatnonzero(position)
     # log1p(-q) is -inf where q = 1; a wait is inf where q is subnormal
     with np.errstate(divide="ignore", over="ignore"):
@@ -192,8 +195,7 @@ def _walk(cdf, cap, rng, position):
         while live.size:
             k = position[live] - 1  # q[k] = P[d <= x] at each live position x
             qk = q[k]
-            stuck = qk == 0.0  # no step size fits under x: capped at once
-            if stuck.any():
+            if may_stick and (stuck := qk == 0.0).any():  # no step fits under x: capped at once
                 capped[live[stuck]] = True
                 live, k, qk = live[~stuck], k[~stuck], qk[~stuck]
             u, v = rng.random((2, live.size))
@@ -219,19 +221,49 @@ def _walk(cdf, cap, rng, position):
 def token_hitting_times_by_state(r: int, distribution) -> np.ndarray:
     """Exact expected hitting times E[x] for every start x in {0, ..., r}.
 
-    Forward substitution over the triangular chain with the self-loop
-    correction E[x] = (1 + sum_{d<=x} P[d] E[x-d]) / P[d <= x].
+    E[x] P[d <= x] = 1 + sum_{d<=x} P[d] E[x-d], E[0] = 0, with the walk's cdf
+    P[d <= x], is an online convolution, solved in O(r log^2 r) by divide and
+    conquer (CDQ, or relaxed multiplication): solve the lower half of a range
+    of states, add its part of the sum to the upper half by one convolution,
+    solve the upper half; at most _LEAF states make one triangular system.
+    All terms are positive, so only an FFT's rounding (relative to the largest
+    E it convolves) can cost accuracy: where its bound passes 1e-13 of some
+    E[x] P[d <= x], the solve is redone with direct convolutions.
     """
     if r > MAX_EXACT_STATES:
         raise CapacityError(f"exact solve supports r <= {MAX_EXACT_STATES}, got {r}")
-    pmf = token_step_pmf(distribution, r)
-    p = np.concatenate(([0.0], pmf))  # p[d] for d = 0..r
-    reach = np.cumsum(p)  # reach[x] = P[d <= x]
-    expect = np.zeros(r + 1)
-    for x in range(1, r + 1):
-        if reach[x] <= 0.0:
-            raise DivergenceError(f"state {x} can never move; expected hitting time is infinite")
-        expect[x] = (1.0 + float(np.dot(p[1:x + 1], expect[x - 1::-1]))) / reach[x]
+    p = np.concatenate(([0.0], token_step_pmf(distribution, r)))  # p[d] for d = 0..r
+    reach = np.concatenate(([0.0], _step_cdf(distribution, r)))  # reach[x] = P[d <= x]
+    if reach[1] <= 0.0:  # P[d <= 1] > 0 gives P[d <= x] > 0 at every x
+        raise DivergenceError("state 1 can never move; expected hitting time is infinite")
+    m = min(_LEAF, r)
+    lower = -p[np.subtract.outer(np.arange(m), np.arange(m)).clip(0)]  # -p[i - k], 0 from i <= k
+    expect, total, slack = np.zeros(r + 1), np.ones(r + 1), np.zeros(r + 1)
+
+    def solve(lo, hi, fft_from):  # the states in [lo, hi); total there sums the states below lo
+        n = hi - lo
+        if n <= _LEAF:
+            a = lower[:n, :n] / reach[lo:hi, None]  # |p[x - j]| <= P[d <= x]: no pivot, no sign
+            a.flat[::n + 1] = 1.0
+            expect[lo:hi] = np.linalg.solve(a, total[lo:hi] / reach[lo:hi])
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid, fft_from)
+        e, q = expect[lo:mid], p[1:n]
+        if n < fft_from:
+            part = np.convolve(e, q)
+        else:  # circular at size >= n - 1: it wraps only onto entries not kept
+            from numpy import fft
+            bits = (n - 1).bit_length()
+            part = fft.irfft(fft.rfft(e, 1 << bits) * fft.rfft(q, 1 << bits), 1 << bits)
+            slack[mid:hi] += bits * 2.0**-52 * e.max() * q.sum()  # its rounding bound
+        total[mid:hi] += part[mid - lo - 1:n - 1]  # part[x - lo - 1]: the states j in [lo, mid)
+        solve(mid, hi, fft_from)
+
+    solve(1, r + 1, _FFT_FROM)
+    if (slack > 1e-13 * expect * reach).any():
+        total[:] = 1.0
+        solve(1, r + 1, r + 1)
     return expect
 
 

@@ -10,9 +10,10 @@ from collections import defaultdict
 import numpy as np
 from scipy import stats
 
-from rvonemax import (AlgorithmKind, MetricKind, ProblemInstance, RunConfig, SpaceParams,
-                      StartKind, StepOperatorKind, TargetPolicy, fitness, harmonic_table,
-                      mutate, sample_uniform_point, stable_seed, step, subseed, token_step_pmf)
+from rvonemax import (AlgorithmKind, DivergenceError, MetricKind, ProblemInstance, RunConfig,
+                      SpaceParams, StartKind, StepOperatorKind, TargetPolicy, fitness,
+                      harmonic_table, mutate, sample_uniform_point, stable_seed, step, subseed,
+                      token_step_pmf)
 from rvonemax.algorithms import _uniforms
 
 
@@ -235,6 +236,22 @@ def reference_token_hitting_time(r, distribution, rng, cap=10**7):
         if d <= x:
             x -= d
     raise AssertionError("reference token run exceeded its cap")
+
+
+def dense_token_hitting_times(r, distribution):
+    """Exact expected hitting times E[x] for every start x in {0, ..., r}, by
+    the dense O(r^2) rule: forward substitution over the triangular chain with
+    the self-loop correction E[x] = (1 + sum_{d<=x} P[d] E[x-d]) / P[d <= x].
+    The oracle for token_process.token_hitting_times_by_state."""
+    pmf = token_step_pmf(distribution, r)
+    p = np.concatenate(([0.0], pmf))  # p[d] for d = 0..r
+    reach = np.cumsum(p)  # reach[x] = P[d <= x]
+    expect = np.zeros(r + 1)
+    for x in range(1, r + 1):
+        if reach[x] <= 0.0:
+            raise DivergenceError(f"state {x} can never move; expected hitting time is infinite")
+        expect[x] = (1.0 + float(np.dot(p[1:x + 1], expect[x - 1::-1]))) / reach[x]
+    return expect
 
 
 def reference_poisson(key, mean):

@@ -250,10 +250,10 @@ def test_token_cli_and_capacity_exit(capsys):
     values = dict(zip(header.split(","), row.split(",")))
     assert float(values["exact"]) == pytest.approx(6.1577, abs=1e-3)
     assert abs(float(values["mean"]) - float(values["exact"])) < 1.0
-    code, _, err = run_cli(capsys, ["token", "--r", "5000", "--dist", "unit",
+    code, _, err = run_cli(capsys, ["token", "--r", str(2**20 + 1), "--dist", "unit",
                                     "--reps", "10", "--seed", "1"])
     assert code == 3
-    assert "4096" in err
+    assert "1048576" in err
 
 
 def test_drift_cli_smoke(capsys):

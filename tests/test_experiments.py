@@ -328,6 +328,21 @@ def test_hitting_time_summary_conventions():
     assert (std_error, capped) == (0.0, 2)
 
 
+@pytest.mark.parametrize("k", [1, 2, 24, 1000, 15000])
+def test_column_summary_median_is_numpys(k):
+    # the median of the k uncapped runs, also with ties (hitting times are
+    # integers) and with capped runs, large ones, mixed in
+    rng = np.random.default_rng(k)
+    times = np.concatenate((rng.integers(0, 3 * k, size=k),
+                            rng.integers(10**9, 10**10, size=k // 3 + 1)))
+    capped = np.arange(times.size) >= k
+    order = rng.permutation(times.size)
+    times, capped = times[order], capped[order]
+    _, _, median, count = column_summary(times, capped)
+    assert count == k // 3 + 1
+    assert median == float(np.median(times[~capped].astype(np.float64)))
+
+
 @pytest.mark.parametrize("seed", [0, 41, 2**63 + 1, 2**64 - 3])
 def test_replicate_seeds_are_subseeds_in_one_array(seed):
     # subseed of a uint64 index array, as run_batch and _cell build their

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from helpers import (CountingGenerator, assert_chi_square, assert_same_distribution,
-                     reference_token_hitting_time)
+                     dense_token_hitting_times, reference_token_hitting_time)
 from rvonemax import (CapacityError, DivergenceError, TokenBatch, TokenConfig, TokenRunRecord,
                       fit_scaling, subseed, token_expected_hitting_time_exact,
                       token_hitting_times_by_state, token_process, token_run, token_run_batch,
@@ -62,7 +62,69 @@ def test_exact_solver_divergence_and_capacity():
     with pytest.raises(DivergenceError):
         token_expected_hitting_time_exact(r, concentrated)
     with pytest.raises(CapacityError):
-        token_expected_hitting_time_exact(5000, "unit")
+        token_expected_hitting_time_exact(2**20 + 1, "unit")
+
+
+def dirichlet_pmf(r):
+    return np.random.default_rng(r).dirichlet(np.ones(r))
+
+
+# leaf-sized ranges (32 states) and both sides of them, both convolution
+# branches (direct below 512 states, FFT from there), and the old r limit
+@pytest.mark.parametrize("r", [1, 2, 3, 31, 32, 33, 63, 64, 65, 255, 1000, 4096])
+@pytest.mark.parametrize("law", ["unit", "uniform", "harmonic", "dirichlet"])
+def test_exact_solver_matches_the_dense_rule(law, r):
+    distribution = dirichlet_pmf(r) if law == "dirichlet" else law
+    np.testing.assert_allclose(token_hitting_times_by_state(r, distribution),
+                               dense_token_hitting_times(r, distribution), rtol=1e-12)
+
+
+@pytest.mark.parametrize("r", [33, 255])
+def test_exact_solver_matches_the_dense_rule_on_sparse_pmfs(r):
+    # Dirichlet(0.1) draws put some P[d] far above P[d = 1], where a leaf
+    # solve by LU with row pivoting would lose up to about 6 digits
+    for seed in range(20):
+        p = np.random.default_rng(seed).dirichlet(np.full(r, 0.1))
+        np.testing.assert_allclose(token_hitting_times_by_state(r, p),
+                                   dense_token_hitting_times(r, p), rtol=1e-12)
+
+
+@pytest.mark.parametrize("r", [33, 600])
+def test_exact_solver_keeps_accuracy_where_e_spans_many_orders(r):
+    # P[d = 1] = 1e-9, nearly all mass on 2: E[x] is about 1e9 at odd x and
+    # about x at even x, so an FFT's rounding, relative to the largest E it
+    # convolves, would swamp the even states (about 2e-9 off at r = 600);
+    # the solve must find that and convolve directly
+    p = np.full(r, 1e-15)
+    p[0] = 1e-9
+    p[1] = 1.0 - p[0] - p[2:].sum()
+    expect = token_hitting_times_by_state(r, p)
+    assert expect[2::2].max() < 2 * r and expect[1::2].min() > 1e8
+    np.testing.assert_allclose(expect, dense_token_hitting_times(r, p), rtol=1e-12)
+
+
+@pytest.mark.parametrize("r", [3, 5, 40, 600])
+@pytest.mark.parametrize("zeros", [1, 2])
+def test_exact_solver_names_the_dense_rules_divergent_state(r, zeros):
+    p = dirichlet_pmf(r)
+    p[:zeros] = 0.0  # no mass at d = 1 (and 2): state 1 can never move
+    p /= p.sum()
+    with pytest.raises(DivergenceError) as dense:
+        dense_token_hitting_times(r, p)
+    with pytest.raises(DivergenceError) as fast:
+        token_hitting_times_by_state(r, p)
+    assert str(fast.value) == str(dense.value)
+
+
+def test_exact_harmonic_means_grow_as_six_over_pi_squared_log_r_squared():
+    # the token law Theta((log r)^2): a least-squares fit of
+    # a (ln r)^2 + b ln r + c to the exact means at r = 2^10 ... 2^18 must
+    # give the constant 6 / pi^2 (steps of size d <= x, probability about
+    # 1 / (d ln r) each, lower ln x by about sum_d 1 / d^2 / ln r per round)
+    rs = 2 ** np.arange(10, 19)
+    means = [token_expected_hitting_time_exact(int(r), "harmonic") for r in rs]
+    a, _, _ = np.polyfit(np.log(rs), means, 2)
+    assert abs(a - 6 / np.pi**2) < 1e-3
 
 
 def test_step_pmf_validation():
@@ -102,6 +164,19 @@ def test_token_run_unit_r1_mean():
     batch = token_run_batch(TokenConfig(r=1, distribution="unit", seed=5), 20000)
     assert not batch.capped.any()
     assert np.mean(batch.rounds) == pytest.approx(0.5, abs=0.011)  # 3 sigma of Bernoulli/2
+
+
+def test_runs_stuck_where_no_step_fits_draw_nothing():
+    # state 1 cannot move (P[d = 1] = 0): its runs are capped there, the others
+    # hit 0, and the stuck runs leave the others' draws as they were
+    # (the digest was recorded before the walk skipped this test for laws
+    # with P[d = 1] > 0)
+    law = [0, 0.3, 0.2, 0, 0.1, 0.1, 0.1, 0.2]
+    batch = token_run_batch(TokenConfig(r=8, distribution=law, seed=7), 2000)
+    assert (batch.final_position == np.where(batch.capped, 1, 0)).all() and batch.capped.any()
+    columns = batch.rounds.tobytes() + batch.final_position.tobytes() + batch.capped.tobytes()
+    assert hashlib.sha256(columns).hexdigest() == \
+        "0c8ae3f89a8f92a413b50a740168b1442528158133eae71b8746d17c2dcac594"
 
 
 def test_token_run_cap_marks_record():
