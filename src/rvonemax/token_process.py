@@ -29,7 +29,7 @@ import numpy as np
 from .algorithms import subseed
 from .operators import harmonic_pmf, harmonic_table
 
-MAX_EXACT_STATES = 2**20  # the exact solve takes about 2 s here on a 2-core x86 box
+MAX_EXACT_STATES = 2**20  # the exact solve takes 1.3-2 s here on a 2-core x86 box
 _LEAF = 32  # the exact solve's ranges of states solved as one dense system
 _FFT_FROM = 512  # and its shortest range that convolves by FFT
 
