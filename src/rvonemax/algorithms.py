@@ -812,16 +812,16 @@ def _advance(config, seeds, targets=None, starts=None, record=False):
     draws from the counter streams of its key _mix(seed) (_uniforms): its
     start point, when it has none, at counters 0 to n - 1, lane i's pair
     (e's uniform, the move's) in round t at n + 2(t n + i) and the next,
-    and its Poisson count from key ^ _SECOND (_poisson); so its T depends
-    on its seed alone, not on the batch, its group or LANES. A round drops
-    the lanes it finished by one index gather per lane array, which keeps
-    the others in batch order.
+    and its Poisson count, which its callers draw (_counts), from key ^
+    _SECOND; so its T depends on its seed alone, not on the batch, its group
+    or LANES. A round drops the lanes it finished by one index gather per
+    lane array, which keeps the others in batch order.
 
-    Returns (hits, starts, per, moves): hits is the int64 array of the T,
-    starts the (replicates, n) array of start points, and moves is []
-    without record, and with it the arrays (lane, clock, new value, old and
-    new distance, change of w) of every move, lane k * n + i being position
-    i of replicate k.
+    Returns (moves, means, starts, per, log): the int64 array of the M, the
+    Poisson means, the (replicates, n) array of start points, and [] without
+    record, and with it the arrays (lane, clock, new value, old and new
+    distance, change of w) of every move, lane k * n + i being position i of
+    replicate k.
     """
     instance = config.instance
     n, r, ring = instance.params.n, instance.params.r, instance.metric is MetricKind.RING
@@ -875,13 +875,20 @@ def _advance(config, seeds, targets=None, starts=None, record=False):
 
     # per replicate; each reduction runs over the replicate's own lanes only
     offsets = np.arange(0, moves.size, n)
-    counts = _poisson(keys ^ _SECOND, np.maximum(per * n * np.maximum.reduceat(tau, offsets)
-                                                 - np.add.reduceat(spent_all, offsets), 0.0))
-    hits = np.add.reduceat(moves, offsets) + counts  # no move: mean 0, so count 0
+    means = np.maximum(per * n * np.maximum.reduceat(tau, offsets)
+                       - np.add.reduceat(spent_all, offsets), 0.0)  # no move: mean 0
     if record:
         log = ([np.concatenate(column) for column in zip(*log)] if log
                else [np.zeros(0, dtype=np.int64)] * 6)
-    return hits, starts, per, log
+    return np.add.reduceat(moves, offsets), means, starts, per, log
+
+
+def _counts(seeds, means):
+    """A lockstep batch's Poisson counts (see _advance), one _poisson call per
+    LANES replicates: a call costs about the same whatever its size."""
+    keys = _mix(np.array(seeds, dtype=np.uint64)) ^ _SECOND
+    return np.concatenate([_poisson(keys[lo:lo + LANES], means[lo:lo + LANES])
+                           for lo in range(0, keys.size, LANES)])
 
 
 def _groups(config, seeds, targets=None, starts=None):
@@ -893,10 +900,12 @@ def _groups(config, seeds, targets=None, starts=None):
 
 
 def _hits(config, seeds, targets=None, starts=None):
-    """The int64 column of a lockstep batch's hitting times T (see _advance);
-    a replicate is capped where T > iteration_cap."""
-    return np.concatenate([_advance(config, *group)[0]
-                           for group in _groups(config, seeds, targets, starts)])
+    """The int64 column of a lockstep batch's hitting times T (see _advance),
+    its Poisson counts drawn once all its groups have run; a replicate is
+    capped where T > iteration_cap."""
+    moves, means = (np.concatenate(column) for column in zip(
+        *(_advance(config, *group)[:2] for group in _groups(config, seeds, targets, starts))))
+    return moves + _counts(seeds, means)
 
 
 def _run_lanes(config, seeds, targets=None, starts=None):
@@ -929,17 +938,18 @@ def _replay(config, seeds, targets=None, starts=None):
     The moves of a replicate's lanes, merged by clock, are its accepted
     moves in order; between moves k - 1 and k the rejected iterations come
     at rate norm - total_(k-1), total being sum(w) after move k - 1. So,
-    given their number (the Poisson count _advance draws), they fall into
-    the intervals multinomially in proportion to (norm - total_(k-1))
-    (t_k - t_(k-1)), which gives each move's iteration, the trace rows, the
-    state at the cap and the capped-prefix property exactly. The
-    multinomial comes from default_rng(seed), built for that replicate
+    given their number (the Poisson count, drawn here for the group), they
+    fall into the intervals multinomially in proportion to (norm -
+    total_(k-1)) (t_k - t_(k-1)), which gives each move's iteration, the
+    trace rows, the state at the cap and the capped-prefix property exactly.
+    The multinomial comes from default_rng(seed), built for that replicate
     alone, so a replayed record is the same in any batch too. A replicate
     with a target of its own gets an instance built by the ProblemInstance
     constructor.
     """
-    hits, starts, per, (lane, clock, new, old, nd, change) = _advance(
+    moves, means, starts, per, (lane, clock, new, old, nd, change) = _advance(
         config, seeds, targets, starts, record=True)
+    hits = moves + _counts(seeds, means)
     instance = config.instance
     n = instance.params.n
     owner = lane // n

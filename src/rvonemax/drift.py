@@ -205,11 +205,12 @@ def estimate_drift(config: RunConfig, potential: Potential, conditioning: Sequen
         drops = np.empty(samples)
         for lo in range(0, samples, BLOCK_ROWS):
             x = plant(instance, level, min(BLOCK_ROWS, samples - lo), rng)
-            before = potential_value(potential, instance, x)
+            # the rows of a level all score the same (k, s or the vector's), so score one
+            before = potential_value(potential, instance, x[:1])[0]
             x_next = one_iteration(config.algorithm, config.operator, instance, x, rng)
             drops[lo:lo + len(x)] = before - potential_value(potential, instance, x_next)
         sd = float(drops.std(ddof=1))
-        estimates.append(DriftEstimate(level=float(before[0]),
+        estimates.append(DriftEstimate(level=float(before),
                                        mean_drop=float(drops.mean()),
                                        confidence_halfwidth=1.96 * sd / math.sqrt(samples),
                                        samples=samples))

@@ -24,8 +24,8 @@ from rvonemax import (AlgorithmKind, ExperimentPlan, MetricKind, Potential, Prob
                       execute_plan,
                       fitness, hamming_distance, harmonic_table, metric_distance, mutate,
                       one_iteration, potential_value, run, run_batch, subseed)
-from rvonemax.algorithms import (_TRACE_BLOCK, LANES, _lane_law, _law, _map_runs, _pm1_state,
-                                  _trace)
+from rvonemax.algorithms import (_TRACE_BLOCK, LANES, _hits, _lane_law, _law, _map_runs,
+                                  _pm1_state, _trace)
 from rvonemax.experiments import hitting_time_summary
 
 RLS = AlgorithmKind.RLS
@@ -356,6 +356,31 @@ def test_traced_batch_is_advanced_once_per_group(monkeypatch):
     del calls[:]
     run_batch(replace(cfg, trace_potentials=None), reps)
     assert calls == [None, None]
+
+
+def test_lockstep_batch_draws_its_poisson_counts_per_lanes_replicates(monkeypatch):
+    # _hits draws a batch's Poisson counts after all its lane groups have
+    # run, in one _poisson call per slice of at most LANES replicates; a
+    # key's count depends on its key and mean alone, so the hits do not
+    # depend on the slicing
+    sizes = []
+    poisson = algorithms._poisson
+    monkeypatch.setattr(algorithms, "_poisson",
+                        lambda keys, means: sizes.append(keys.size) or poisson(keys, means))
+    cfg = RunConfig(RLS, UNIFORM, make_instance(20, 8), seed=3, initial_point=np.full(20, 5))
+    seeds = subseed(cfg.seed, np.arange(1000, dtype=np.uint64))
+    _hits(cfg, seeds)
+    assert sizes == [1000]  # a plan_short cell: three lane groups, one call
+    reps = 130
+    expected = _hits(cfg, seeds[:reps])
+    monkeypatch.setattr(algorithms, "LANES", 40)  # 65 groups of 2 replicates
+    del sizes[:]
+    hits = _hits(cfg, seeds[:reps])
+    assert sizes == [40, 40, 40, 10]  # ceil(reps / LANES) calls
+    np.testing.assert_array_equal(hits, expected)
+    assert (hits > 20).all() and np.ptp(hits) > 0
+    for k in (0, 39, 40, 129):
+        assert run(replace(cfg, seed=int(seeds[k]))).hitting_time == hits[k]
 
 
 def _stepped_trace(config, x0, changes, last):

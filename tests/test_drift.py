@@ -177,6 +177,30 @@ def test_row_planters_hit_the_level_on_every_row(metric):
 
 
 @pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
+def test_planted_rows_all_score_as_their_first(metric):
+    # estimate_drift scores a block's first row only: every row a planter
+    # places scores the same under each potential that can condition on it,
+    # bit for bit, exp_weight's float sums too (n = 9 and 20 sum past
+    # numpy's 8-term pairwise unroll)
+    rng = np.random.default_rng(5)
+    on_vectors = (Potential.hamming(), Potential.fitness(), Potential.exp_weight(),
+               Potential.exp_weight(1.7), Potential.exp_weight(2.0))
+    for n, r in ((9, 6), (20, 11)):
+        inst = make_instance(n, r, metric, target=np.arange(n) % r)
+        cap = inst.max_distances
+        cases = [(Potential.hamming(), plant_rows_at_hamming(inst, k, BLOCK_ROWS, rng))
+                 for k in (0, 1, n // 2, n)]
+        cases += [(Potential.fitness(), plant_rows_at_fitness(inst, s, BLOCK_ROWS, rng))
+                  for s in (0, 3, inst.max_fitness // 2, inst.max_fitness)]
+        for distances in (np.minimum(np.arange(n), cap), cap, rng.integers(0, cap + 1)):
+            rows = realize_distance_rows(inst, distances, BLOCK_ROWS, rng)
+            cases += [(potential, rows) for potential in on_vectors]
+        for potential, rows in cases:
+            first = potential_value(potential, inst, rows[:1])[0]
+            assert (potential_value(potential, inst, rows) == first).all(), potential.label
+
+
+@pytest.mark.parametrize("metric", [MetricKind.INTERVAL, MetricKind.RING])
 def test_fitness_planting_hits_the_level_over_several_rounds(metric):
     # a round places at most n units per row, so every level above n takes
     # several rounds (one `random` draw each)

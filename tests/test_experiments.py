@@ -298,7 +298,7 @@ def test_random_targets_and_uniform_starts_are_uniform():
     config, seeds, targets, starts = _cell(plan, n, r, RLS, UNIFORM, range(rows))
     assert starts is None
     rng = np.random.default_rng(29)
-    for values in (targets, _advance(config, seeds, targets)[1],
+    for values in (targets, _advance(config, seeds, targets)[2],
                    np.array([sample_uniform_point(SpaceParams(n, r), rng) for _ in range(rows)])):
         assert values.dtype == np.int64 and values.shape == (rows, n)
         assert_chi_square(np.bincount(values.ravel(), minlength=r), np.full(r, 1 / r))
